@@ -21,7 +21,8 @@ from .errors import TradesyncError
 from .ingest import (AutoFilterPolicy, QuotesFormat, TradesFormat,
                      build_calendar, filter_automatic, parse_quotes,
                      parse_trades, select_ticker, split_off_calendar)
-from .report import (PipelineParams, analyze_asset, build_report, dump_report)
+from .report import (PipelineParams, analyze_asset, build_report, derive_seeds,
+                     dump_report)
 from .syncnet import build_sync_network, write_edges, write_nodes
 from .synth import Ar1Config, CommunitySpec, SynthConfig, generate, write_synth
 
@@ -45,7 +46,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--replicas", type=int, default=1000)
     p.add_argument("--ma-window", type=int, default=5)
     p.add_argument("--ma-mode", default="trailing", choices=("trailing", "centered"))
-    p.add_argument("--permute", default="both", choices=("both", "single"))
     p.add_argument("--nu-moments", default="trading", choices=("trading", "global"))
     p.add_argument("--hill-k", type=int, default=None)
     p.add_argument("--bins", type=int, default=50)
@@ -92,7 +92,7 @@ def _params(args) -> PipelineParams:
     return PipelineParams(
         min_ops=args.min_ops, min_days=args.min_days, shuffles=args.shuffles,
         p_level=args.p_level, replicas=args.replicas, ma_window=args.ma_window,
-        ma_mode=args.ma_mode, permute=args.permute, nu_moments=args.nu_moments,
+        ma_mode=args.ma_mode, nu_moments=args.nu_moments,
         hill_k=args.hill_k, bins=args.bins, swap_factor=args.swap_factor,
         opd_cap=args.opd_cap, auto_filter=args.auto_filter,
     )
@@ -246,9 +246,10 @@ def cmd_meso(args) -> int:
 
 def _network(args, ticker: str, qpath: str):
     quotes, calendar, series = _load_asset(args, ticker, qpath)
+    # single-asset subcommands take the seeds `report` gives its first asset
+    seed = derive_seeds(args.seed, 0)["syncnet"]
     net = build_sync_network(series, min_ops=args.min_ops, shuffles=args.shuffles,
-                             level=args.p_level, seed=args.seed,
-                             permute=args.permute)
+                             level=args.p_level, seed=seed)
     return quotes, calendar, series, net
 
 
@@ -271,10 +272,11 @@ def cmd_metrics(args) -> int:
     ticker, qpath = _single_asset(args)
     quotes, calendar, series, net = _network(args, ticker, qpath)
     vol = vola.high_low_volatility(quotes)
+    seeds = derive_seeds(args.seed, 0)
     out = _outdir(args)
     metrics: dict = {"ticker": ticker, "modularity": None, "assortativity": {}}
     try:
-        partition = nm.louvain(net, seed=args.seed)
+        partition = nm.louvain(net, seed=seeds["louvain"])
         metrics["modularity"] = partition.q
         with open(os.path.join(out, "partition.tsv"), "w") as f:
             nm.write_partition(partition, f)
@@ -290,11 +292,12 @@ def cmd_metrics(args) -> int:
         "opd": nm.discretize_opd(
             {inv: a.opd for inv, a in net.node_attrs.items()}, args.opd_cap),
     }
-    for offset, (name, attr) in enumerate(attrs.items()):
+    for name, attr in attrs.items():
         try:
             res = nm.assortativity_with_nulls(
-                net, attr, replicas=args.replicas, seed=args.seed + offset,
-                swap_factor=args.swap_factor)
+                net, attr, replicas=args.replicas,
+                rewire_seed=seeds[f"{name}_rewire"],
+                shuffle_seed=seeds[f"{name}_shuffle"], swap_factor=args.swap_factor)
             metrics["assortativity"][name] = {
                 "r": res.r, "null_rewire": res.null_rewire.as_dict(),
                 "null_shuffle": res.null_shuffle.as_dict()}
@@ -317,7 +320,8 @@ def cmd_polarization(args) -> int:
     with open(os.path.join(out, "rho_histogram.tsv"), "w") as f:
         pol.write_histogram(hist, f)
     baseline = pol.shuffled_baseline(series, vol, replicas=args.replicas,
-                                     seed=args.seed, min_days=args.min_days)
+                                     seed=derive_seeds(args.seed, 0)["shuffle_baseline"],
+                                     min_days=args.min_days)
     summary = pol.summarize(scores, baseline, args.bins)
     _write_json(os.path.join(out, "polarization.json"), {
         "ticker": ticker,
@@ -385,6 +389,8 @@ def _write_asset_tables(analysis, out: str) -> None:
 def cmd_report(args) -> int:
     params = _params(args)
     parsed = _read_trades(args)
+    for rej in parsed.rejects:
+        print(rej, file=sys.stderr)
     out = _outdir(args)
     sections: dict[str, dict] = {}
     failed = []
@@ -401,7 +407,7 @@ def cmd_report(args) -> int:
             sections[ticker] = {"error": str(err)}
             failed.append(ticker)
             print(f"{ticker}: FAILED ({err})", file=sys.stderr)
-    report = build_report(sections, params, args.seed)
+    report = build_report(sections, params, args.seed, len(parsed.rejects))
     with open(os.path.join(out, "report.json"), "w") as f:
         dump_report(report, f)
     if failed:

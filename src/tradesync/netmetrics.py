@@ -462,13 +462,14 @@ def null_shuffle(net: SyncNetwork, attribute: dict[str, int], replicas: int = 10
 
 
 def assortativity_with_nulls(net: SyncNetwork, attribute: dict[str, int],
-                             replicas: int = 1000, seed: int = 0,
-                             swap_factor: int = 10, weighted: bool = False,
+                             replicas: int = 1000, rewire_seed: int = 0,
+                             shuffle_seed: int = 1, swap_factor: int = 10,
+                             weighted: bool = False,
                              workers: int | None = 1) -> AssortativityResult:
     return AssortativityResult(
         r=assortativity(net, attribute, weighted=weighted),
-        null_rewire=null_rewire(net, attribute, replicas=replicas, seed=seed,
+        null_rewire=null_rewire(net, attribute, replicas=replicas, seed=rewire_seed,
                                 swap_factor=swap_factor, workers=workers),
         null_shuffle=null_shuffle(net, attribute, replicas=replicas,
-                                  seed=seed + 1, workers=workers),
+                                  seed=shuffle_seed, workers=workers),
     )

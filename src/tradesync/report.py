@@ -23,7 +23,7 @@ from .ingest import (AutoFilterPolicy, QuoteSeries, TradeRecord, build_calendar,
                      filter_automatic, split_off_calendar)
 from .syncnet import SyncNetwork, build_sync_network
 
-REPORT_VERSION = "1"
+REPORT_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,6 @@ class PipelineParams:
     replicas: int = 1000
     ma_window: int = 5
     ma_mode: str = "trailing"
-    permute: str = "both"
     nu_moments: str = "trading"
     hill_k: int | None = None
     bins: int = 50
@@ -51,9 +50,12 @@ class PipelineParams:
 
 
 def derive_seeds(root_seed: int, asset_index: int) -> dict[str, int]:
-    """Per-component integer seeds for one asset, derived from the root seed."""
-    state = np.random.SeedSequence([int(root_seed), int(asset_index)]).generate_state(4)
-    names = ("syncnet", "louvain", "nulls", "shuffle_baseline")
+    """One seed per randomized step of one asset, derived from the root seed.
+    Appending a name leaves the earlier seeds unchanged."""
+    names = ("syncnet", "louvain", "rho_ov_rewire", "shuffle_baseline",
+             "rho_ov_shuffle", "opd_rewire", "opd_shuffle")
+    state = np.random.SeedSequence([int(root_seed), int(asset_index)]
+                                   ).generate_state(len(names))
     return {name: int(v) for name, v in zip(names, state)}
 
 
@@ -186,8 +188,7 @@ def analyze_asset(trades: list[TradeRecord], quotes: QuoteSeries,
 
     net = build_sync_network(series, min_ops=params.min_ops,
                              shuffles=params.shuffles, level=params.p_level,
-                             seed=seeds["syncnet"], workers=workers,
-                             permute=params.permute)
+                             seed=seeds["syncnet"], workers=workers)
 
     partition = None
     try:
@@ -217,16 +218,18 @@ def analyze_asset(trades: list[TradeRecord], quotes: QuoteSeries,
             {s.investor_id: s.rho_ov for s in scores
              if s.investor_id in net.node_attrs})
         assort_rho = nm.assortativity_with_nulls(
-            net, attr, replicas=params.replicas, seed=seeds["nulls"],
-            swap_factor=params.swap_factor, workers=workers)
+            net, attr, replicas=params.replicas, rewire_seed=seeds["rho_ov_rewire"],
+            shuffle_seed=seeds["rho_ov_shuffle"], swap_factor=params.swap_factor,
+            workers=workers)
     except (DegenerateInputError, ValueError) as err:
         notes["assortativity_rho_ov"] = str(err)
     try:
         attr = nm.discretize_opd(
             {inv: a.opd for inv, a in net.node_attrs.items()}, params.opd_cap)
         assort_opd = nm.assortativity_with_nulls(
-            net, attr, replicas=params.replicas, seed=seeds["nulls"] + 1,
-            swap_factor=params.swap_factor, workers=workers)
+            net, attr, replicas=params.replicas, rewire_seed=seeds["opd_rewire"],
+            shuffle_seed=seeds["opd_shuffle"], swap_factor=params.swap_factor,
+            workers=workers)
     except (DegenerateInputError, ValueError) as err:
         notes["assortativity_opd"] = str(err)
 
@@ -253,13 +256,14 @@ def analyze_asset(trades: list[TradeRecord], quotes: QuoteSeries,
 
 
 def build_report(sections: dict[str, dict], params: PipelineParams,
-                 root_seed: int) -> dict:
+                 root_seed: int, trade_rejects: int) -> dict:
     report = _plain({
         "version": REPORT_VERSION,
         "run": {
             "seed": int(root_seed),
             "config_digest": params.digest(),
             "defaults": asdict(params),
+            "trade_rejects": int(trade_rejects),
         },
         "assets": sections,
     })
@@ -362,8 +366,9 @@ REPORT_SCHEMA = {
                 "seed": {"type": "integer"},
                 "config_digest": {"type": "string"},
                 "defaults": {"type": "object"},
+                "trade_rejects": {"type": "integer"},
             },
-            "required": ["seed", "config_digest", "defaults"],
+            "required": ["seed", "config_digest", "defaults", "trade_rejects"],
         },
         "assets": {
             "type": "object",

@@ -2,10 +2,12 @@
 activity over overlapping active periods, with a shuffle-based significance
 filter.
 
-This is the O(N^2 * shuffles) hot path. Pairs are scheduled over a process
-pool; every pair draws its permutations from an RNG stream derived from
-(seed, i, j), so the network is identical for any worker count and any
-execution order.
+This is the O(N^2 * shuffles) hot path. A shuffle permutes one window only
+(permuting both gives the same null: sigma(x).tau(y) = x.(sigma^-1 tau)(y)),
+and a pair stops drawing shuffles once it can no longer be kept (Besag and
+Clifford 1991), so kept pairs still get exact p-values. Pairs run on a process
+pool; each draws from an RNG stream derived from (seed, i, j), so the network
+is identical for any worker count and any execution order.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from .activity import ActivitySeries
 from .errors import DegenerateInputError
 from .parallel import chunked, resolve_workers, task_rng
 
-# Cap on elements per permutation block; a pair's block layout depends only on
-# its window length, never on the worker count, to keep runs reproducible.
+# Shuffles are drawn in blocks of _BLOCK_ROWS (fewer for very long windows).
+# `rng.permuted` consumes the stream row by row, so the block size only sets
+# where a pair may stop, never which permutations it draws.
+_BLOCK_ROWS = 50
 _BLOCK_ELEMENTS = 2_000_000
 
 
@@ -79,15 +83,11 @@ class SyncNetwork:
         deg = self.degree()
         return [n for n in self.node_ids if deg[n] == 0]
 
-    def edge_index_pairs(self) -> list[tuple[int, int]]:
-        """Edges as index pairs into node_ids (sorted order)."""
-        pos = {n: k for k, n in enumerate(self.node_ids)}
-        return [(pos[e.i], pos[e.j]) for e in self.edges]
-
 
 @dataclass(frozen=True)
 class PairStat:
-    """Outcome for one tested node pair (indices into the eligible node list)."""
+    """Outcome for one tested node pair (indices into the eligible node list).
+    A pair that stopped early has a censored p-value, >= level."""
 
     i: int
     j: int
@@ -96,6 +96,7 @@ class PairStat:
     pvalue: float | None = None
     overlap: int = 0
     kept: bool = False
+    shuffles_used: int = 0
 
 
 def overlap_window(a: ActivitySeries, b: ActivitySeries) -> OverlapWindow | None:
@@ -129,52 +130,46 @@ def cross_correlation(a: ActivitySeries, b: ActivitySeries, w: OverlapWindow) ->
 
 
 def _shuffle_exceed_count(x: np.ndarray, y: np.ndarray, shuffles: int,
-                          rng: np.random.Generator, permute: str) -> int:
-    """Number of shuffle replicas whose correlation reaches the observed one.
+                          rng: np.random.Generator, level: float | None = None
+                          ) -> tuple[int, int]:
+    """(replicas whose correlation reaches the observed one, replicas drawn).
 
-    Permutations leave window means and sigmas unchanged, so comparing raw
-    dot products is equivalent to comparing correlations and avoids any
-    per-replica normalization error.
+    Each replica permutes x. Permutations leave window means and sigmas
+    unchanged, so comparing raw dot products is equivalent to comparing
+    correlations. With a `level`, drawing stops after the first block where
+    (1 + count) / (shuffles + 1) >= level: the pair can no longer be kept.
     """
     s0 = float(np.dot(x, y))
-    n = x.size
-    block = max(1, min(shuffles, _BLOCK_ELEMENTS // max(n, 1)))
-    count = 0
-    done = 0
+    block = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // max(x.size, 1)))
+    count = done = 0
     while done < shuffles:
         rows = min(block, shuffles - done)
         xs = np.tile(x, (rows, 1))
         rng.permuted(xs, axis=1, out=xs)
-        if permute == "both":
-            ys = np.tile(y, (rows, 1))
-            rng.permuted(ys, axis=1, out=ys)
-            sums = np.einsum("ij,ij->i", xs, ys)
-        else:
-            sums = xs @ y
-        count += int(np.count_nonzero(sums >= s0))
+        count += int(np.count_nonzero(xs @ y >= s0))
         done += rows
-    return count
+        if level is not None and (1 + count) / (shuffles + 1) >= level:
+            break
+    return count, done
 
 
 def permutation_pvalue(x: np.ndarray, y: np.ndarray, shuffles: int,
-                       rng: np.random.Generator, permute: str = "both") -> float:
+                       rng: np.random.Generator) -> float:
     """One-sided permutation p-value for the correlation of two windows.
 
-    Each replica re-permutes the day sequence of both windows (or of one,
-    with permute='single'); p = (1 + #{rho_shuffled >= rho}) / (shuffles + 1).
+    Each replica re-permutes the day sequence of x, and all shuffles are
+    drawn; p = (1 + #{rho_shuffled >= rho}) / (shuffles + 1).
     """
     if shuffles < 99:
         raise ValueError("need at least 99 shuffles for a meaningful p-value")
-    if permute not in ("both", "single"):
-        raise ValueError(f"unknown permute mode {permute!r}")
-    count = _shuffle_exceed_count(np.asarray(x, float), np.asarray(y, float),
-                                  shuffles, rng, permute)
+    count, _ = _shuffle_exceed_count(np.asarray(x, float), np.asarray(y, float),
+                                     shuffles, rng)
     return (1 + count) / (shuffles + 1)
 
 
 def permutation_filter(a: ActivitySeries, b: ActivitySeries, w: OverlapWindow,
                        rho: float, shuffles: int = 999, level: float = 0.01,
-                       seed: int = 0, permute: str = "both") -> tuple[float, bool]:
+                       seed: int = 0) -> tuple[float, bool]:
     """Significance filter for one pair; keep means p-value below `level`.
 
     `rho` is accepted (rather than recomputed) so callers can reuse the value
@@ -184,7 +179,7 @@ def permutation_filter(a: ActivitySeries, b: ActivitySeries, w: OverlapWindow,
     del rho
     x = a.window(w.start, w.end).astype(float)
     y = b.window(w.start, w.end).astype(float)
-    pvalue = permutation_pvalue(x, y, shuffles, task_rng(seed), permute)
+    pvalue = permutation_pvalue(x, y, shuffles, task_rng(seed))
     return pvalue, pvalue < level
 
 
@@ -216,25 +211,27 @@ def _eval_pair(ia: int, ib: int, payload: dict) -> PairStat:
         return PairStat(ia, ib, "short", overlap=w.length)
     x = a.window(w.start, w.end).astype(float)
     y = b.window(w.start, w.end).astype(float)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    vx = float(np.mean(xc * xc))
-    vy = float(np.mean(yc * yc))
-    if vx == 0.0 or vy == 0.0:
+    try:
+        rho = window_correlation(x, y)
+    except DegenerateInputError:
         return PairStat(ia, ib, "degenerate", overlap=w.length)
-    rho = min(1.0, max(-1.0, float(np.mean(xc * yc)) / float(np.sqrt(vx * vy))))
     rng = task_rng(payload["seed"], ia, ib)
-    count = _shuffle_exceed_count(x, y, payload["shuffles"], rng, payload["permute"])
-    pvalue = (1 + count) / (payload["shuffles"] + 1)
+    count, used = _shuffle_exceed_count(x, y, payload["shuffles"], rng,
+                                        payload["level"])
+    pvalue = (1 + count) / (used + 1)
     return PairStat(ia, ib, "ok", rho=rho, pvalue=pvalue, overlap=w.length,
-                    kept=pvalue < payload["level"])
+                    kept=pvalue < payload["level"], shuffles_used=used)
+
+
+def _new_counters() -> dict:
+    return {"disjoint": 0, "short": 0, "degenerate": 0, "tested": 0,
+            "kept": 0, "negative_rho": 0, "shuffles_used": 0}
 
 
 def _eval_chunk(spec) -> tuple[list[PairStat], dict]:
     kind, arg = spec
     payload = _PAYLOAD
-    counters = {"disjoint": 0, "short": 0, "degenerate": 0, "tested": 0,
-                "kept": 0, "negative_rho": 0}
+    counters = _new_counters()
     out: list[PairStat] = []
     keep_all = payload["keep_all"]
     if kind == "range":
@@ -246,46 +243,38 @@ def _eval_chunk(spec) -> tuple[list[PairStat], dict]:
         st = _eval_pair(ia, ib, payload)
         if st.status == "ok":
             counters["tested"] += 1
-            if st.rho is not None and st.rho < 0:
-                counters["negative_rho"] += 1
-            if st.kept:
-                counters["kept"] += 1
-            if keep_all or st.kept:
-                out.append(st)
+            counters["shuffles_used"] += st.shuffles_used
+            counters["negative_rho"] += int(st.rho < 0)
+            counters["kept"] += int(st.kept)
         else:
             counters[st.status] += 1
-            if keep_all:
-                out.append(st)
+        if keep_all or st.kept:
+            out.append(st)
     return out, counters
 
 
 def _run_chunks(payload: dict, chunks: list, workers: int
                 ) -> tuple[list[PairStat], dict]:
-    results: list[PairStat] = []
-    counters = {"disjoint": 0, "short": 0, "degenerate": 0, "tested": 0,
-                "kept": 0, "negative_rho": 0}
     if workers == 1:
         _set_payload(payload)
-        parts = map(_eval_chunk, chunks)
-        for stats, c in parts:
-            results.extend(stats)
-            for k, v in c.items():
-                counters[k] += v
+        parts = list(map(_eval_chunk, chunks))
         _set_payload({})
-        return results, counters
-    with ProcessPoolExecutor(max_workers=workers, initializer=_set_payload,
-                             initargs=(payload,)) as pool:
-        for stats, c in pool.map(_eval_chunk, chunks):
-            results.extend(stats)
-            for k, v in c.items():
-                counters[k] += v
+    else:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_payload,
+                                 initargs=(payload,)) as pool:
+            parts = list(pool.map(_eval_chunk, chunks))
+    results: list[PairStat] = []
+    counters = _new_counters()
+    for stats, c in parts:
+        results.extend(stats)
+        for k, v in c.items():
+            counters[k] += v
     return results, counters
 
 
 def evaluate_pairs(series: list[ActivitySeries], pairs: list[tuple[int, int]],
                    shuffles: int = 999, level: float = 0.01, seed: int = 0,
-                   workers: int | None = None, permute: str = "both"
-                   ) -> tuple[list[PairStat], dict]:
+                   workers: int | None = None) -> tuple[list[PairStat], dict]:
     """Correlate and significance-test an explicit list of (unique) index pairs.
 
     Returns one PairStat per input pair (in input order) plus a counter
@@ -293,24 +282,21 @@ def evaluate_pairs(series: list[ActivitySeries], pairs: list[tuple[int, int]],
     """
     workers = resolve_workers(workers)
     payload = {"series": series, "seed": seed, "shuffles": shuffles,
-               "level": level, "permute": permute, "keep_all": True, "cum": None}
+               "level": level, "keep_all": True, "cum": None}
     chunks = [("list", c) for c in chunked(list(pairs), workers * 8)]
-    results, counters = _run_chunks(payload, chunks, workers)
-    order = {pair: k for k, pair in enumerate(pairs)}
-    results.sort(key=lambda st: order[(st.i, st.j)])
-    return results, counters
+    return _run_chunks(payload, chunks, workers)
 
 
 def build_sync_network(series: dict[str, ActivitySeries], min_ops: int = 20,
                        shuffles: int = 999, level: float = 0.01, seed: int = 0,
-                       workers: int | None = None, permute: str = "both"
-                       ) -> SyncNetwork:
+                       workers: int | None = None) -> SyncNetwork:
     """Build the synchronization network for one asset.
 
     Nodes are investors with at least `min_ops` operations; an edge is kept
     when the pair's one-sided permutation p-value is below `level`. Pairs
     with window length < 2 or zero variance produce no edge and are only
-    counted in the diagnostics.
+    counted in the diagnostics; `shuffles_used` totals the shuffles the
+    tested pairs drew before they stopped.
     """
     tickers = {s.ticker for s in series.values()}
     if len(tickers) > 1:
@@ -329,11 +315,11 @@ def build_sync_network(series: dict[str, ActivitySeries], min_ops: int = 20,
         cum[i] = cum[i - 1] + (n - i)
 
     payload = {"series": slist, "seed": seed, "shuffles": shuffles,
-               "level": level, "permute": permute, "keep_all": False, "cum": cum}
+               "level": level, "keep_all": False, "cum": cum}
     bounds = np.linspace(0, n_pairs, num=min(n_pairs, workers * 8) + 1, dtype=int)
     chunks = [("range", (int(a), int(b))) for a, b in zip(bounds, bounds[1:]) if a < b]
+    # chunks are contiguous and come back in order, so results are sorted
     results, counters = _run_chunks(payload, chunks, workers)
-    results.sort(key=lambda st: (st.i, st.j))
 
     edges = [SyncEdge(i=node_ids[st.i], j=node_ids[st.j], rho=st.rho,
                       overlap=st.overlap, pvalue=st.pvalue)
@@ -354,8 +340,8 @@ def build_sync_network(series: dict[str, ActivitySeries], min_ops: int = 20,
         "nodes": n,
         "min_ops": min_ops,
         "shuffles": shuffles,
+        "shuffles_used": counters["shuffles_used"],
         "level": level,
-        "permute": permute,
     }
     net = SyncNetwork(ticker=ticker, node_ids=node_ids, node_attrs=attrs,
                       edges=edges, diagnostics=diagnostics)

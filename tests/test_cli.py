@@ -62,6 +62,12 @@ def test_unknown_flag_exits_nonzero(synth_data, tmp_path):
     assert exc.value.code != 0
 
 
+def test_permute_flag_removed(synth_data, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["syncnet", "--permute", "single"] + _common(synth_data, tmp_path / "p"))
+    assert exc.value.code != 0
+
+
 def test_activity_outputs(synth_data, tmp_path):
     out = tmp_path / "act"
     rc = main(["activity"] + _common(synth_data, out))
@@ -132,8 +138,10 @@ def test_report_end_to_end_and_determinism(synth_data, tmp_path):
     r2 = (out2 / "report.json").read_bytes()
     assert r1 == r2
     report = json.loads(r1)
-    assert report["version"] == "1"
+    assert report["version"] == "2"
     assert report["run"]["seed"] == 5
+    assert report["run"]["trade_rejects"] == 0
+    assert "permute" not in report["run"]["defaults"]
     section = report["assets"]["SYN"]
     assert section["network"]["nodes"] >= 8
     assert section["meso"]["long"] is not None
@@ -154,3 +162,42 @@ def test_report_partial_failure(synth_data, tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert "error" in report["assets"]["BAD"]
     assert report["assets"]["SYN"]["network"]["nodes"] > 0
+
+
+def test_subcommands_seed_like_report(synth_data, tmp_path):
+    assert main(["report"] + _common(synth_data, tmp_path / "r")) == 0
+    for cmd in ("syncnet", "metrics", "polarization"):
+        assert main([cmd] + _common(synth_data, tmp_path / cmd)) == 0
+    section = json.loads((tmp_path / "r" / "report.json").read_text())["assets"]["SYN"]
+    edges = (tmp_path / "syncnet" / "edges.tsv").read_text()
+    assert edges.count("\n") > 1
+    assert edges == (tmp_path / "r" / "SYN" / "edges.tsv").read_text()
+    metrics = json.loads((tmp_path / "metrics" / "metrics.json").read_text())
+    assert metrics["modularity"] == section["network"]["modularity"]
+    for name in ("rho_ov", "opd"):
+        got = metrics["assortativity"][name]
+        want = section["assortativity"][name]
+        if want is None:
+            assert "error" in got
+        else:
+            assert {k: got[k] for k in ("r", "null_rewire", "null_shuffle")} == \
+                {k: want[k] for k in ("r", "null_rewire", "null_shuffle")}
+    polar = json.loads((tmp_path / "polarization" / "polarization.json").read_text())
+    assert polar["variance_ratio"] == section["polarization"]["variance_ratio"]
+
+
+def test_report_lists_rejects(synth_data, tmp_path, capsys):
+    trades = tmp_path / "trades.csv"
+    lines = (synth_data / "trades.csv").read_text().splitlines(keepends=True)
+    lines[3] = "X,2003-13-01,SYN,1,1.5,buy\n"
+    lines[7] = "X,2003-01-06,SYN,-4,1.5,buy\n"
+    trades.write_text("".join(lines))
+    rc = main(["report", "--trades", str(trades),
+               "--quotes", str(synth_data / "quotes.csv"), "--ticker", "SYN",
+               "--shuffles", "199", "--replicas", "50", "--seed", "5",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "line 4: bad date" in err and "line 8: non-positive shares" in err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["run"]["trade_rejects"] == 2

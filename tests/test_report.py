@@ -1,0 +1,41 @@
+from tradesync import netmetrics
+from tradesync.ingest import select_ticker
+from tradesync.report import PipelineParams, analyze_asset, derive_seeds
+from tradesync.synth import CommunitySpec, SynthConfig, generate
+
+NULLS = ("rho_ov_rewire", "rho_ov_shuffle", "opd_rewire", "opd_shuffle")
+
+
+def test_every_step_has_its_own_seed():
+    for root in (0, 7, 2**31):
+        for asset in (0, 1, 5):
+            seeds = derive_seeds(root, asset)
+            assert set(NULLS) <= set(seeds)
+            assert len(set(seeds.values())) == len(seeds)
+
+
+def test_each_null_draws_its_own_stream(monkeypatch):
+    drawn = []
+
+    def recording(kind, fn):
+        def wrapper(*args, **kwargs):
+            drawn.append((kind, kwargs["seed"]))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(netmetrics, "null_rewire",
+                        recording("rewire", netmetrics.null_rewire))
+    monkeypatch.setattr(netmetrics, "null_shuffle",
+                        recording("shuffle", netmetrics.null_shuffle))
+    res = generate(SynthConfig(n_agents=60, n_days=120, beta_mean=0.4,
+                               base_rate_scale=0.1,
+                               communities=(CommunitySpec(8, 1.0),), seed=3))
+    params = PipelineParams(shuffles=199, replicas=20)
+    analysis = analyze_asset(select_ticker(res.trades, res.quotes.ticker), res.quotes,
+                             params, root_seed=5, workers=1)
+    assert analysis.assort_rho is not None and analysis.assort_opd is not None
+    seeds = derive_seeds(5, 0)
+    assert drawn == [("rewire", seeds["rho_ov_rewire"]),
+                     ("shuffle", seeds["rho_ov_shuffle"]),
+                     ("rewire", seeds["opd_rewire"]),
+                     ("shuffle", seeds["opd_shuffle"])]

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import series_from_counts
 from oracles import bruteforce_pair_correlation
+from tradesync import syncnet
 from tradesync.errors import DegenerateInputError
 from tradesync.parallel import task_rng
 from tradesync.syncnet import (build_sync_network, cross_correlation,
@@ -108,16 +109,29 @@ class TestPermutationFilter:
         p2 = permutation_pvalue(x, y, 999, task_rng(11, 4, 9))
         assert p1 == p2
 
-    def test_single_mode_differs_but_valid(self):
+    def test_null_permutes_one_window(self):
         rng_data = np.random.default_rng(6)
         x = rng_data.poisson(1.0, 60).astype(float)
         y = rng_data.poisson(1.0, 60).astype(float)
-        p = permutation_pvalue(x, y, 499, task_rng(1, 0), permute="single")
+        p = permutation_pvalue(x, y, 499, task_rng(1, 0))
+        exceed = _replayed_exceedances(x, y, 499, task_rng(1, 0))
+        assert p == (1 + exceed.sum()) / 500
         assert 0 < p <= 1
 
     def test_min_shuffles_enforced(self):
         with pytest.raises(ValueError):
             permutation_pvalue(np.arange(5.0), np.arange(5.0), 10, task_rng(0, 0))
+
+
+def _replayed_exceedances(x, y, shuffles, rng):
+    """Per-replica exceedance flags, drawing one permutation of x at a time."""
+    s0 = float(np.dot(x, y))
+    flags = []
+    for _ in range(shuffles):
+        xs = x[np.newaxis, :].copy()
+        rng.permuted(xs, axis=1, out=xs)
+        flags.append(float(xs[0] @ y) >= s0)
+    return np.array(flags)
 
 
 def _population(rng, n_investors=24, n_days=80, lam=1.0):
@@ -200,6 +214,8 @@ class TestBuildSyncNetwork:
         assert d["pairs_total"] == d["pairs_disjoint"] + d["pairs_short_overlap"] \
             + d["pairs_degenerate"] + d["pairs_tested"]
         assert d["edges_retained"] == len(net.edges)
+        assert "permute" not in d
+        assert d["pairs_tested"] <= d["shuffles_used"] < d["pairs_tested"] * d["shuffles"]
 
     def test_mixed_tickers_rejected(self):
         s1 = series_from_counts([1, 2], investor="A")
@@ -232,3 +248,74 @@ class TestEvaluatePairs:
         by_pair_fwd = {(r.i, r.j): r.pvalue for r in fwd}
         by_pair_rev = {(r.i, r.j): r.pvalue for r in rev}
         assert by_pair_fwd == by_pair_rev
+
+
+def _windows(slist, i, j):
+    w = overlap_window(slist[i], slist[j])
+    return (slist[i].window(w.start, w.end).astype(float),
+            slist[j].window(w.start, w.end).astype(float))
+
+
+class TestEarlyStopping:
+    @pytest.mark.parametrize("block_rows", [1, 7, 50])
+    def test_stopped_run_matches_full_run(self, rng, monkeypatch, block_rows):
+        monkeypatch.setattr(syncnet, "_BLOCK_ROWS", block_rows)
+        n_days, shuffles, level, seed = 120, 199, 0.05, 13
+        gate = rng.random(n_days) < 0.4
+        slist = []
+        for i in range(16):
+            counts = rng.poisson(1.0, n_days)
+            if i < 5:  # a planted group, so that some pairs are kept
+                counts = rng.poisson(2.0, n_days) * gate + rng.poisson(0.2, n_days)
+            counts[0] = max(counts[0], 1)
+            counts[-1] = max(counts[-1], 1)
+            slist.append(series_from_counts(counts, investor=f"s{i:02d}"))
+        pairs = [(i, j) for i in range(16) for j in range(i + 1, 16)]
+        results, counters = evaluate_pairs(slist, pairs, shuffles=shuffles,
+                                           level=level, seed=seed, workers=1)
+        stopped = kept = 0
+        for st in results:
+            x, y = _windows(slist, st.i, st.j)
+            assert st.rho == window_correlation(x, y)
+            full_p = permutation_pvalue(x, y, shuffles, task_rng(seed, st.i, st.j))
+            assert st.kept == (full_p < level)
+            if st.kept:
+                kept += 1
+                assert (st.pvalue, st.shuffles_used) == (full_p, shuffles)
+                continue
+            assert st.pvalue >= level and full_p >= level
+            assert st.shuffles_used % block_rows == 0 or st.shuffles_used == shuffles
+            stopped += st.shuffles_used < shuffles
+            # the censored count is the full run's count over the same prefix
+            prefix = _replayed_exceedances(x, y, st.shuffles_used,
+                                           task_rng(seed, st.i, st.j))
+            assert st.pvalue == (1 + prefix.sum()) / (st.shuffles_used + 1)
+        assert kept >= 5 and stopped >= len(pairs) // 2
+        assert counters["shuffles_used"] == sum(st.shuffles_used for st in results)
+
+    @pytest.mark.parametrize("block_rows", [1, 50])
+    def test_stopping_exceedance_on_last_shuffle(self, monkeypatch, block_rows):
+        monkeypatch.setattr(syncnet, "_BLOCK_ROWS", block_rows)
+        data = np.random.default_rng(21)
+        gate = data.random(80) < 0.5
+        x = data.poisson(1.0, 80) * gate + data.poisson(0.5, 80)
+        y = data.poisson(1.0, 80) * gate + data.poisson(0.8, 80)
+        x[0] = y[0] = 1
+        slist = [series_from_counts(x, investor="a"), series_from_counts(y, investor="b")]
+        xw, yw = _windows(slist, 0, 1)
+        flags = _replayed_exceedances(xw, yw, 600, task_rng(5, 0, 1))
+        # the shuffle count ending at an exceedance, with at least 99 shuffles
+        hits = np.flatnonzero(flags) + 1
+        shuffles = int(hits[hits >= 99][0])
+        count = int(flags[:shuffles].sum())
+        assert flags[shuffles - 1] and count >= 1
+        # at this level the pair's count reaches the stop point exactly on its
+        # last shuffle: it is dropped with its exact p-value
+        level = (1 + count) / (shuffles + 1)
+        (st,), _ = evaluate_pairs(slist, [(0, 1)], shuffles=shuffles, level=level,
+                                  seed=5, workers=1)
+        assert (st.kept, st.pvalue, st.shuffles_used) == (False, level, shuffles)
+        # one ulp above, the same pair is kept with the same p-value
+        (st,), _ = evaluate_pairs(slist, [(0, 1)], shuffles=shuffles,
+                                  level=np.nextafter(level, 1.0), seed=5, workers=1)
+        assert (st.kept, st.pvalue, st.shuffles_used) == (True, level, shuffles)
