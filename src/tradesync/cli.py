@@ -321,7 +321,7 @@ def cmd_polarization(args) -> int:
         pol.write_histogram(hist, f)
     baseline = pol.shuffled_baseline(series, vol, replicas=args.replicas,
                                      seed=derive_seeds(args.seed, 0)["shuffle_baseline"],
-                                     min_days=args.min_days)
+                                     min_days=args.min_days, nu_moments=args.nu_moments)
     summary = pol.summarize(scores, baseline, args.bins)
     _write_json(os.path.join(out, "polarization.json"), {
         "ticker": ticker,

@@ -12,7 +12,7 @@ import csv
 import datetime as dt
 import io
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DataError
@@ -355,10 +355,3 @@ def split_off_calendar(trades: list[TradeRecord], calendar: TradingCalendar
 
 def select_ticker(trades: list[TradeRecord], ticker: str) -> list[TradeRecord]:
     return [t for t in trades if t.ticker == ticker]
-
-
-def group_by_ticker(trades: list[TradeRecord]) -> dict[str, list[TradeRecord]]:
-    groups: dict[str, list[TradeRecord]] = defaultdict(list)
-    for t in trades:
-        groups[t.ticker].append(t)
-    return dict(groups)

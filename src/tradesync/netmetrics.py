@@ -318,65 +318,79 @@ def double_edge_swap(edges: list[tuple[int, int]], n_swaps: int,
     edge, and the result stays a simple graph with the same degree sequence.
     Raises after `max_tries` failed attempts (graphs where no swap is
     possible, e.g. a single edge or a complete graph).
+
+    Nodes are non-negative ints. Proposals are drawn in blocks of 1024 and
+    the adjacency is one set of packed keys, so each try costs a few integer
+    operations and two set lookups.
     """
     m = len(edges)
     if m < 2:
         raise DegenerateInputError("rewiring needs at least 2 edges")
     if max_tries is None:
         max_tries = 100 * n_swaps + 1000
-    edges = [tuple(e) for e in edges]
-    adj: dict[int, set[int]] = {}
-    for a, b in edges:
+    src = [int(a) for a, _ in edges]
+    dst = [int(b) for _, b in edges]
+    if min(min(src), min(dst)) < 0:
+        raise ValueError("negative node index in input edges")
+    # adjacency as one set of packed keys a*n + b, both orientations
+    n = 1 + max(max(src), max(dst))
+    adj: set[int] = set()
+    for a, b in zip(src, dst):
         if a == b:
             raise ValueError("self-loop in input edges")
-        adj.setdefault(a, set())
-        adj.setdefault(b, set())
-        if b in adj[a]:
+        if a * n + b in adj:
             raise ValueError("duplicate edge in input")
-        adj[a].add(b)
-        adj[b].add(a)
+        adj.add(a * n + b)
+        adj.add(b * n + a)
 
+    add, remove = adj.add, adj.remove
     swaps = 0
     tries = 0
     block = 1024
-    buf_idx = np.empty((0, 2), dtype=np.int64)
-    buf_coin = np.empty(0, dtype=np.int64)
-    ptr = block
     while swaps < n_swaps:
-        if ptr >= len(buf_coin):
-            buf_idx = rng.integers(0, m, size=(block, 2))
-            buf_coin = rng.integers(0, 2, size=block)
-            ptr = 0
-        e1, e2 = int(buf_idx[ptr, 0]), int(buf_idx[ptr, 1])
-        coin = int(buf_coin[ptr])
-        ptr += 1
-        tries += 1
-        if tries > max_tries:
+        if tries >= max_tries:
             raise DegenerateInputError(
                 f"no valid swap found in {max_tries} attempts; graph may admit none")
-        if e1 == e2:
-            continue
-        a, b = edges[e1]
-        c, d = edges[e2]
-        if coin:
-            c, d = d, c
-        # propose (a,d) and (c,b)
-        if a == d or c == b:
-            continue
-        if d in adj[a] or b in adj[c]:
-            continue
-        adj[a].remove(b)
-        adj[b].remove(a)
-        adj[c].remove(d)
-        adj[d].remove(c)
-        adj[a].add(d)
-        adj[d].add(a)
-        adj[c].add(b)
-        adj[b].add(c)
-        edges[e1] = (a, d)
-        edges[e2] = (c, b)
-        swaps += 1
-    return edges
+        # a block always draws all its proposals; only the last block before
+        # max_tries uses fewer than all of them
+        picks = rng.integers(0, m, size=(block, 2)).ravel().tolist()
+        coins = rng.integers(0, 2, size=block).tolist()
+        budget = min(block, max_tries - tries)
+        tries += budget
+        it = iter(picks[:2 * budget])
+        for e1, e2, coin in zip(it, it, coins):
+            if e1 == e2:
+                continue
+            a = src[e1]
+            b = dst[e1]
+            if coin:
+                c = dst[e2]
+                d = src[e2]
+            else:
+                c = src[e2]
+                d = dst[e2]
+            # propose (a,d) and (c,b)
+            if a == d or c == b:
+                continue
+            ad = a * n + d
+            cb = c * n + b
+            if ad in adj or cb in adj:
+                continue
+            remove(a * n + b)
+            remove(b * n + a)
+            remove(c * n + d)
+            remove(d * n + c)
+            add(ad)
+            add(d * n + a)
+            add(cb)
+            add(b * n + c)
+            dst[e1] = d
+            src[e2] = c
+            dst[e2] = b
+            swaps += 1
+            if swaps == n_swaps:
+                break
+    return list(zip(src, dst))
 
 
 def _null_stats(values: list[float], replicas: int) -> NullStats:

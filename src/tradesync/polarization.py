@@ -144,14 +144,18 @@ def population_distribution(scores: list[PolarizationScore], bins: int = 50) -> 
 
 
 def shuffled_baseline(series: dict[str, ActivitySeries], vol: VolatilitySeries,
-                      replicas: int = 100, seed: int = 0, min_days: int = 20
-                      ) -> ShuffledBaseline:
+                      replicas: int = 100, seed: int = 0, min_days: int = 20,
+                      nu_moments: str = "trading") -> ShuffledBaseline:
     """Decorrelation baseline: permute nu over each investor's trading days,
     recompute every score, and record the population variance per replica.
 
+    Scores use the same volatility moments as `polarization_score` with the
+    same `nu_moments`, so a 'global' baseline is not clipped to [-1, 1].
     Each eligible investor consumes an RNG stream derived from (seed, its
     index in sorted id order), so results do not depend on evaluation order.
     """
+    if nu_moments not in ("trading", "global"):
+        raise ValueError(f"unknown nu_moments mode {nu_moments!r}")
     eligible: list[tuple[np.ndarray, np.ndarray]] = []
     for inv in sorted(series):
         a = series[inv]
@@ -160,13 +164,20 @@ def shuffled_baseline(series: dict[str, ActivitySeries], vol: VolatilitySeries,
             continue
         oc = ops - ops.mean()
         vo = float(np.mean(oc * oc))
-        nc = nu - nu.mean()
-        vn = float(np.mean(nc * nc))
-        if vo == 0.0 or vn == 0.0:
-            continue
         # correlation with permuted nu reduces to a dot product because
         # permutation leaves both sets of moments unchanged
-        weight = oc / (ops.size * np.sqrt(vo * vn))
+        if nu_moments == "trading":
+            nc = nu - nu.mean()
+            vn = float(np.mean(nc * nc))
+            if vo == 0.0 or vn == 0.0:
+                continue
+            weight = oc / (ops.size * np.sqrt(vo * vn))
+        else:
+            nc = nu - vol.nu.mean()
+            sd_n = float(vol.nu.std())
+            if vo == 0.0 or sd_n == 0.0:
+                continue
+            weight = oc / (ops.size * np.sqrt(vo) * sd_n)
         eligible.append((weight, nc))
     if not eligible:
         raise DegenerateInputError("no eligible investors for the shuffled baseline")
@@ -183,7 +194,8 @@ def shuffled_baseline(series: dict[str, ActivitySeries], vol: VolatilitySeries,
             rng.permuted(mat, axis=1, out=mat)
             shuf[done:done + rows, idx] = mat @ weight
             done += rows
-    np.clip(shuf, -1.0, 1.0, out=shuf)
+    if nu_moments == "trading":
+        np.clip(shuf, -1.0, 1.0, out=shuf)
     replica_vars = shuf.var(axis=1)
     return ShuffledBaseline(
         replica_variances=replica_vars,

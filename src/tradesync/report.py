@@ -207,7 +207,8 @@ def analyze_asset(trades: list[TradeRecord], quotes: QuoteSeries,
         histogram = pol.population_distribution(scores, params.bins)
         baseline = pol.shuffled_baseline(series, vol, replicas=params.replicas,
                                          seed=seeds["shuffle_baseline"],
-                                         min_days=params.min_days)
+                                         min_days=params.min_days,
+                                         nu_moments=params.nu_moments)
         summary = pol.summarize(scores, baseline, params.bins)
     except DegenerateInputError as err:
         notes["polarization"] = str(err)

@@ -168,15 +168,9 @@ def permutation_pvalue(x: np.ndarray, y: np.ndarray, shuffles: int,
 
 
 def permutation_filter(a: ActivitySeries, b: ActivitySeries, w: OverlapWindow,
-                       rho: float, shuffles: int = 999, level: float = 0.01,
+                       shuffles: int = 999, level: float = 0.01,
                        seed: int = 0) -> tuple[float, bool]:
-    """Significance filter for one pair; keep means p-value below `level`.
-
-    `rho` is accepted (rather than recomputed) so callers can reuse the value
-    they already have; it does not enter the null comparison, which works on
-    the windows directly.
-    """
-    del rho
+    """Significance filter for one pair; keep means p-value below `level`."""
     x = a.window(w.start, w.end).astype(float)
     y = b.window(w.start, w.end).astype(float)
     pvalue = permutation_pvalue(x, y, shuffles, task_rng(seed))

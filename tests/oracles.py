@@ -6,6 +6,10 @@ deliberately separate from the library's vectorized implementations.
 
 import math
 
+import numpy as np
+
+from tradesync.errors import DegenerateInputError
+
 
 def bruteforce_pair_correlation(x, y):
     """Pairwise activity correlation over a shared window: population
@@ -83,3 +87,78 @@ def least_squares_slope(xs, ys):
     num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     den = sum((x - mx) ** 2 for x in xs)
     return num / den
+
+
+def reference_double_edge_swap(edges: list[tuple[int, int]], n_swaps: int,
+                                rng: np.random.Generator, max_tries: int | None = None
+                                ) -> list[tuple[int, int]]:
+    """Randomize topology with degree-preserving double-edge swaps.
+
+    The straightforward loop over per-node neighbour sets. It draws the same
+    proposals as `netmetrics.double_edge_swap`, which must return the same
+    edge list for the same RNG state.
+
+    Picks two random edges (a,b),(c,d) and rewires to (a,d),(c,b); the
+    proposal is rejected whenever it would create a self-loop or a duplicate
+    edge, and the result stays a simple graph with the same degree sequence.
+    Raises after `max_tries` failed attempts (graphs where no swap is
+    possible, e.g. a single edge or a complete graph).
+    """
+    m = len(edges)
+    if m < 2:
+        raise DegenerateInputError("rewiring needs at least 2 edges")
+    if max_tries is None:
+        max_tries = 100 * n_swaps + 1000
+    edges = [tuple(e) for e in edges]
+    adj: dict[int, set[int]] = {}
+    for a, b in edges:
+        if a == b:
+            raise ValueError("self-loop in input edges")
+        adj.setdefault(a, set())
+        adj.setdefault(b, set())
+        if b in adj[a]:
+            raise ValueError("duplicate edge in input")
+        adj[a].add(b)
+        adj[b].add(a)
+
+    swaps = 0
+    tries = 0
+    block = 1024
+    buf_idx = np.empty((0, 2), dtype=np.int64)
+    buf_coin = np.empty(0, dtype=np.int64)
+    ptr = block
+    while swaps < n_swaps:
+        if ptr >= len(buf_coin):
+            buf_idx = rng.integers(0, m, size=(block, 2))
+            buf_coin = rng.integers(0, 2, size=block)
+            ptr = 0
+        e1, e2 = int(buf_idx[ptr, 0]), int(buf_idx[ptr, 1])
+        coin = int(buf_coin[ptr])
+        ptr += 1
+        tries += 1
+        if tries > max_tries:
+            raise DegenerateInputError(
+                f"no valid swap found in {max_tries} attempts; graph may admit none")
+        if e1 == e2:
+            continue
+        a, b = edges[e1]
+        c, d = edges[e2]
+        if coin:
+            c, d = d, c
+        # propose (a,d) and (c,b)
+        if a == d or c == b:
+            continue
+        if d in adj[a] or b in adj[c]:
+            continue
+        adj[a].remove(b)
+        adj[b].remove(a)
+        adj[c].remove(d)
+        adj[d].remove(c)
+        adj[a].add(d)
+        adj[d].add(a)
+        adj[c].add(b)
+        adj[b].add(c)
+        edges[e1] = (a, d)
+        edges[e2] = (c, b)
+        swaps += 1
+    return edges

@@ -120,7 +120,9 @@ class TestHill:
         st.floats(1e-6, 1e6),
     )
     def test_scale_invariance(self, values, c):
-        values = [v + i * 1e-3 for i, v in enumerate(values)]  # break exact ties
+        # break ties: sorted values at least 0.1% apart, so each log-spacing is
+        # >= 1e-3 and the rounding of c * v moves alpha well below rel=1e-12
+        values = [v * 1.001 ** i for i, v in enumerate(sorted(values))]
         base = hill_fit(values)
         scaled = hill_fit([c * v for v in values], k=base.k)
         assert scaled.alpha == pytest.approx(base.alpha, rel=1e-12)

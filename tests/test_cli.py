@@ -186,6 +186,19 @@ def test_subcommands_seed_like_report(synth_data, tmp_path):
     assert polar["variance_ratio"] == section["polarization"]["variance_ratio"]
 
 
+def test_global_nu_moments_reach_the_baseline(synth_data, tmp_path):
+    glob = ("--nu-moments", "global")
+    assert main(["report"] + _common(synth_data, tmp_path / "r", glob)) == 0
+    for name, extra in (("global", glob), ("trading", ())):
+        assert main(["polarization"] + _common(synth_data, tmp_path / name, extra)) == 0
+    section = json.loads((tmp_path / "r" / "report.json").read_text())["assets"]["SYN"]
+    polar = {name: json.loads((tmp_path / name / "polarization.json").read_text())
+             for name in ("global", "trading")}
+    assert polar["global"]["shuffled_variance"] == \
+        section["polarization"]["shuffled_variance"]
+    assert polar["global"]["shuffled_variance"] != polar["trading"]["shuffled_variance"]
+
+
 def test_report_lists_rejects(synth_data, tmp_path, capsys):
     trades = tmp_path / "trades.csv"
     lines = (synth_data / "trades.csv").read_text().splitlines(keepends=True)

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import complete_bipartite, fixture_network, two_cliques
-from oracles import endpoint_assortativity, two_clique_modularity
+from oracles import (endpoint_assortativity, reference_double_edge_swap,
+                     two_clique_modularity)
 from tradesync.errors import DegenerateInputError
 from tradesync.netmetrics import (assortativity, discretize_attribute,
                                   discretize_opd, double_edge_swap, louvain,
@@ -14,6 +17,16 @@ from tradesync.parallel import task_rng
 def _random_graph(rng, n=30, p=0.15):
     edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
     return fixture_network(n, edges)
+
+
+def _edge_indices(net, rng=None):
+    """Index edges of a fixture network; with `rng`, each edge's orientation
+    is flipped at random."""
+    pos = {n: k for k, n in enumerate(net.node_ids)}
+    edges = [(pos[e.i], pos[e.j]) for e in net.edges]
+    if rng is not None:
+        edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
+    return edges
 
 
 def _block_graph(seed, size=50, p_in=0.3, p_out=0.01):
@@ -185,6 +198,50 @@ class TestDoubleEdgeSwap:
         assert all(a != b for a, b in swapped)           # no self-loops
         assert canon != {tuple(sorted(e)) for e in edges}  # actually rewired
 
+    @pytest.mark.parametrize("n,p", [(60, 0.05), (30, 0.3), (20, 0.6)])
+    def test_matches_reference_on_random_graphs(self, n, p):
+        for seed in range(4):
+            r = np.random.default_rng(seed)
+            edges = _edge_indices(_random_graph(r, n=n, p=p), r)
+            n_swaps = 10 * len(edges)
+            swapped = double_edge_swap(edges, n_swaps, task_rng(seed, 1))
+            assert swapped == reference_double_edge_swap(edges, n_swaps,
+                                                         task_rng(seed, 1))
+            assert swapped != edges
+
+    def test_matches_reference_on_two_cliques(self):
+        edges = _edge_indices(two_cliques(8))
+        for seed in range(4):
+            assert double_edge_swap(edges, 10 * len(edges), task_rng(seed, 2)) == \
+                reference_double_edge_swap(edges, 10 * len(edges), task_rng(seed, 2))
+
+    @staticmethod
+    def _outcome(fn, edges, n_swaps, seed, max_tries):
+        try:
+            return fn(edges, n_swaps, task_rng(seed, 0), max_tries=max_tries)
+        except DegenerateInputError as err:
+            return str(err)
+
+    def test_try_budget_matches_reference(self):
+        # T, the fewest tries the reference needs, is found by bisection:
+        # with max_tries T both kernels return the same edges, with T - 1
+        # both raise the same error; other budgets cross the 1024-try blocks
+        edges = _edge_indices(_random_graph(np.random.default_rng(5), n=20, p=0.6))
+        lo, hi = 0, 100 * 600 + 1000
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if isinstance(self._outcome(reference_double_edge_swap, edges, 600, 3,
+                                        mid), str):
+                lo = mid
+            else:
+                hi = mid
+        assert hi > 1024
+        for max_tries in [hi - 1, hi, hi + 1, 1, 1023, 1024, 1025, 2048, 2049]:
+            got = self._outcome(double_edge_swap, edges, 600, 3, max_tries)
+            assert got == self._outcome(reference_double_edge_swap, edges, 600, 3,
+                                        max_tries)
+            assert isinstance(got, str) == (max_tries < hi)
+
     def test_single_edge_errors(self):
         with pytest.raises(DegenerateInputError):
             double_edge_swap([(0, 1)], 5, task_rng(0, 0))
@@ -192,8 +249,21 @@ class TestDoubleEdgeSwap:
     def test_impossible_swap_raises(self):
         # complete graph: every proposal collides with an existing edge
         edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DegenerateInputError) as new:
             double_edge_swap(edges, 1, task_rng(0, 0), max_tries=2000)
+        with pytest.raises(DegenerateInputError) as ref:
+            reference_double_edge_swap(edges, 1, task_rng(0, 0), max_tries=2000)
+        assert str(new.value) == str(ref.value)
+
+    @pytest.mark.parametrize("edges,message", [
+        ([(0, 1), (2, 2)], "self-loop"),
+        ([(0, 1), (1, 2), (0, 1)], "duplicate"),
+        ([(0, 1), (2, 1), (1, 0)], "duplicate"),
+        ([(0, 1), (-1, 2)], "negative"),
+    ])
+    def test_invalid_edges_raise(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            double_edge_swap(edges, 5, task_rng(0, 0))
 
 
 class TestNullModels:
@@ -251,3 +321,36 @@ class TestNullModels:
             perm = rng.permutation(len(scores))
             shuffled = [scores[int(p)] for p in perm]
             assert sorted(shuffled) == sorted(scores)
+
+
+class TestNetworkxCrossChecks:
+    @staticmethod
+    def _graph(nx, net):
+        g = nx.Graph()
+        g.add_nodes_from(net.node_ids)
+        g.add_weighted_edges_from((e.i, e.j, e.rho) for e in net.edges)
+        return g
+
+    def test_assortativity_matches_networkx(self, rng):
+        nx = pytest.importorskip("networkx")
+        for _ in range(10):
+            net = _random_graph(rng, n=25, p=0.2)
+            scores = {n: int(rng.integers(-50, 51)) for n in net.node_ids}
+            g = self._graph(nx, net)
+            nx.set_node_attributes(g, scores, "score")
+            assert assortativity(net, scores) == pytest.approx(
+                nx.numeric_assortativity_coefficient(g, "score"), abs=1e-12)
+
+    def test_louvain_modularity_matches_networkx(self, rng):
+        nx = pytest.importorskip("networkx")
+        for seed in range(5):
+            base = _block_graph(500 + seed, size=15, p_in=0.4, p_out=0.05)
+            net = replace(base, edges=[replace(e, rho=float(rng.uniform(0.05, 1.0)))
+                                       for e in base.edges])
+            part = louvain(net, seed=seed)
+            groups: dict[int, set] = {}
+            for n, c in part.communities.items():
+                groups.setdefault(c, set()).add(n)
+            assert part.q == pytest.approx(
+                nx.community.modularity(self._graph(nx, net), groups.values(),
+                                        weight="weight"), abs=1e-12)

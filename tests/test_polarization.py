@@ -4,6 +4,7 @@ import pytest
 from conftest import series_from_counts
 from oracles import bruteforce_activity_vol_correlation
 from tradesync.errors import DegenerateInputError
+from tradesync.parallel import task_rng
 from tradesync.polarization import (EXCLUDE_CONST_OPS, EXCLUDE_FEW_DAYS,
                                     Exclusion, PolarizationScore, attach_scores,
                                     polarization_score, population_distribution,
@@ -152,6 +153,35 @@ class TestShuffledBaseline:
         means = baseline.replica_means
         se = means.std(ddof=1) / np.sqrt(means.size)
         assert abs(means.mean()) <= 3 * se + 1e-12
+
+    @pytest.mark.parametrize("nu_moments", ["trading", "global"])
+    def test_replica_scores_follow_nu_moments(self, nu_moments):
+        # one investor trading on 30 of 300 days, where volatility varies;
+        # elsewhere it is flat, so global-moment scores reach beyond [-1, 1]
+        r = np.random.default_rng(8)
+        days = np.sort(r.choice(300, size=30, replace=False))
+        days[0], days[-1] = 0, 299
+        nu = np.full(300, 0.05)
+        nu[days] += 0.04 * r.standard_normal(30)
+        counts = np.zeros(300, dtype=int)
+        counts[days] = r.integers(1, 9, size=30)
+        series = {"I1": series_from_counts(counts)}
+        replicas = 50
+        baseline = shuffled_baseline(series, _vol(nu), replicas=replicas, seed=6,
+                                     nu_moments=nu_moments)
+        # the same draws applied to day positions: row k permutes the days
+        perms = np.tile(np.arange(30, dtype=float), (replicas, 1))
+        task_rng(6, 0).permuted(perms, axis=1, out=perms)
+        expected = []
+        for perm in perms.astype(int):
+            shuffled = nu.copy()
+            shuffled[days] = nu[days][perm]
+            score = polarization_score(series["I1"], _vol(shuffled),
+                                       nu_moments=nu_moments)
+            expected.append(score.rho_ov)
+        assert np.allclose(baseline.replica_means, expected, rtol=0, atol=1e-12)
+        if nu_moments == "global":
+            assert max(abs(v) for v in expected) > 1.0  # so a clip would show
 
     def test_eligibility_invariants(self, rng):
         series, vol = _population(rng, 120, 150)

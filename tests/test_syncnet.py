@@ -89,7 +89,7 @@ class TestPermutationFilter:
         w = overlap_window(a, b)
         rho = cross_correlation(a, b, w)
         assert rho == 1.0
-        pvalue, keep = permutation_filter(a, b, w, rho, shuffles=999, level=0.01,
+        pvalue, keep = permutation_filter(a, b, w, shuffles=999, level=0.01,
                                           seed=7)
         assert keep is True
         assert pvalue == pytest.approx(1 / 1000)
