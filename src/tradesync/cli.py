@@ -1,33 +1,29 @@
 """Batch command-line front end.
 
 Subcommands read declared inputs and write plot-ready tab-separated tables
-plus JSON summaries under --out-dir; `report` chains the whole analysis into
-one consolidated report.json. Worker count comes from the TRADESYNC_WORKERS
-environment variable (all cores when unset).
+plus JSON summaries under --out-dir. `report` runs every stage of the chain
+(report.analyze_asset) for each asset into one report.json; the analysis
+subcommands run the stages they need, seeded like `report`'s first asset.
+Worker count comes from TRADESYNC_WORKERS (all cores when unset).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from dataclasses import fields
 
 from . import activity as act
-from . import netmetrics as nm
-from . import polarization as pol
 from . import volatility as vola
 from .errors import TradesyncError
-from .ingest import (AutoFilterPolicy, QuotesFormat, TradesFormat,
-                     build_calendar, filter_automatic, parse_quotes,
-                     parse_trades, select_ticker, split_off_calendar)
-from .report import (PipelineParams, analyze_asset, build_report, derive_seeds,
-                     dump_report)
-from .syncnet import build_sync_network, write_edges, write_nodes
+from .ingest import QuotesFormat, TradesFormat, parse_quotes, parse_trades, select_ticker
+from .report import (PipelineParams, analyze_asset, assortativity_stage,
+                     build_report, derive_seeds, dump_report, front_stage,
+                     network_stage, polarization_stage, score_stage,
+                     write_activity_tables, write_network_tables,
+                     write_partition_table, write_polarization_tables)
 from .synth import Ar1Config, CommunitySpec, SynthConfig, generate, write_synth
-
-SUBCOMMANDS = ("validate", "activity", "volatility", "meso", "syncnet",
-               "metrics", "polarization", "synth", "report")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -61,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Investor activity, synchronization-network and "
                     "volatility-polarization analysis")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name in _HANDLERS:
         if name == "synth":
             p = sub.add_parser(name, help="generate a synthetic market dataset")
             p.add_argument("--agents", type=int, required=True)
@@ -89,13 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params(args) -> PipelineParams:
-    return PipelineParams(
-        min_ops=args.min_ops, min_days=args.min_days, shuffles=args.shuffles,
-        p_level=args.p_level, replicas=args.replicas, ma_window=args.ma_window,
-        ma_mode=args.ma_mode, nu_moments=args.nu_moments,
-        hill_k=args.hill_k, bins=args.bins, swap_factor=args.swap_factor,
-        opd_cap=args.opd_cap, auto_filter=args.auto_filter,
-    )
+    return PipelineParams(**{f.name: getattr(args, f.name)
+                             for f in fields(PipelineParams)})
 
 
 def _assets(args) -> list[tuple[str, str]]:
@@ -124,26 +115,31 @@ def _read_trades(args):
         return parse_trades(f, fmt)
 
 
+def _print_rejects(parsed, stream) -> None:
+    if parsed.rejects:
+        print(parsed.reject_report(), file=stream)
+
+
 def _read_quotes(path: str, ticker: str, args):
     fmt = QuotesFormat(delimiter=args.delimiter)
     with open(path) as f:
         return parse_quotes(f, ticker, fmt)
 
 
-def _load_asset(args, ticker: str, quotes_path: str):
-    """Shared front of all single-asset subcommands: parse, filter, calendar."""
+def _front(args):
+    """`report`'s front stage on the one --ticker/--quotes pair, plus the
+    params and the seeds `report` gives its first asset. Trade rejects and
+    off-calendar trades are listed on stderr."""
+    ticker, qpath = _single_asset(args)
     parsed = _read_trades(args)
-    for rej in parsed.rejects:
-        print(rej, file=sys.stderr)
-    quotes = _read_quotes(quotes_path, ticker, args)
-    policy = AutoFilterPolicy.parse(args.auto_filter)
-    retained = filter_automatic(select_ticker(parsed.records, ticker), policy).retained
-    calendar = build_calendar(quotes)
-    kept, off = split_off_calendar(retained, calendar)
+    _print_rejects(parsed, sys.stderr)
+    quotes = _read_quotes(qpath, ticker, args)
+    params = _params(args)
+    analysis = front_stage(select_ticker(parsed.records, ticker), quotes, params)
+    off = analysis.population["off_calendar_trades"]
     if off:
-        print(f"{len(off)} off-calendar trades excluded", file=sys.stderr)
-    series = act.build_activity(kept, calendar)
-    return quotes, calendar, series
+        print(f"{off} off-calendar trades excluded", file=sys.stderr)
+    return analysis, params, derive_seeds(args.seed, 0)
 
 
 def _outdir(args) -> str:
@@ -151,19 +147,25 @@ def _outdir(args) -> str:
     return args.out_dir
 
 
+def _required(analysis, key: str):
+    """A stage output, or its note raised as the error when it is missing."""
+    value = getattr(analysis, key)
+    if value is None:
+        raise TradesyncError(analysis.notes[key])
+    return value
+
+
 def _write_json(path: str, obj) -> None:
     with open(path, "w") as f:
-        json.dump(obj, f, sort_keys=True, indent=2)
-        f.write("\n")
+        dump_report(obj, f)
 
 
-def _write_pairs_tsv(path: str, header: str, rows) -> None:
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for a, b in rows:
-            fa = repr(a) if isinstance(a, float) else str(a)
-            fb = repr(b) if isinstance(b, float) else str(b)
-            f.write(f"{fa}\t{fb}\n")
+def _write_asset_tables(analysis, out: str) -> None:
+    os.makedirs(out, exist_ok=True)
+    write_network_tables(analysis.net, out)
+    write_partition_table(analysis.partition, out)
+    write_polarization_tables(analysis, out)
+    write_activity_tables(analysis.series, out)
 
 
 def cmd_validate(args) -> int:
@@ -174,8 +176,7 @@ def cmd_validate(args) -> int:
         print(f"trades: {err}", file=sys.stderr)
         return 2
     print(f"trades: {len(parsed.records)} records, {len(parsed.rejects)} rejects")
-    for rej in parsed.rejects:
-        print(rej)
+    _print_rejects(parsed, sys.stdout)
     for ticker, path in _assets(args):
         try:
             quotes = _read_quotes(path, ticker, args)
@@ -187,27 +188,20 @@ def cmd_validate(args) -> int:
 
 
 def cmd_activity(args) -> int:
-    ticker, qpath = _single_asset(args)
-    _, _, series = _load_asset(args, ticker, qpath)
+    analysis, _, _ = _front(args)
+    series = analysis.series
     out = _outdir(args)
     with open(os.path.join(out, "activity_nodes.tsv"), "w") as f:
         f.write("investor\ttotal_ops\tN\tT\topd\n")
-        for inv in sorted(series):
-            s = series[inv]
+        for inv, s in sorted(series.items()):
             f.write(f"{inv}\t{s.total_ops}\t{s.n_active}\t{s.span}\t{s.opd!r}\n")
-    totals = [s.total_ops for s in series.values()]
-    opds = [s.opd for s in series.values()]
-    _write_pairs_tsv(os.path.join(out, "activity_ccdf.tsv"),
-                     "value\tfraction", act.ccdf(totals))
-    _write_pairs_tsv(os.path.join(out, "opd_ccdf.tsv"),
-                     "value\tfraction", act.ccdf(opds))
-    _write_pairs_tsv(os.path.join(out, "ops_vs_days.tsv"),
-                     "trading_days\ttotal_ops", act.ops_vs_days(series))
+    write_activity_tables(series, out)
     fits = {}
-    for name, vals in (("activity", totals), ("opd", opds)):
-        fit = act.hill_fit(vals, args.hill_k)
-        fits[name] = {"fit": fit.as_dict(),
-                      "sweep": [f.as_dict() for f in act.hill_sweep(vals)]}
+    for name, key, attr in (("activity", "tail_fit", "total_ops"),
+                            ("opd", "opd_tail_fit", "opd")):
+        fit = _required(analysis, key)
+        sweep = act.hill_sweep([getattr(s, attr) for s in series.values()])
+        fits[name] = {"fit": fit.as_dict(), "sweep": [f.as_dict() for f in sweep]}
         print(f"{name} tail index: {fit.alpha:.4f} +- {fit.stderr:.4f} "
               f"(k={fit.k}, n={fit.n})")
     _write_json(os.path.join(out, "tail_fits.json"), fits)
@@ -227,114 +221,57 @@ def cmd_volatility(args) -> int:
 
 
 def cmd_meso(args) -> int:
-    ticker, qpath = _single_asset(args)
-    quotes, calendar, series = _load_asset(args, ticker, qpath)
-    vol = vola.high_low_volatility(quotes)
-    meso = vola.meso_series(series, calendar)
-    result = {
-        "ticker": ticker,
-        "long": vola.meso_long_correlation(meso, vol),
-        "short": vola.meso_short_correlation(meso, vol, args.ma_window, args.ma_mode),
-        "ma_window": args.ma_window,
-        "ma_mode": args.ma_mode,
-    }
+    analysis, params, _ = _front(args)
+    result = {"ticker": analysis.ticker, "long": _required(analysis, "meso_long"),
+              "short": _required(analysis, "meso_short"),
+              "ma_window": params.ma_window, "ma_mode": params.ma_mode}
     _write_json(os.path.join(_outdir(args), "meso.json"), result)
-    print(f"meso correlation {ticker}: long={result['long']:.4f} "
+    print(f"meso correlation {analysis.ticker}: long={result['long']:.4f} "
           f"short={result['short']:.4f}")
     return 0
 
 
-def _network(args, ticker: str, qpath: str):
-    quotes, calendar, series = _load_asset(args, ticker, qpath)
-    # single-asset subcommands take the seeds `report` gives its first asset
-    seed = derive_seeds(args.seed, 0)["syncnet"]
-    net = build_sync_network(series, min_ops=args.min_ops, shuffles=args.shuffles,
-                             level=args.p_level, seed=seed)
-    return quotes, calendar, series, net
-
-
 def cmd_syncnet(args) -> int:
-    ticker, qpath = _single_asset(args)
-    _, _, _, net = _network(args, ticker, qpath)
+    analysis, params, seeds = _front(args)
+    network_stage(analysis, params, seeds)
     out = _outdir(args)
-    with open(os.path.join(out, "edges.tsv"), "w") as f:
-        write_edges(net, f)
-    with open(os.path.join(out, "nodes.tsv"), "w") as f:
-        write_nodes(net, f)
-    _write_json(os.path.join(out, "syncnet_diagnostics.json"), net.diagnostics)
-    d = net.diagnostics
-    print(f"network {ticker}: {d['nodes']} nodes, {d['edges_retained']} edges "
-          f"({d['pairs_tested']} pairs tested)")
+    write_network_tables(analysis.net, out)
+    d = analysis.net.diagnostics
+    _write_json(os.path.join(out, "syncnet_diagnostics.json"), d)
+    print(f"network {analysis.ticker}: {d['nodes']} nodes, {d['edges_retained']} "
+          f"edges ({d['pairs_tested']} pairs tested)")
     return 0
 
 
 def cmd_metrics(args) -> int:
-    ticker, qpath = _single_asset(args)
-    quotes, calendar, series, net = _network(args, ticker, qpath)
-    vol = vola.high_low_volatility(quotes)
-    seeds = derive_seeds(args.seed, 0)
+    analysis, params, seeds = _front(args)
+    network_stage(analysis, params, seeds)
+    score_stage(analysis, params)
+    assortativity_stage(analysis, params, seeds)
     out = _outdir(args)
-    metrics: dict = {"ticker": ticker, "modularity": None, "assortativity": {}}
-    try:
-        partition = nm.louvain(net, seed=seeds["louvain"])
-        metrics["modularity"] = partition.q
-        with open(os.path.join(out, "partition.tsv"), "w") as f:
-            nm.write_partition(partition, f)
-        print(f"modularity {ticker}: {partition.q:.4f}")
-    except TradesyncError as err:
-        metrics["modularity_error"] = str(err)
-    scores, _ = pol.score_population(series, vol, args.min_days, args.nu_moments)
-    net, _ = pol.attach_scores(net, scores)
-    attrs = {
-        "rho_ov": nm.discretize_attribute(
-            {s.investor_id: s.rho_ov for s in scores
-             if s.investor_id in net.node_attrs}),
-        "opd": nm.discretize_opd(
-            {inv: a.opd for inv, a in net.node_attrs.items()}, args.opd_cap),
-    }
-    for name, attr in attrs.items():
-        try:
-            res = nm.assortativity_with_nulls(
-                net, attr, replicas=args.replicas,
-                rewire_seed=seeds[f"{name}_rewire"],
-                shuffle_seed=seeds[f"{name}_shuffle"], swap_factor=args.swap_factor)
-            metrics["assortativity"][name] = {
-                "r": res.r, "null_rewire": res.null_rewire.as_dict(),
-                "null_shuffle": res.null_shuffle.as_dict()}
-        except TradesyncError as err:
-            metrics["assortativity"][name] = {"error": str(err)}
+    metrics: dict = {"ticker": analysis.ticker, "modularity": None, "assortativity": {
+        name: {"error": analysis.notes[f"assortativity_{name}"]} if res is None
+        else res.as_dict() for name, res in analysis.assortativity.items()}}
+    if analysis.partition is None:
+        metrics["modularity_error"] = analysis.notes["modularity"]
+    else:
+        metrics["modularity"] = analysis.partition.q
+        write_partition_table(analysis.partition, out)
+        print(f"modularity {analysis.ticker}: {analysis.partition.q:.4f}")
     _write_json(os.path.join(out, "metrics.json"), metrics)
     return 0
 
 
 def cmd_polarization(args) -> int:
-    ticker, qpath = _single_asset(args)
-    quotes, calendar, series = _load_asset(args, ticker, qpath)
-    vol = vola.high_low_volatility(quotes)
-    scores, excluded = pol.score_population(series, vol, args.min_days,
-                                            args.nu_moments)
-    out = _outdir(args)
-    with open(os.path.join(out, "scores.tsv"), "w") as f:
-        pol.write_scores(scores, f)
-    hist = pol.population_distribution(scores, args.bins)
-    with open(os.path.join(out, "rho_histogram.tsv"), "w") as f:
-        pol.write_histogram(hist, f)
-    baseline = pol.shuffled_baseline(series, vol, replicas=args.replicas,
-                                     seed=derive_seeds(args.seed, 0)["shuffle_baseline"],
-                                     min_days=args.min_days, nu_moments=args.nu_moments)
-    summary = pol.summarize(scores, baseline, args.bins)
-    _write_json(os.path.join(out, "polarization.json"), {
-        "ticker": ticker,
-        "mean": summary.mean,
-        "variance": summary.variance,
-        "mode_bin": summary.mode_bin,
-        "shuffled_variance": summary.shuffled_variance,
-        "variance_ratio": summary.variance_ratio,
-        "scored": len(scores),
-        "excluded": len(excluded),
-    })
-    print(f"polarization {ticker}: mean={summary.mean:.4f} "
-          f"variance_ratio={summary.variance_ratio:.3f}")
+    analysis, params, seeds = _front(args)
+    score_stage(analysis, params)
+    polarization_stage(analysis, params, seeds)
+    write_polarization_tables(analysis, _outdir(args))
+    section = _required(analysis, "polarization")
+    _write_json(os.path.join(args.out_dir, "polarization.json"),
+                {"ticker": analysis.ticker, **section})
+    print(f"polarization {analysis.ticker}: mean={section['mean']:.4f} "
+          f"variance_ratio={section['variance_ratio']:.3f}")
     return 0
 
 
@@ -362,35 +299,10 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _write_asset_tables(analysis, out: str) -> None:
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "edges.tsv"), "w") as f:
-        write_edges(analysis.net, f)
-    with open(os.path.join(out, "nodes.tsv"), "w") as f:
-        write_nodes(analysis.net, f)
-    if analysis.partition is not None:
-        with open(os.path.join(out, "partition.tsv"), "w") as f:
-            nm.write_partition(analysis.partition, f)
-    with open(os.path.join(out, "scores.tsv"), "w") as f:
-        pol.write_scores(analysis.scores, f)
-    if analysis.histogram is not None:
-        with open(os.path.join(out, "rho_histogram.tsv"), "w") as f:
-            pol.write_histogram(analysis.histogram, f)
-    totals = [s.total_ops for s in analysis.series.values()]
-    opds = [s.opd for s in analysis.series.values()]
-    _write_pairs_tsv(os.path.join(out, "activity_ccdf.tsv"),
-                     "value\tfraction", act.ccdf(totals))
-    _write_pairs_tsv(os.path.join(out, "opd_ccdf.tsv"),
-                     "value\tfraction", act.ccdf(opds))
-    _write_pairs_tsv(os.path.join(out, "ops_vs_days.tsv"),
-                     "trading_days\ttotal_ops", act.ops_vs_days(analysis.series))
-
-
 def cmd_report(args) -> int:
     params = _params(args)
     parsed = _read_trades(args)
-    for rej in parsed.rejects:
-        print(rej, file=sys.stderr)
+    _print_rejects(parsed, sys.stderr)
     out = _outdir(args)
     sections: dict[str, dict] = {}
     failed = []
@@ -408,35 +320,23 @@ def cmd_report(args) -> int:
             failed.append(ticker)
             print(f"{ticker}: FAILED ({err})", file=sys.stderr)
     report = build_report(sections, params, args.seed, len(parsed.rejects))
-    with open(os.path.join(out, "report.json"), "w") as f:
-        dump_report(report, f)
+    _write_json(os.path.join(out, "report.json"), report)
     if failed:
         print(f"{len(failed)} asset(s) failed: {', '.join(failed)}", file=sys.stderr)
         return 1
     return 0
 
 
-_HANDLERS = {
-    "validate": cmd_validate,
-    "activity": cmd_activity,
-    "volatility": cmd_volatility,
-    "meso": cmd_meso,
-    "syncnet": cmd_syncnet,
-    "metrics": cmd_metrics,
-    "polarization": cmd_polarization,
-    "synth": cmd_synth,
-    "report": cmd_report,
-}
+_HANDLERS = {f.__name__.removeprefix("cmd_"): f for f in (
+    cmd_validate, cmd_activity, cmd_volatility, cmd_meso, cmd_syncnet,
+    cmd_metrics, cmd_polarization, cmd_synth, cmd_report)}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (TradesyncError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (TradesyncError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

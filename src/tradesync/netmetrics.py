@@ -5,13 +5,12 @@ benchmarks (degree-preserving rewiring, attribute shuffling) with 95% CIs.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError
-from .parallel import chunked, resolve_workers, task_rng
+from .parallel import chunked, map_tasks, resolve_workers, task_rng
 from .syncnet import SyncNetwork
 
 
@@ -58,6 +57,10 @@ class AssortativityResult:
     r: float
     null_rewire: NullStats
     null_shuffle: NullStats
+
+    def as_dict(self) -> dict:
+        return {"r": self.r, "null_rewire": self.null_rewire.as_dict(),
+                "null_shuffle": self.null_shuffle.as_dict()}
 
 
 # ---------------------------------------------------------------------------
@@ -235,28 +238,17 @@ def discretize_opd(values: dict[str, float], cap: int = 100) -> dict[str, int]:
     return {node: min(int(v), cap) for node, v in values.items()}
 
 
-def _scored_edge_arrays(edges: list[tuple[int, int]], scores: list[int],
-                        weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = np.array([scores[i] for i, _ in edges], dtype=np.int64)
-    y = np.array([scores[j] for _, j in edges], dtype=np.int64)
-    w = np.ones(len(edges)) if weights is None else np.asarray(weights, dtype=float)
-    return x, y, w
-
-
-def mixing_matrix_from_pairs(x: np.ndarray, y: np.ndarray,
-                             w: np.ndarray | None = None) -> MixingMatrix:
+def mixing_matrix_from_pairs(x: np.ndarray, y: np.ndarray) -> MixingMatrix:
     if x.size == 0:
         raise DegenerateInputError("mixing matrix needs at least one edge")
-    if w is None:
-        w = np.ones(x.size)
     values = np.unique(np.concatenate([x, y]))
     idx = {v: i for i, v in enumerate(values.tolist())}
     k = values.size
     e = np.zeros((k, k))
     xi = np.fromiter((idx[v] for v in x.tolist()), dtype=np.int64, count=x.size)
     yi = np.fromiter((idx[v] for v in y.tolist()), dtype=np.int64, count=y.size)
-    np.add.at(e, (xi, yi), w)
-    np.add.at(e, (yi, xi), w)
+    np.add.at(e, (xi, yi), 1.0)
+    np.add.at(e, (yi, xi), 1.0)
     e /= e.sum()
     return MixingMatrix(values=values, e=e)
 
@@ -277,32 +269,27 @@ def assortativity_from_matrix(mm: MixingMatrix) -> float:
     return min(1.0, max(-1.0, r))
 
 
+def _pairs_assortativity(edges: list[tuple[int, int]], scores: list[int]) -> float:
+    x = np.array([scores[i] for i, _ in edges], dtype=np.int64)
+    y = np.array([scores[j] for _, j in edges], dtype=np.int64)
+    return assortativity_from_matrix(mixing_matrix_from_pairs(x, y))
+
+
 def _edge_pairs_with_scores(net: SyncNetwork, attribute: dict[str, int]
-                            ) -> tuple[list[tuple[int, int]], list[int], list[str], np.ndarray]:
+                            ) -> tuple[list[tuple[int, int]], list[int]]:
     """Restrict to edges whose both endpoints carry a score."""
     nodes = [n for n in net.node_ids if n in attribute]
     pos = {n: i for i, n in enumerate(nodes)}
-    pairs: list[tuple[int, int]] = []
-    weights: list[float] = []
-    for e in net.edges:
-        if e.i in pos and e.j in pos:
-            pairs.append((pos[e.i], pos[e.j]))
-            weights.append(e.rho)
+    pairs = [(pos[e.i], pos[e.j]) for e in net.edges if e.i in pos and e.j in pos]
     if not pairs:
         raise DegenerateInputError("no edges with both endpoints scored")
-    return pairs, [attribute[n] for n in nodes], nodes, np.asarray(weights)
+    return pairs, [attribute[n] for n in nodes]
 
 
-def assortativity(net: SyncNetwork, attribute: dict[str, int],
-                  weighted: bool = False) -> float:
-    """Assortativity of the network by a discretized scalar attribute.
-
-    Built from the mixing matrix of retained edges; unweighted by default
-    (edge presence only), with edge-rho weighting behind the flag.
-    """
-    pairs, scores, _, w = _edge_pairs_with_scores(net, attribute)
-    x, y, w = _scored_edge_arrays(pairs, scores, w if weighted else None)
-    return assortativity_from_matrix(mixing_matrix_from_pairs(x, y, w))
+def assortativity(net: SyncNetwork, attribute: dict[str, int]) -> float:
+    """Assortativity of the network by a discretized scalar attribute, from
+    the mixing matrix of retained edges (edge presence only)."""
+    return _pairs_assortativity(*_edge_pairs_with_scores(net, attribute))
 
 
 # ---------------------------------------------------------------------------
@@ -400,88 +387,66 @@ def _null_stats(values: list[float], replicas: int) -> NullStats:
                      replicas=replicas)
 
 
-_NULL_PAYLOAD: dict = {}
+def _rewire_replicas(payload: dict, reps: list[int]) -> list[float]:
+    out = []
+    for rep in reps:
+        swapped = double_edge_swap(payload["pairs"], payload["n_swaps"],
+                                   task_rng(payload["seed"], rep))
+        out.append(_pairs_assortativity(swapped, payload["scores"]))
+    return out
 
 
-def _set_null_payload(payload: dict) -> None:
-    global _NULL_PAYLOAD
-    _NULL_PAYLOAD = payload
+def _shuffle_replicas(payload: dict, reps: list[int]) -> list[float]:
+    scores = payload["scores"]
+    out = []
+    for rep in reps:
+        perm = task_rng(payload["seed"], rep).permutation(len(scores))
+        out.append(_pairs_assortativity(payload["pairs"],
+                                        [scores[int(p)] for p in perm]))
+    return out
 
 
-def _rewire_replica(rep: int, payload: dict) -> float:
-    rng = task_rng(payload["seed"], rep)
-    swapped = double_edge_swap(payload["pairs"], payload["n_swaps"], rng)
-    x, y, w = _scored_edge_arrays(swapped, payload["scores"], None)
-    return assortativity_from_matrix(mixing_matrix_from_pairs(x, y, w))
-
-
-def _shuffle_replica(rep: int, payload: dict) -> float:
-    rng = task_rng(payload["seed"], rep)
-    scores = list(payload["scores"])
-    perm = rng.permutation(len(scores))
-    shuffled = [scores[int(p)] for p in perm]
-    x, y, w = _scored_edge_arrays(payload["pairs"], shuffled, None)
-    return assortativity_from_matrix(mixing_matrix_from_pairs(x, y, w))
-
-
-def _null_chunk(spec) -> list[tuple[int, float]]:
-    kind, reps = spec
-    fn = _rewire_replica if kind == "rewire" else _shuffle_replica
-    return [(rep, fn(rep, _NULL_PAYLOAD)) for rep in reps]
-
-
-def _run_null(kind: str, payload: dict, replicas: int, workers: int) -> NullStats:
-    chunks = [(kind, c) for c in chunked(list(range(replicas)), workers * 4)]
-    values_by_rep: list[tuple[int, float]] = []
-    if workers == 1:
-        _set_null_payload(payload)
-        for ch in chunks:
-            values_by_rep.extend(_null_chunk(ch))
-        _set_null_payload({})
-    else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_null_payload,
-                                 initargs=(payload,)) as pool:
-            for part in pool.map(_null_chunk, chunks):
-                values_by_rep.extend(part)
-    values_by_rep.sort(key=lambda t: t[0])
-    return _null_stats([v for _, v in values_by_rep], replicas)
+def _run_null(fn, payload: dict, replicas: int, workers: int | None) -> NullStats:
+    workers = resolve_workers(workers)
+    chunks = chunked(list(range(replicas)), workers * 4)
+    values = [v for part in map_tasks(fn, payload, chunks, workers) for v in part]
+    return _null_stats(values, replicas)
 
 
 def null_rewire(net: SyncNetwork, attribute: dict[str, int], replicas: int = 1000,
                 seed: int = 0, swap_factor: int = 10,
-                workers: int | None = 1) -> NullStats:
+                workers: int | None = None) -> NullStats:
     """Assortativity under degree-preserving rewiring (attributes fixed).
 
     Each replica applies swap_factor*|E| successful double-edge swaps to a
     fresh copy and re-scores; reports the mean and the empirical 2.5/97.5
     percentiles over replicas.
     """
-    pairs, scores, _, _ = _edge_pairs_with_scores(net, attribute)
+    pairs, scores = _edge_pairs_with_scores(net, attribute)
     if len(pairs) < 2:
         raise DegenerateInputError("rewiring null needs at least 2 edges")
     payload = {"pairs": pairs, "scores": scores, "seed": seed,
                "n_swaps": swap_factor * len(pairs)}
-    return _run_null("rewire", payload, replicas, resolve_workers(workers))
+    return _run_null(_rewire_replicas, payload, replicas, workers)
 
 
 def null_shuffle(net: SyncNetwork, attribute: dict[str, int], replicas: int = 1000,
-                 seed: int = 0, workers: int | None = 1) -> NullStats:
+                 seed: int = 0, workers: int | None = None) -> NullStats:
     """Assortativity under uniform permutation of node attributes
     (topology untouched)."""
-    pairs, scores, _, _ = _edge_pairs_with_scores(net, attribute)
+    pairs, scores = _edge_pairs_with_scores(net, attribute)
     if len(set(scores)) < 2:
         raise DegenerateInputError("attribute shuffle needs >= 2 distinct values")
     payload = {"pairs": pairs, "scores": scores, "seed": seed}
-    return _run_null("shuffle", payload, replicas, resolve_workers(workers))
+    return _run_null(_shuffle_replicas, payload, replicas, workers)
 
 
 def assortativity_with_nulls(net: SyncNetwork, attribute: dict[str, int],
                              replicas: int = 1000, rewire_seed: int = 0,
                              shuffle_seed: int = 1, swap_factor: int = 10,
-                             weighted: bool = False,
-                             workers: int | None = 1) -> AssortativityResult:
+                             workers: int | None = None) -> AssortativityResult:
     return AssortativityResult(
-        r=assortativity(net, attribute, weighted=weighted),
+        r=assortativity(net, attribute),
         null_rewire=null_rewire(net, attribute, replicas=replicas, seed=rewire_seed,
                                 swap_factor=swap_factor, workers=workers),
         null_shuffle=null_shuffle(net, attribute, replicas=replicas,

@@ -1,4 +1,5 @@
-"""Full-chain analysis of one or more assets and the consolidated JSON report.
+"""Full-chain analysis of one or more assets as a chain of stages, the
+per-asset tables and the consolidated JSON report.
 
 Every randomized step consumes a seed derived from the one root seed recorded
 in the report, and all serialization is key-sorted, so identical inputs and
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -21,7 +23,7 @@ from . import volatility as vola
 from .errors import DegenerateInputError, TradesyncError
 from .ingest import (AutoFilterPolicy, QuoteSeries, TradeRecord, build_calendar,
                      filter_automatic, split_off_calendar)
-from .syncnet import SyncNetwork, build_sync_network
+from .syncnet import SyncNetwork, build_sync_network, write_edges, write_nodes
 
 REPORT_VERSION = "2"
 
@@ -61,53 +63,45 @@ def derive_seeds(root_seed: int, asset_index: int) -> dict[str, int]:
 
 @dataclass
 class AssetAnalysis:
-    """All artifacts produced for one asset; to_section() flattens the numbers
-    that belong in the JSON report."""
+    """All artifacts produced for one asset. `front_stage` creates it and each
+    later stage fills its own fields; to_section() flattens the numbers that
+    belong in the JSON report once every stage has run."""
 
     ticker: str
     series: dict
     vol: vola.VolatilitySeries
     meso: vola.MesoSeries
-    net: SyncNetwork
     tail_fit: act.TailFit | None
     opd_tail_fit: act.TailFit | None
     meso_long: float | None
     meso_short: float | None
-    partition: nm.Partition | None
-    scores: list[pol.PolarizationScore]
-    exclusions: list[pol.Exclusion]
-    histogram: pol.Histogram | None
-    summary: pol.PolarizationSummary | None
-    assort_rho: nm.AssortativityResult | None
-    assort_opd: nm.AssortativityResult | None
-    population: dict = field(default_factory=dict)
-    notes: dict = field(default_factory=dict)
+    population: dict
+    notes: dict
+    net: SyncNetwork | None = None
+    partition: nm.Partition | None = None
+    scores: list[pol.PolarizationScore] = field(default_factory=list)
+    exclusions: list[pol.Exclusion] = field(default_factory=list)
+    histogram: pol.Histogram | None = None
+    summary: pol.PolarizationSummary | None = None
+    # attribute name -> result, None where the note says why
+    assortativity: dict[str, nm.AssortativityResult | None] = field(
+        default_factory=dict)
+
+    @property
+    def polarization(self) -> dict | None:
+        """The report's polarization section; None when the stage noted why not."""
+        s = self.summary
+        if s is None:
+            return None
+        return {"mean": s.mean, "variance": s.variance, "mode_bin": s.mode_bin,
+                "shuffled_variance": s.shuffled_variance,
+                "variance_ratio": s.variance_ratio,
+                "scored": len(self.scores), "excluded": len(self.exclusions)}
 
     def to_section(self) -> dict:
         def tail(f):
             return f.as_dict() if f is not None else None
 
-        def assort(res, attribute):
-            if res is None:
-                return None
-            return {
-                "attribute": attribute,
-                "r": res.r,
-                "null_rewire": res.null_rewire.as_dict(),
-                "null_shuffle": res.null_shuffle.as_dict(),
-            }
-
-        polar = None
-        if self.summary is not None:
-            polar = {
-                "mean": self.summary.mean,
-                "variance": self.summary.variance,
-                "mode_bin": self.summary.mode_bin,
-                "shuffled_variance": self.summary.shuffled_variance,
-                "variance_ratio": self.summary.variance_ratio,
-                "scored": len(self.scores),
-                "excluded": len(self.exclusions),
-            }
         return {
             "tail_fit": tail(self.tail_fit),
             "opd_tail_fit": tail(self.opd_tail_fit),
@@ -120,10 +114,9 @@ class AssetAnalysis:
                 "diagnostics": _plain(self.net.diagnostics),
             },
             "assortativity": {
-                "rho_ov": assort(self.assort_rho, "rho_ov"),
-                "opd": assort(self.assort_opd, "opd"),
-            },
-            "polarization": polar,
+                name: None if res is None else {"attribute": name, **res.as_dict()}
+                for name, res in self.assortativity.items()},
+            "polarization": self.polarization,
             "population": _plain(self.population),
             "notes": _plain(self.notes),
         }
@@ -142,98 +135,32 @@ def _plain(obj):
     return obj
 
 
-def analyze_asset(trades: list[TradeRecord], quotes: QuoteSeries,
-                  params: PipelineParams, root_seed: int = 0,
-                  asset_index: int = 0, workers: int | None = None
-                  ) -> AssetAnalysis:
-    """Run the full chain for one asset.
+def _noted(notes: dict, key: str, errors, fn, *args):
+    """fn(*args), or None with the error recorded as notes[key]."""
+    try:
+        return fn(*args)
+    except errors as err:
+        notes[key] = str(err)
+        return None
 
-    Degenerate sub-steps (no scores, constant series, too few edges) are
-    recorded under `notes` instead of aborting the asset.
-    """
-    seeds = derive_seeds(root_seed, asset_index)
+
+# The stages of the per-asset chain. `analyze_asset` runs them all, in order;
+# each single-asset subcommand runs the front and the stages it reports on.
+# Degenerate sub-steps (no scores, constant series, too few edges) are
+# recorded under `notes` instead of aborting the asset.
+
+def front_stage(trades: list[TradeRecord], quotes: QuoteSeries,
+                params: PipelineParams) -> AssetAnalysis:
+    """Filter, calendar, activity, volatility, meso correlations, tail fits."""
     notes: dict = {}
-
-    policy = AutoFilterPolicy.parse(params.auto_filter)
-    filtered = filter_automatic(trades, policy)
+    filtered = filter_automatic(trades, AutoFilterPolicy.parse(params.auto_filter))
     calendar = build_calendar(quotes)
     kept, off = split_off_calendar(filtered.retained, calendar)
-
     series = act.build_activity(kept, calendar)
     vol = vola.high_low_volatility(quotes)
     meso = vola.meso_series(series, calendar)
-
-    tail_fit = opd_fit = None
     totals = [s.total_ops for s in series.values()]
     opds = [s.opd for s in series.values()]
-    try:
-        tail_fit = act.hill_fit(totals, params.hill_k)
-    except TradesyncError as err:
-        notes["tail_fit"] = str(err)
-    try:
-        opd_fit = act.hill_fit(opds, params.hill_k)
-    except TradesyncError as err:
-        notes["opd_tail_fit"] = str(err)
-
-    meso_long = meso_short = None
-    try:
-        meso_long = vola.meso_long_correlation(meso, vol)
-    except DegenerateInputError as err:
-        notes["meso_long"] = str(err)
-    try:
-        meso_short = vola.meso_short_correlation(meso, vol, params.ma_window,
-                                                 params.ma_mode)
-    except DegenerateInputError as err:
-        notes["meso_short"] = str(err)
-
-    net = build_sync_network(series, min_ops=params.min_ops,
-                             shuffles=params.shuffles, level=params.p_level,
-                             seed=seeds["syncnet"], workers=workers)
-
-    partition = None
-    try:
-        partition = nm.louvain(net, seed=seeds["louvain"])
-    except DegenerateInputError as err:
-        notes["modularity"] = str(err)
-
-    scores, exclusions = pol.score_population(series, vol, params.min_days,
-                                              params.nu_moments)
-    net, unscored = pol.attach_scores(net, scores)
-    if unscored:
-        notes["unscored_nodes"] = len(unscored)
-
-    histogram = summary = None
-    try:
-        histogram = pol.population_distribution(scores, params.bins)
-        baseline = pol.shuffled_baseline(series, vol, replicas=params.replicas,
-                                         seed=seeds["shuffle_baseline"],
-                                         min_days=params.min_days,
-                                         nu_moments=params.nu_moments)
-        summary = pol.summarize(scores, baseline, params.bins)
-    except DegenerateInputError as err:
-        notes["polarization"] = str(err)
-
-    assort_rho = assort_opd = None
-    try:
-        attr = nm.discretize_attribute(
-            {s.investor_id: s.rho_ov for s in scores
-             if s.investor_id in net.node_attrs})
-        assort_rho = nm.assortativity_with_nulls(
-            net, attr, replicas=params.replicas, rewire_seed=seeds["rho_ov_rewire"],
-            shuffle_seed=seeds["rho_ov_shuffle"], swap_factor=params.swap_factor,
-            workers=workers)
-    except (DegenerateInputError, ValueError) as err:
-        notes["assortativity_rho_ov"] = str(err)
-    try:
-        attr = nm.discretize_opd(
-            {inv: a.opd for inv, a in net.node_attrs.items()}, params.opd_cap)
-        assort_opd = nm.assortativity_with_nulls(
-            net, attr, replicas=params.replicas, rewire_seed=seeds["opd_rewire"],
-            shuffle_seed=seeds["opd_shuffle"], swap_factor=params.swap_factor,
-            workers=workers)
-    except (DegenerateInputError, ValueError) as err:
-        notes["assortativity_opd"] = str(err)
-
     population = {
         "trades_input": len(trades),
         "trades_after_auto_filter": len(filtered.retained),
@@ -241,19 +168,135 @@ def analyze_asset(trades: list[TradeRecord], quotes: QuoteSeries,
         "off_calendar_trades": len(off),
         "investors": len(series),
         "operations": int(sum(totals)),
-        "network_investors": len(net.node_ids),
-        "network_operations": int(sum(
-            series[n].total_ops for n in net.node_ids)),
-        "connected_investors": len(net.node_ids) - len(net.isolated_nodes()),
     }
     return AssetAnalysis(
-        ticker=quotes.ticker, series=series, vol=vol, meso=meso, net=net,
-        tail_fit=tail_fit, opd_tail_fit=opd_fit, meso_long=meso_long,
-        meso_short=meso_short, partition=partition, scores=scores,
-        exclusions=exclusions, histogram=histogram, summary=summary,
-        assort_rho=assort_rho, assort_opd=assort_opd,
+        ticker=quotes.ticker, series=series, vol=vol, meso=meso,
+        tail_fit=_noted(notes, "tail_fit", TradesyncError,
+                        act.hill_fit, totals, params.hill_k),
+        opd_tail_fit=_noted(notes, "opd_tail_fit", TradesyncError,
+                            act.hill_fit, opds, params.hill_k),
+        meso_long=_noted(notes, "meso_long", DegenerateInputError,
+                         vola.meso_long_correlation, meso, vol),
+        meso_short=_noted(notes, "meso_short", DegenerateInputError,
+                          vola.meso_short_correlation, meso, vol,
+                          params.ma_window, params.ma_mode),
         population=population, notes=notes,
     )
+
+
+def network_stage(a: AssetAnalysis, params: PipelineParams, seeds: dict[str, int],
+                  workers: int | None = None) -> None:
+    """Synchronization network and its Louvain partition."""
+    a.net = build_sync_network(a.series, min_ops=params.min_ops,
+                               shuffles=params.shuffles, level=params.p_level,
+                               seed=seeds["syncnet"], workers=workers)
+    a.partition = _noted(a.notes, "modularity", (DegenerateInputError, ValueError),
+                         nm.louvain, a.net, seeds["louvain"])
+    a.population.update({
+        "network_investors": len(a.net.node_ids),
+        "network_operations": int(sum(
+            a.series[n].total_ops for n in a.net.node_ids)),
+        "connected_investors": len(a.net.node_ids) - len(a.net.isolated_nodes()),
+    })
+
+
+def score_stage(a: AssetAnalysis, params: PipelineParams) -> None:
+    """Per-investor volatility-polarization scores."""
+    a.scores, a.exclusions = pol.score_population(a.series, a.vol, params.min_days,
+                                                  params.nu_moments)
+
+
+def polarization_stage(a: AssetAnalysis, params: PipelineParams,
+                       seeds: dict[str, int]) -> None:
+    """Score histogram, shuffled baseline and their summary (after scores)."""
+    try:
+        a.histogram = pol.population_distribution(a.scores, params.bins)
+        baseline = pol.shuffled_baseline(a.series, a.vol, replicas=params.replicas,
+                                         seed=seeds["shuffle_baseline"],
+                                         min_days=params.min_days,
+                                         nu_moments=params.nu_moments)
+        a.summary = pol.summarize(a.scores, baseline, params.bins)
+    except DegenerateInputError as err:
+        a.notes["polarization"] = str(err)
+
+
+def assortativity_stage(a: AssetAnalysis, params: PipelineParams,
+                        seeds: dict[str, int], workers: int | None = None) -> None:
+    """Assortativity by rho_ov and by opd, each with its rewire and shuffle
+    nulls (after the network and the scores)."""
+    a.net, unscored = pol.attach_scores(a.net, a.scores)
+    if unscored:
+        a.notes["unscored_nodes"] = len(unscored)
+    attributes = {
+        "rho_ov": lambda: nm.discretize_attribute(
+            {s.investor_id: s.rho_ov for s in a.scores
+             if s.investor_id in a.net.node_attrs}),
+        "opd": lambda: nm.discretize_opd(
+            {inv: x.opd for inv, x in a.net.node_attrs.items()}, params.opd_cap),
+    }
+    for name, attribute in attributes.items():
+        a.assortativity[name] = None
+        try:
+            a.assortativity[name] = nm.assortativity_with_nulls(
+                a.net, attribute(), replicas=params.replicas,
+                rewire_seed=seeds[f"{name}_rewire"],
+                shuffle_seed=seeds[f"{name}_shuffle"],
+                swap_factor=params.swap_factor, workers=workers)
+        except (DegenerateInputError, ValueError) as err:
+            a.notes[f"assortativity_{name}"] = str(err)
+
+
+def analyze_asset(trades: list[TradeRecord], quotes: QuoteSeries,
+                  params: PipelineParams, root_seed: int = 0,
+                  asset_index: int = 0, workers: int | None = None
+                  ) -> AssetAnalysis:
+    """Run every stage of the chain for one asset."""
+    seeds = derive_seeds(root_seed, asset_index)
+    a = front_stage(trades, quotes, params)
+    network_stage(a, params, seeds, workers)
+    score_stage(a, params)
+    polarization_stage(a, params, seeds)
+    assortativity_stage(a, params, seeds, workers)
+    return a
+
+
+# Per-asset tables, written by `report` and by the subcommands alike.
+
+def _write_table(path: str, writer, obj) -> None:
+    with open(path, "w") as f:
+        writer(obj, f)
+
+
+def _write_pairs(path: str, header: str, rows) -> None:
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        f.writelines(f"{a}\t{b}\n" for a, b in rows)
+
+
+def write_activity_tables(series: dict, out: str) -> None:
+    _write_pairs(os.path.join(out, "activity_ccdf.tsv"), "value\tfraction",
+                 act.ccdf([s.total_ops for s in series.values()]))
+    _write_pairs(os.path.join(out, "opd_ccdf.tsv"), "value\tfraction",
+                 act.ccdf([s.opd for s in series.values()]))
+    _write_pairs(os.path.join(out, "ops_vs_days.tsv"), "trading_days\ttotal_ops",
+                 act.ops_vs_days(series))
+
+
+def write_network_tables(net: SyncNetwork, out: str) -> None:
+    _write_table(os.path.join(out, "edges.tsv"), write_edges, net)
+    _write_table(os.path.join(out, "nodes.tsv"), write_nodes, net)
+
+
+def write_partition_table(partition: nm.Partition | None, out: str) -> None:
+    if partition is not None:
+        _write_table(os.path.join(out, "partition.tsv"), nm.write_partition, partition)
+
+
+def write_polarization_tables(a: AssetAnalysis, out: str) -> None:
+    _write_table(os.path.join(out, "scores.tsv"), pol.write_scores, a.scores)
+    if a.histogram is not None:
+        _write_table(os.path.join(out, "rho_histogram.tsv"), pol.write_histogram,
+                     a.histogram)
 
 
 def build_report(sections: dict[str, dict], params: PipelineParams,

@@ -13,14 +13,14 @@ is identical for any worker count and any execution order.
 from __future__ import annotations
 
 import bisect
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .activity import ActivitySeries
 from .errors import DegenerateInputError
-from .parallel import chunked, resolve_workers, task_rng
+from .parallel import chunked, map_tasks, resolve_workers, task_rng
+from .volatility import population_correlation
 
 # Shuffles are drawn in blocks of _BLOCK_ROWS (fewer for very long windows).
 # `rng.permuted` consumes the stream row by row, so the block size only sets
@@ -107,26 +107,10 @@ def overlap_window(a: ActivitySeries, b: ActivitySeries) -> OverlapWindow | None
     return OverlapWindow(start, end)
 
 
-def window_correlation(x: np.ndarray, y: np.ndarray) -> float:
-    """Population-normalized cross-correlation of two same-length windows."""
-    n = x.size
-    if n != y.size or n < 2:
-        raise DegenerateInputError("windows must have equal length >= 2")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    vx = float(np.mean(xc * xc))
-    vy = float(np.mean(yc * yc))
-    if vx == 0.0 or vy == 0.0:
-        raise DegenerateInputError("constant activity over the overlap window")
-    rho = float(np.mean(xc * yc)) / float(np.sqrt(vx * vy))
-    # guard against ulp-level overshoot so |rho| <= 1 holds exactly
-    return min(1.0, max(-1.0, rho))
-
-
 def cross_correlation(a: ActivitySeries, b: ActivitySeries, w: OverlapWindow) -> float:
     x = a.window(w.start, w.end).astype(float)
     y = b.window(w.start, w.end).astype(float)
-    return window_correlation(x, y)
+    return population_correlation(x, y)
 
 
 def _shuffle_exceed_count(x: np.ndarray, y: np.ndarray, shuffles: int,
@@ -180,14 +164,6 @@ def permutation_filter(a: ActivitySeries, b: ActivitySeries, w: OverlapWindow,
 # ---------------------------------------------------------------------------
 # parallel pair evaluation
 
-_PAYLOAD: dict = {}
-
-
-def _set_payload(payload: dict) -> None:
-    global _PAYLOAD
-    _PAYLOAD = payload
-
-
 def _pair_at(p: int, cum: list[int]) -> tuple[int, int]:
     """Decode flat pair index p into (i, j), i < j, using cumulative row sizes."""
     i = bisect.bisect_right(cum, p) - 1
@@ -206,7 +182,7 @@ def _eval_pair(ia: int, ib: int, payload: dict) -> PairStat:
     x = a.window(w.start, w.end).astype(float)
     y = b.window(w.start, w.end).astype(float)
     try:
-        rho = window_correlation(x, y)
+        rho = population_correlation(x, y)
     except DegenerateInputError:
         return PairStat(ia, ib, "degenerate", overlap=w.length)
     rng = task_rng(payload["seed"], ia, ib)
@@ -222,17 +198,14 @@ def _new_counters() -> dict:
             "kept": 0, "negative_rho": 0, "shuffles_used": 0}
 
 
-def _eval_chunk(spec) -> tuple[list[PairStat], dict]:
-    kind, arg = spec
-    payload = _PAYLOAD
+def _eval_chunk(payload: dict, chunk) -> tuple[list[PairStat], dict]:
+    """Test a chunk of pairs: (i, j) tuples, or flat indices into the (i < j)
+    triangle when the payload carries its cumulative row offsets."""
     counters = _new_counters()
     out: list[PairStat] = []
     keep_all = payload["keep_all"]
-    if kind == "range":
-        start, stop = arg
-        indices = ((_pair_at(p, payload["cum"])) for p in range(start, stop))
-    else:
-        indices = iter(arg)
+    cum = payload["cum"]
+    indices = chunk if cum is None else (_pair_at(p, cum) for p in chunk)
     for ia, ib in indices:
         st = _eval_pair(ia, ib, payload)
         if st.status == "ok":
@@ -249,17 +222,9 @@ def _eval_chunk(spec) -> tuple[list[PairStat], dict]:
 
 def _run_chunks(payload: dict, chunks: list, workers: int
                 ) -> tuple[list[PairStat], dict]:
-    if workers == 1:
-        _set_payload(payload)
-        parts = list(map(_eval_chunk, chunks))
-        _set_payload({})
-    else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_payload,
-                                 initargs=(payload,)) as pool:
-            parts = list(pool.map(_eval_chunk, chunks))
     results: list[PairStat] = []
     counters = _new_counters()
-    for stats, c in parts:
+    for stats, c in map_tasks(_eval_chunk, payload, chunks, workers):
         results.extend(stats)
         for k, v in c.items():
             counters[k] += v
@@ -277,8 +242,7 @@ def evaluate_pairs(series: list[ActivitySeries], pairs: list[tuple[int, int]],
     workers = resolve_workers(workers)
     payload = {"series": series, "seed": seed, "shuffles": shuffles,
                "level": level, "keep_all": True, "cum": None}
-    chunks = [("list", c) for c in chunked(list(pairs), workers * 8)]
-    return _run_chunks(payload, chunks, workers)
+    return _run_chunks(payload, chunked(list(pairs), workers * 8), workers)
 
 
 def build_sync_network(series: dict[str, ActivitySeries], min_ops: int = 20,
@@ -310,10 +274,9 @@ def build_sync_network(series: dict[str, ActivitySeries], min_ops: int = 20,
 
     payload = {"series": slist, "seed": seed, "shuffles": shuffles,
                "level": level, "keep_all": False, "cum": cum}
-    bounds = np.linspace(0, n_pairs, num=min(n_pairs, workers * 8) + 1, dtype=int)
-    chunks = [("range", (int(a), int(b))) for a, b in zip(bounds, bounds[1:]) if a < b]
     # chunks are contiguous and come back in order, so results are sorted
-    results, counters = _run_chunks(payload, chunks, workers)
+    results, counters = _run_chunks(payload, chunked(range(n_pairs), workers * 8),
+                                    workers)
 
     edges = [SyncEdge(i=node_ids[st.i], j=node_ids[st.j], rho=st.rho,
                       overlap=st.overlap, pvalue=st.pvalue)

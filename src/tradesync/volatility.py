@@ -49,8 +49,9 @@ def meso_series(series: dict[str, ActivitySeries], calendar: TradingCalendar) ->
     return MesoSeries(ticker=calendar.ticker, ops=ops)
 
 
-def _population_corr(x: np.ndarray, y: np.ndarray) -> float:
-    """Product-moment correlation with population (1/T) normalization."""
+def population_correlation(x: np.ndarray, y: np.ndarray) -> float:
+    """Product-moment correlation with population (1/T) normalization: the
+    meso correlations here and each pair's rho in the synchronization network."""
     if x.size != y.size:
         raise ValueError("series lengths differ")
     if x.size < 2:
@@ -69,7 +70,7 @@ def _population_corr(x: np.ndarray, y: np.ndarray) -> float:
 def meso_long_correlation(meso: MesoSeries, vol: VolatilitySeries) -> float:
     """Correlation of total operations with same-day volatility over the whole
     calendar (the mean is subtracted, so slow level shifts do not bias it)."""
-    return _population_corr(np.asarray(meso.ops, dtype=float), vol.nu)
+    return population_correlation(np.asarray(meso.ops, dtype=float), vol.nu)
 
 
 def moving_average_residual(x: np.ndarray, window: int, mode: str = "trailing") -> np.ndarray:
@@ -99,4 +100,4 @@ def meso_short_correlation(meso: MesoSeries, vol: VolatilitySeries,
     capturing the short-horizon co-movement."""
     ro = moving_average_residual(np.asarray(meso.ops, dtype=float), window, mode)
     rv = moving_average_residual(vol.nu, window, mode)
-    return _population_corr(ro, rv)
+    return population_correlation(ro, rv)

@@ -24,10 +24,11 @@ from tradesync.netmetrics import (assortativity, louvain, modularity_of,
                                   null_rewire, null_shuffle)
 from tradesync.polarization import (polarization_score, score_population,
                                     shuffled_baseline, summarize)
-from tradesync.syncnet import build_sync_network, evaluate_pairs, window_correlation
+from tradesync.syncnet import build_sync_network, evaluate_pairs
 from tradesync.synth import (CommunitySpec, SynthConfig, generate,
                              plant_assortative_network)
-from tradesync.volatility import VolatilitySeries, high_low_volatility
+from tradesync.volatility import (VolatilitySeries, high_low_volatility,
+                                  population_correlation)
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -46,7 +47,7 @@ def test_criterion_1_pair_correlation_oracle():
         y = rng.poisson(rng.uniform(0.2, 3.0), n).astype(float)
         if x.std() == 0 or y.std() == 0:
             continue
-        lib = window_correlation(x, y)
+        lib = population_correlation(x, y)
         ref = bruteforce_pair_correlation(x.tolist(), y.tolist())
         worst = max(worst, abs(lib - ref))
         done += 1

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from tradesync import netmetrics, parallel
 from tradesync.cli import main
 
 
@@ -166,9 +167,16 @@ def test_report_partial_failure(synth_data, tmp_path, capsys):
 
 def test_subcommands_seed_like_report(synth_data, tmp_path):
     assert main(["report"] + _common(synth_data, tmp_path / "r")) == 0
-    for cmd in ("syncnet", "metrics", "polarization"):
+    for cmd in ("activity", "meso", "syncnet", "metrics", "polarization"):
         assert main([cmd] + _common(synth_data, tmp_path / cmd)) == 0
     section = json.loads((tmp_path / "r" / "report.json").read_text())["assets"]["SYN"]
+    for name in ("activity_ccdf.tsv", "opd_ccdf.tsv", "ops_vs_days.tsv"):
+        table = (tmp_path / "activity" / name).read_text()
+        assert table.count("\n") > 1
+        assert table == (tmp_path / "r" / "SYN" / name).read_text()
+    meso = json.loads((tmp_path / "meso" / "meso.json").read_text())
+    assert section["meso"]["long"] is not None and section["meso"]["short"] is not None
+    assert {k: meso[k] for k in ("long", "short")} == section["meso"]
     edges = (tmp_path / "syncnet" / "edges.tsv").read_text()
     assert edges.count("\n") > 1
     assert edges == (tmp_path / "r" / "SYN" / "edges.tsv").read_text()
@@ -184,6 +192,23 @@ def test_subcommands_seed_like_report(synth_data, tmp_path):
                 {k: want[k] for k in ("r", "null_rewire", "null_shuffle")}
     polar = json.loads((tmp_path / "polarization" / "polarization.json").read_text())
     assert polar["variance_ratio"] == section["polarization"]["variance_ratio"]
+
+
+def test_metrics_nulls_follow_the_worker_count(synth_data, tmp_path, monkeypatch):
+    assert main(["metrics"] + _common(synth_data, tmp_path / "w1")) == 0
+    seen = []
+
+    def recording(fn, payload, tasks, workers):
+        seen.append(workers)
+        return parallel.map_tasks(fn, payload, tasks, workers)
+
+    monkeypatch.setattr(netmetrics, "map_tasks", recording)
+    monkeypatch.setenv("TRADESYNC_WORKERS", "2")
+    assert main(["metrics"] + _common(synth_data, tmp_path / "w2")) == 0
+    # a rewire and a shuffle null for each of rho_ov and opd
+    assert seen == [2, 2, 2, 2]
+    assert (tmp_path / "w2" / "metrics.json").read_bytes() == \
+        (tmp_path / "w1" / "metrics.json").read_bytes()
 
 
 def test_global_nu_moments_reach_the_baseline(synth_data, tmp_path):

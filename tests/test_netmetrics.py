@@ -165,12 +165,6 @@ class TestAssortativity:
         with pytest.raises(DegenerateInputError):
             assortativity(net, {n: 7 for n in net.node_ids})
 
-    def test_weighted_variant_runs(self, rng):
-        net = _random_graph(rng, n=20, p=0.3)
-        scores = {n: int(rng.integers(0, 5)) for n in net.node_ids}
-        r = assortativity(net, scores, weighted=True)
-        assert -1.0 <= r <= 1.0
-
     def test_mixing_matrix_invariants(self, rng):
         x = rng.integers(0, 5, 60)
         y = rng.integers(0, 5, 60)

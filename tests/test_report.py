@@ -1,6 +1,7 @@
 from tradesync import netmetrics
 from tradesync.ingest import select_ticker
-from tradesync.report import PipelineParams, analyze_asset, derive_seeds
+from tradesync.report import (PipelineParams, analyze_asset, derive_seeds,
+                              front_stage, network_stage)
 from tradesync.synth import CommunitySpec, SynthConfig, generate
 
 NULLS = ("rho_ov_rewire", "rho_ov_shuffle", "opd_rewire", "opd_shuffle")
@@ -33,9 +34,21 @@ def test_each_null_draws_its_own_stream(monkeypatch):
     params = PipelineParams(shuffles=199, replicas=20)
     analysis = analyze_asset(select_ticker(res.trades, res.quotes.ticker), res.quotes,
                              params, root_seed=5, workers=1)
-    assert analysis.assort_rho is not None and analysis.assort_opd is not None
+    assert None not in (analysis.assortativity["rho_ov"], analysis.assortativity["opd"])
     seeds = derive_seeds(5, 0)
     assert drawn == [("rewire", seeds["rho_ov_rewire"]),
                      ("shuffle", seeds["rho_ov_shuffle"]),
                      ("rewire", seeds["opd_rewire"]),
                      ("shuffle", seeds["opd_shuffle"])]
+
+
+def test_negative_edge_weights_become_a_modularity_note():
+    res = generate(SynthConfig(n_agents=30, n_days=80, base_rate_scale=0.1, seed=3))
+    params = PipelineParams(min_ops=5, shuffles=99, p_level=0.9)
+    analysis = front_stage(select_ticker(res.trades, res.quotes.ticker), res.quotes,
+                           params)
+    network_stage(analysis, params, derive_seeds(5, 0), workers=1)
+    # a level this lax keeps negatively correlated pairs, which Louvain refuses
+    assert any(e.rho < 0 for e in analysis.net.edges)
+    assert analysis.partition is None
+    assert "non-negative" in analysis.notes["modularity"]

@@ -11,7 +11,8 @@ from tradesync.parallel import task_rng
 from tradesync.syncnet import (build_sync_network, cross_correlation,
                                evaluate_pairs, overlap_window,
                                permutation_filter, permutation_pvalue,
-                               window_correlation, write_edges)
+                               write_edges)
+from tradesync.volatility import population_correlation
 
 
 def _series_pair(counts_a, counts_b, first_a=0, first_b=0):
@@ -52,7 +53,7 @@ class TestCrossCorrelation:
     def test_five_day_window_matches_bruteforce(self):
         x = np.array([0.0, 2.0, 0.0, 1.0, 0.0])
         y = np.array([1.0, 3.0, 0.0, 2.0, 0.0])
-        assert window_correlation(x, y) == pytest.approx(
+        assert population_correlation(x, y) == pytest.approx(
             bruteforce_pair_correlation(x.tolist(), y.tolist()), abs=1e-12)
 
     def test_symmetry_and_shift_invariance(self, rng):
@@ -61,9 +62,9 @@ class TestCrossCorrelation:
             y = rng.integers(0, 6, size=30).astype(float)
             if x.std() == 0 or y.std() == 0:
                 continue
-            r1 = window_correlation(x, y)
-            assert window_correlation(y, x) == pytest.approx(r1, abs=1e-12)
-            assert window_correlation(x + 17.0, y) == pytest.approx(r1, abs=1e-12)
+            r1 = population_correlation(x, y)
+            assert population_correlation(y, x) == pytest.approx(r1, abs=1e-12)
+            assert population_correlation(x + 17.0, y) == pytest.approx(r1, abs=1e-12)
 
     def test_bounds_over_1000_random_integer_pairs(self):
         rng = np.random.default_rng(99)
@@ -74,12 +75,12 @@ class TestCrossCorrelation:
             y = rng.integers(0, 10, size=n).astype(float)
             if x.std() == 0 or y.std() == 0:
                 continue
-            assert -1.0 <= window_correlation(x, y) <= 1.0
+            assert -1.0 <= population_correlation(x, y) <= 1.0
             checked += 1
 
     def test_degenerate_sigma(self):
         with pytest.raises(DegenerateInputError):
-            window_correlation(np.ones(10), np.arange(10.0))
+            population_correlation(np.ones(10), np.arange(10.0))
 
 
 class TestPermutationFilter:
@@ -97,7 +98,7 @@ class TestPermutationFilter:
     def test_exact_zero_rho_not_kept(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
         y = np.array([1.0, 3.0, 0.0, 2.0])
-        assert window_correlation(x, y) == 0.0
+        assert population_correlation(x, y) == 0.0
         p = permutation_pvalue(x, y, shuffles=999, rng=task_rng(3, 0))
         assert p > 0.1  # far above any conventional level
 
@@ -276,7 +277,7 @@ class TestEarlyStopping:
         stopped = kept = 0
         for st in results:
             x, y = _windows(slist, st.i, st.j)
-            assert st.rho == window_correlation(x, y)
+            assert st.rho == population_correlation(x, y)
             full_p = permutation_pvalue(x, y, shuffles, task_rng(seed, st.i, st.j))
             assert st.kept == (full_p < level)
             if st.kept:
