@@ -190,6 +190,8 @@ def cmd_validate(args) -> int:
 def cmd_activity(args) -> int:
     analysis, _, _ = _front(args)
     series = analysis.series
+    tails = [(name, _required(analysis, key), attr) for name, key, attr in
+             (("activity", "tail_fit", "total_ops"), ("opd", "opd_tail_fit", "opd"))]
     out = _outdir(args)
     with open(os.path.join(out, "activity_nodes.tsv"), "w") as f:
         f.write("investor\ttotal_ops\tN\tT\topd\n")
@@ -197,9 +199,7 @@ def cmd_activity(args) -> int:
             f.write(f"{inv}\t{s.total_ops}\t{s.n_active}\t{s.span}\t{s.opd!r}\n")
     write_activity_tables(series, out)
     fits = {}
-    for name, key, attr in (("activity", "tail_fit", "total_ops"),
-                            ("opd", "opd_tail_fit", "opd")):
-        fit = _required(analysis, key)
+    for name, fit, attr in tails:
         sweep = act.hill_sweep([getattr(s, attr) for s in series.values()])
         fits[name] = {"fit": fit.as_dict(), "sweep": [f.as_dict() for f in sweep]}
         print(f"{name} tail index: {fit.alpha:.4f} +- {fit.stderr:.4f} "
@@ -266,8 +266,8 @@ def cmd_polarization(args) -> int:
     analysis, params, seeds = _front(args)
     score_stage(analysis, params)
     polarization_stage(analysis, params, seeds)
-    write_polarization_tables(analysis, _outdir(args))
     section = _required(analysis, "polarization")
+    write_polarization_tables(analysis, _outdir(args))
     _write_json(os.path.join(args.out_dir, "polarization.json"),
                 {"ticker": analysis.ticker, **section})
     print(f"polarization {analysis.ticker}: mean={section['mean']:.4f} "

@@ -1,6 +1,7 @@
 """Network structure metrics: weighted-modularity community detection,
-attribute assortativity from the edge mixing matrix, and two randomized
-benchmarks (degree-preserving rewiring, attribute shuffling) with 95% CIs.
+attribute assortativity as the correlation over edge endpoints, and two
+randomized benchmarks (degree-preserving rewiring, attribute shuffling) with
+95% CIs.
 """
 
 from __future__ import annotations
@@ -23,44 +24,36 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class MixingMatrix:
-    """Fraction e[x, y] of edge endpoint pairs joining attribute values
-    values[x] and values[y]; each undirected edge contributes both
-    orientations, so the matrix is symmetric and sums to 1."""
-
-    values: np.ndarray
-    e: np.ndarray
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.e.sum(axis=1)
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.e.sum(axis=0)
-
-
-@dataclass(frozen=True)
 class NullStats:
+    """Mean and 2.5/97.5 percentiles of r over the replicas where r is
+    defined, plus the counter of the null that made them: `acceptance`
+    (accepted over proposed swaps) for the rewire null, `undefined` (replicas
+    left out because r was undefined) for the shuffle null."""
+
     mean: float
     ci_low: float
     ci_high: float
     replicas: int
+    acceptance: float | None = None
+    undefined: int | None = None
 
     def as_dict(self) -> dict:
-        return {"mean": self.mean, "ci95_low": self.ci_low,
-                "ci95_high": self.ci_high, "replicas": self.replicas}
+        out = {"mean": self.mean, "ci95_low": self.ci_low,
+               "ci95_high": self.ci_high, "replicas": self.replicas,
+               "acceptance": self.acceptance, "undefined": self.undefined}
+        return {k: v for k, v in out.items() if v is not None}
 
 
 @dataclass(frozen=True)
 class AssortativityResult:
     r: float
     null_rewire: NullStats
-    null_shuffle: NullStats
+    null_shuffle: NullStats | None
 
     def as_dict(self) -> dict:
         return {"r": self.r, "null_rewire": self.null_rewire.as_dict(),
-                "null_shuffle": self.null_shuffle.as_dict()}
+                "null_shuffle": None if self.null_shuffle is None
+                else self.null_shuffle.as_dict()}
 
 
 # ---------------------------------------------------------------------------
@@ -238,83 +231,67 @@ def discretize_opd(values: dict[str, float], cap: int = 100) -> dict[str, int]:
     return {node: min(int(v), cap) for node, v in values.items()}
 
 
-def mixing_matrix_from_pairs(x: np.ndarray, y: np.ndarray) -> MixingMatrix:
-    if x.size == 0:
-        raise DegenerateInputError("mixing matrix needs at least one edge")
-    values = np.unique(np.concatenate([x, y]))
-    idx = {v: i for i, v in enumerate(values.tolist())}
-    k = values.size
-    e = np.zeros((k, k))
-    xi = np.fromiter((idx[v] for v in x.tolist()), dtype=np.int64, count=x.size)
-    yi = np.fromiter((idx[v] for v in y.tolist()), dtype=np.int64, count=y.size)
-    np.add.at(e, (xi, yi), 1.0)
-    np.add.at(e, (yi, xi), 1.0)
-    e /= e.sum()
-    return MixingMatrix(values=values, e=e)
+def _endpoint_r(edges, scores: np.ndarray) -> float:
+    """Newman's (2003) assortativity r: the correlation of the values at the
+    two ends of an edge, over the 2m ordered endpoints of the m edges.
 
-
-def assortativity_from_matrix(mm: MixingMatrix) -> float:
-    vals = mm.values.astype(float)
-    a = mm.a
-    b = mm.b
-    mu_a = float(vals @ a)
-    mu_b = float(vals @ b)
-    var_a = float((vals * vals) @ a) - mu_a * mu_a
-    var_b = float((vals * vals) @ b) - mu_b * mu_b
-    if var_a <= 0.0 or var_b <= 0.0:
+    With x, y the integer scores at the ends of each edge, S = sum(x + y),
+    Q = sum(x^2 + y^2) and P = sum(x*y) give
+    r = (2*2m*P - S^2) / (2m*Q - S^2). The sums are exact in int64 while
+    sum(x^2) stays below 2**63 (the discretized attributes lie in
+    [-100, 100] by default), the products are Python ints, and the ratio of
+    two ints is correctly rounded, so |r| <= 1 holds exactly.
+    """
+    ends = scores[np.asarray(edges, dtype=np.int64).reshape(-1, 2)]
+    two_m = ends.size
+    s = int(ends.sum())
+    q = int((ends * ends).sum())
+    p = int(ends[:, 0] @ ends[:, 1])
+    den = two_m * q - s * s
+    if den == 0:
         raise DegenerateInputError("assortativity undefined: constant attribute "
                                    "over edge endpoints")
-    num = float(vals @ (mm.e - np.outer(a, b)) @ vals)
-    r = num / float(np.sqrt(var_a * var_b))
-    return min(1.0, max(-1.0, r))
-
-
-def _pairs_assortativity(edges: list[tuple[int, int]], scores: list[int]) -> float:
-    x = np.array([scores[i] for i, _ in edges], dtype=np.int64)
-    y = np.array([scores[j] for _, j in edges], dtype=np.int64)
-    return assortativity_from_matrix(mixing_matrix_from_pairs(x, y))
+    return (2 * two_m * p - s * s) / den
 
 
 def _edge_pairs_with_scores(net: SyncNetwork, attribute: dict[str, int]
-                            ) -> tuple[list[tuple[int, int]], list[int]]:
+                            ) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Restrict to edges whose both endpoints carry a score."""
     nodes = [n for n in net.node_ids if n in attribute]
     pos = {n: i for i, n in enumerate(nodes)}
     pairs = [(pos[e.i], pos[e.j]) for e in net.edges if e.i in pos and e.j in pos]
     if not pairs:
         raise DegenerateInputError("no edges with both endpoints scored")
-    return pairs, [attribute[n] for n in nodes]
+    return pairs, np.array([attribute[n] for n in nodes], dtype=np.int64)
 
 
 def assortativity(net: SyncNetwork, attribute: dict[str, int]) -> float:
-    """Assortativity of the network by a discretized scalar attribute, from
-    the mixing matrix of retained edges (edge presence only)."""
-    return _pairs_assortativity(*_edge_pairs_with_scores(net, attribute))
+    """Assortativity of the network by a discretized scalar attribute over
+    the retained edges (edge presence only)."""
+    return _endpoint_r(*_edge_pairs_with_scores(net, attribute))
 
 
 # ---------------------------------------------------------------------------
 # null models
 
-def double_edge_swap(edges: list[tuple[int, int]], n_swaps: int,
-                     rng: np.random.Generator, max_tries: int | None = None
-                     ) -> list[tuple[int, int]]:
-    """Randomize topology with degree-preserving double-edge swaps.
+def double_edge_swap(edges: list[tuple[int, int]], n_steps: int,
+                     rng: np.random.Generator) -> tuple[list[tuple[int, int]], int]:
+    """Run `n_steps` steps of the degree-preserving double-edge-swap chain;
+    return the final edges and the number of accepted swaps.
 
-    Picks two random edges (a,b),(c,d) and rewires to (a,d),(c,b); the
-    proposal is rejected whenever it would create a self-loop or a duplicate
-    edge, and the result stays a simple graph with the same degree sequence.
-    Raises after `max_tries` failed attempts (graphs where no swap is
-    possible, e.g. a single edge or a complete graph).
+    Each step picks two random edges (a,b),(c,d) and proposes (a,d),(c,b).
+    A proposal that picks one edge twice or would create a self-loop or a
+    duplicate edge is rejected, and the graph stays as it is for that step.
+    Counting rejected proposals as steps makes the chain uniform over the
+    simple graphs with the input's degree sequence (Fosdick, Larremore,
+    Nishimura and Ugander, SIAM Review 60:315, 2018); a graph that admits no
+    swap, such as a complete graph or a single edge, comes back unchanged.
 
     Nodes are non-negative ints. Proposals are drawn in blocks of 1024 and
-    the adjacency is one set of packed keys, so each try costs a few integer
+    the adjacency is one set of packed keys, so each step costs a few integer
     operations and two set lookups.
     """
     m = len(edges)
-    if m < 2:
-        raise DegenerateInputError("rewiring needs at least 2 edges")
-    if max_tries is None:
-        max_tries = 100 * n_swaps + 1000
     src = [int(a) for a, _ in edges]
     dst = [int(b) for _, b in edges]
     if min(min(src), min(dst)) < 0:
@@ -331,20 +308,13 @@ def double_edge_swap(edges: list[tuple[int, int]], n_swaps: int,
         adj.add(b * n + a)
 
     add, remove = adj.add, adj.remove
-    swaps = 0
-    tries = 0
+    accepted = 0
     block = 1024
-    while swaps < n_swaps:
-        if tries >= max_tries:
-            raise DegenerateInputError(
-                f"no valid swap found in {max_tries} attempts; graph may admit none")
-        # a block always draws all its proposals; only the last block before
-        # max_tries uses fewer than all of them
-        picks = rng.integers(0, m, size=(block, 2)).ravel().tolist()
-        coins = rng.integers(0, 2, size=block).tolist()
-        budget = min(block, max_tries - tries)
-        tries += budget
-        it = iter(picks[:2 * budget])
+    for start in range(0, n_steps, block):
+        size = min(block, n_steps - start)
+        picks = rng.integers(0, m, size=(size, 2)).ravel().tolist()
+        coins = rng.integers(0, 2, size=size).tolist()
+        it = iter(picks)
         for e1, e2, coin in zip(it, it, coins):
             if e1 == e2:
                 continue
@@ -374,43 +344,42 @@ def double_edge_swap(edges: list[tuple[int, int]], n_swaps: int,
             dst[e1] = d
             src[e2] = c
             dst[e2] = b
-            swaps += 1
-            if swaps == n_swaps:
-                break
-    return list(zip(src, dst))
+            accepted += 1
+    return list(zip(src, dst)), accepted
 
 
-def _null_stats(values: list[float], replicas: int) -> NullStats:
+def _null_stats(values: list[float], replicas: int, **counter) -> NullStats:
     arr = np.sort(np.asarray(values, dtype=float))
     lo, hi = np.percentile(arr, [2.5, 97.5])
     return NullStats(mean=float(arr.mean()), ci_low=float(lo), ci_high=float(hi),
-                     replicas=replicas)
+                     replicas=replicas, **counter)
 
 
-def _rewire_replicas(payload: dict, reps: list[int]) -> list[float]:
+def _rewire_replicas(payload: dict, reps: list[int]) -> list[tuple[float, int]]:
     out = []
     for rep in reps:
-        swapped = double_edge_swap(payload["pairs"], payload["n_swaps"],
-                                   task_rng(payload["seed"], rep))
-        out.append(_pairs_assortativity(swapped, payload["scores"]))
+        swapped, accepted = double_edge_swap(payload["pairs"], payload["n_steps"],
+                                             task_rng(payload["seed"], rep))
+        out.append((_endpoint_r(swapped, payload["scores"]), accepted))
     return out
 
 
-def _shuffle_replicas(payload: dict, reps: list[int]) -> list[float]:
+def _shuffle_replicas(payload: dict, reps: list[int]) -> list[float | None]:
     scores = payload["scores"]
     out = []
     for rep in reps:
         perm = task_rng(payload["seed"], rep).permutation(len(scores))
-        out.append(_pairs_assortativity(payload["pairs"],
-                                        [scores[int(p)] for p in perm]))
+        try:
+            out.append(_endpoint_r(payload["pairs"], scores[perm]))
+        except DegenerateInputError:
+            out.append(None)
     return out
 
 
-def _run_null(fn, payload: dict, replicas: int, workers: int | None) -> NullStats:
+def _run_null(fn, payload: dict, replicas: int, workers: int | None) -> list:
     workers = resolve_workers(workers)
     chunks = chunked(list(range(replicas)), workers * 4)
-    values = [v for part in map_tasks(fn, payload, chunks, workers) for v in part]
-    return _null_stats(values, replicas)
+    return [v for part in map_tasks(fn, payload, chunks, workers) for v in part]
 
 
 def null_rewire(net: SyncNetwork, attribute: dict[str, int], replicas: int = 1000,
@@ -418,37 +387,32 @@ def null_rewire(net: SyncNetwork, attribute: dict[str, int], replicas: int = 100
                 workers: int | None = None) -> NullStats:
     """Assortativity under degree-preserving rewiring (attributes fixed).
 
-    Each replica applies swap_factor*|E| successful double-edge swaps to a
-    fresh copy and re-scores; reports the mean and the empirical 2.5/97.5
-    percentiles over replicas.
+    Each replica runs swap_factor*|E| steps of the double-edge-swap chain on
+    a fresh copy and re-scores; reports the mean and the empirical 2.5/97.5
+    percentiles over replicas, and the share of proposed swaps accepted. A
+    swap keeps every endpoint's value, so the null is defined wherever r is;
+    a graph that admits no swap gets a point mass at r.
     """
     pairs, scores = _edge_pairs_with_scores(net, attribute)
-    if len(pairs) < 2:
-        raise DegenerateInputError("rewiring null needs at least 2 edges")
-    payload = {"pairs": pairs, "scores": scores, "seed": seed,
-               "n_swaps": swap_factor * len(pairs)}
-    return _run_null(_rewire_replicas, payload, replicas, workers)
+    n_steps = swap_factor * len(pairs)
+    payload = {"pairs": pairs, "scores": scores, "seed": seed, "n_steps": n_steps}
+    results = _run_null(_rewire_replicas, payload, replicas, workers)
+    proposals = n_steps * replicas
+    accepted = sum(a for _, a in results)
+    return _null_stats([r for r, _ in results], replicas,
+                       acceptance=accepted / proposals if proposals else 0.0)
 
 
 def null_shuffle(net: SyncNetwork, attribute: dict[str, int], replicas: int = 1000,
                  seed: int = 0, workers: int | None = None) -> NullStats:
-    """Assortativity under uniform permutation of node attributes
-    (topology untouched)."""
+    """Assortativity under uniform permutation of node attributes (topology
+    untouched). A replica that puts one value on every edge endpoint has no
+    r; it is left out and counted as `undefined`."""
     pairs, scores = _edge_pairs_with_scores(net, attribute)
-    if len(set(scores)) < 2:
-        raise DegenerateInputError("attribute shuffle needs >= 2 distinct values")
     payload = {"pairs": pairs, "scores": scores, "seed": seed}
-    return _run_null(_shuffle_replicas, payload, replicas, workers)
-
-
-def assortativity_with_nulls(net: SyncNetwork, attribute: dict[str, int],
-                             replicas: int = 1000, rewire_seed: int = 0,
-                             shuffle_seed: int = 1, swap_factor: int = 10,
-                             workers: int | None = None) -> AssortativityResult:
-    return AssortativityResult(
-        r=assortativity(net, attribute),
-        null_rewire=null_rewire(net, attribute, replicas=replicas, seed=rewire_seed,
-                                swap_factor=swap_factor, workers=workers),
-        null_shuffle=null_shuffle(net, attribute, replicas=replicas,
-                                  seed=shuffle_seed, workers=workers),
-    )
+    values = [r for r in _run_null(_shuffle_replicas, payload, replicas, workers)
+              if r is not None]
+    if not values:
+        raise DegenerateInputError("assortativity undefined in every shuffle "
+                                   "replica: one value on every edge endpoint")
+    return _null_stats(values, replicas, undefined=replicas - len(values))

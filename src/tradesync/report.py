@@ -25,7 +25,7 @@ from .ingest import (AutoFilterPolicy, QuoteSeries, TradeRecord, build_calendar,
                      filter_automatic, split_off_calendar)
 from .syncnet import SyncNetwork, build_sync_network, write_edges, write_nodes
 
-REPORT_VERSION = "2"
+REPORT_VERSION = "3"
 
 
 @dataclass(frozen=True)
@@ -135,10 +135,10 @@ def _plain(obj):
     return obj
 
 
-def _noted(notes: dict, key: str, errors, fn, *args):
-    """fn(*args), or None with the error recorded as notes[key]."""
+def _noted(notes: dict, key: str, errors, fn, *args, **kwargs):
+    """fn(*args, **kwargs), or None with the error recorded as notes[key]."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except errors as err:
         notes[key] = str(err)
         return None
@@ -235,15 +235,25 @@ def assortativity_stage(a: AssetAnalysis, params: PipelineParams,
             {inv: x.opd for inv, x in a.net.node_attrs.items()}, params.opd_cap),
     }
     for name, attribute in attributes.items():
+        key = f"assortativity_{name}"
         a.assortativity[name] = None
         try:
-            a.assortativity[name] = nm.assortativity_with_nulls(
-                a.net, attribute(), replicas=params.replicas,
-                rewire_seed=seeds[f"{name}_rewire"],
-                shuffle_seed=seeds[f"{name}_shuffle"],
-                swap_factor=params.swap_factor, workers=workers)
+            scores = attribute()
+            r = nm.assortativity(a.net, scores)
         except (DegenerateInputError, ValueError) as err:
-            a.notes[f"assortativity_{name}"] = str(err)
+            a.notes[key] = str(err)
+            continue
+        # once r is defined the rewire null is too; the shuffle null fails alone
+        a.assortativity[name] = nm.AssortativityResult(
+            r=r,
+            null_rewire=nm.null_rewire(a.net, scores, replicas=params.replicas,
+                                       seed=seeds[f"{name}_rewire"],
+                                       swap_factor=params.swap_factor,
+                                       workers=workers),
+            null_shuffle=_noted(a.notes, f"{key}_null_shuffle", DegenerateInputError,
+                                nm.null_shuffle, a.net, scores,
+                                replicas=params.replicas,
+                                seed=seeds[f"{name}_shuffle"], workers=workers))
 
 
 def analyze_asset(trades: list[TradeRecord], quotes: QuoteSeries,
@@ -333,24 +343,27 @@ _tail_fit_schema = {
     "required": ["alpha", "stderr", "k", "n"],
 }
 
-_null_stats_schema = {
-    "type": "object",
-    "properties": {
-        "mean": {"type": "number"},
-        "ci95_low": {"type": "number"},
-        "ci95_high": {"type": "number"},
-        "replicas": {"type": "integer"},
-    },
-    "required": ["mean", "ci95_low", "ci95_high", "replicas"],
-}
+def _null_stats_schema(counter: str, kind: str, nullable: bool = False) -> dict:
+    return {
+        "type": ["object", "null"] if nullable else "object",
+        "properties": {
+            "mean": {"type": "number"},
+            "ci95_low": {"type": "number"},
+            "ci95_high": {"type": "number"},
+            "replicas": {"type": "integer"},
+            counter: {"type": kind},
+        },
+        "required": ["mean", "ci95_low", "ci95_high", "replicas", counter],
+    }
+
 
 _assort_schema = {
     "type": ["object", "null"],
     "properties": {
         "attribute": {"type": "string"},
         "r": {"type": "number"},
-        "null_rewire": _null_stats_schema,
-        "null_shuffle": _null_stats_schema,
+        "null_rewire": _null_stats_schema("acceptance", "number"),
+        "null_shuffle": _null_stats_schema("undefined", "integer", nullable=True),
     },
     "required": ["attribute", "r", "null_rewire", "null_shuffle"],
 }

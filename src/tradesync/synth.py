@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, GenerationError
 from .ingest import QuoteSeries, TradeRecord, write_quotes, write_trades
-from .netmetrics import assortativity_from_matrix, mixing_matrix_from_pairs
+from .netmetrics import _endpoint_r
 from .syncnet import NodeAttrs, SyncEdge, SyncNetwork
 
 
@@ -236,10 +236,8 @@ def _fixture_network(n_nodes: int, edges: list[tuple[int, int]]) -> SyncNetwork:
 def _edge_r(edges: list[tuple[int, int]], scores: np.ndarray) -> float | None:
     """Assortativity of an edge list, or None while it is undefined (all edge
     endpoints carrying one value, as can happen in a random start)."""
-    pairs = np.asarray(edges, dtype=np.int64)
     try:
-        return assortativity_from_matrix(
-            mixing_matrix_from_pairs(scores[pairs[:, 0]], scores[pairs[:, 1]]))
+        return _endpoint_r(edges, scores)
     except DegenerateInputError:
         return None
 

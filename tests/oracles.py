@@ -8,7 +8,6 @@ import math
 
 import numpy as np
 
-from tradesync.errors import DegenerateInputError
 
 
 def bruteforce_pair_correlation(x, y):
@@ -46,7 +45,7 @@ def bruteforce_hill(values, k):
 
 def endpoint_assortativity(edges, score):
     """Assortativity as a direct covariance over the 2|E| ordered edge
-    endpoints; algebraically equal to the mixing-matrix form."""
+    endpoints, in floating point with explicit means."""
     xs = []
     ys = []
     for i, j in edges:
@@ -89,26 +88,20 @@ def least_squares_slope(xs, ys):
     return num / den
 
 
-def reference_double_edge_swap(edges: list[tuple[int, int]], n_swaps: int,
-                                rng: np.random.Generator, max_tries: int | None = None
-                                ) -> list[tuple[int, int]]:
-    """Randomize topology with degree-preserving double-edge swaps.
+def reference_double_edge_swap(edges: list[tuple[int, int]], n_steps: int,
+                                rng: np.random.Generator
+                                ) -> tuple[list[tuple[int, int]], int]:
+    """Degree-preserving double-edge-swap chain, `n_steps` steps.
 
     The straightforward loop over per-node neighbour sets. It draws the same
     proposals as `netmetrics.double_edge_swap`, which must return the same
-    edge list for the same RNG state.
+    edge list and accepted count for the same RNG state.
 
-    Picks two random edges (a,b),(c,d) and rewires to (a,d),(c,b); the
-    proposal is rejected whenever it would create a self-loop or a duplicate
-    edge, and the result stays a simple graph with the same degree sequence.
-    Raises after `max_tries` failed attempts (graphs where no swap is
-    possible, e.g. a single edge or a complete graph).
+    Each step picks two random edges (a,b),(c,d) and proposes (a,d),(c,b);
+    a proposal that picks one edge twice or would create a self-loop or a
+    duplicate edge is rejected, and the graph stays as it is for that step.
     """
     m = len(edges)
-    if m < 2:
-        raise DegenerateInputError("rewiring needs at least 2 edges")
-    if max_tries is None:
-        max_tries = 100 * n_swaps + 1000
     edges = [tuple(e) for e in edges]
     adj: dict[int, set[int]] = {}
     for a, b in edges:
@@ -121,24 +114,20 @@ def reference_double_edge_swap(edges: list[tuple[int, int]], n_swaps: int,
         adj[a].add(b)
         adj[b].add(a)
 
-    swaps = 0
-    tries = 0
+    accepted = 0
     block = 1024
     buf_idx = np.empty((0, 2), dtype=np.int64)
     buf_coin = np.empty(0, dtype=np.int64)
-    ptr = block
-    while swaps < n_swaps:
+    ptr = 0
+    for step in range(n_steps):
         if ptr >= len(buf_coin):
-            buf_idx = rng.integers(0, m, size=(block, 2))
-            buf_coin = rng.integers(0, 2, size=block)
+            size = min(block, n_steps - step)
+            buf_idx = rng.integers(0, m, size=(size, 2))
+            buf_coin = rng.integers(0, 2, size=size)
             ptr = 0
         e1, e2 = int(buf_idx[ptr, 0]), int(buf_idx[ptr, 1])
         coin = int(buf_coin[ptr])
         ptr += 1
-        tries += 1
-        if tries > max_tries:
-            raise DegenerateInputError(
-                f"no valid swap found in {max_tries} attempts; graph may admit none")
         if e1 == e2:
             continue
         a, b = edges[e1]
@@ -160,5 +149,5 @@ def reference_double_edge_swap(edges: list[tuple[int, int]], n_swaps: int,
         adj[b].add(c)
         edges[e1] = (a, d)
         edges[e2] = (c, b)
-        swaps += 1
-    return edges
+        accepted += 1
+    return edges, accepted

@@ -129,6 +129,18 @@ def test_polarization_outputs(synth_data, tmp_path):
     assert (out / "rho_histogram.tsv").exists()
 
 
+@pytest.mark.parametrize("cmd,extra,message", [
+    ("polarization", ("--min-days", "500", "--min-ops", "5"), "no polarization scores"),
+    ("activity", ("--hill-k", "100000"), "k must satisfy"),
+])
+def test_failing_subcommand_writes_no_table(synth_data, tmp_path, capsys, cmd,
+                                            extra, message):
+    out = tmp_path / cmd
+    assert main([cmd] + _common(synth_data, out, extra)) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.glob("*"))
+
+
 def test_report_end_to_end_and_determinism(synth_data, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     before = (synth_data / "trades.csv").read_bytes()
@@ -139,7 +151,7 @@ def test_report_end_to_end_and_determinism(synth_data, tmp_path):
     r2 = (out2 / "report.json").read_bytes()
     assert r1 == r2
     report = json.loads(r1)
-    assert report["version"] == "2"
+    assert report["version"] == "3"
     assert report["run"]["seed"] == 5
     assert report["run"]["trade_rejects"] == 0
     assert "permute" not in report["run"]["defaults"]

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,7 @@ from oracles import (endpoint_assortativity, reference_double_edge_swap,
 from tradesync.errors import DegenerateInputError
 from tradesync.netmetrics import (assortativity, discretize_attribute,
                                   discretize_opd, double_edge_swap, louvain,
-                                  mixing_matrix_from_pairs, modularity_of,
-                                  null_rewire, null_shuffle)
+                                  modularity_of, null_rewire, null_shuffle)
 from tradesync.parallel import task_rng
 
 
@@ -165,21 +165,11 @@ class TestAssortativity:
         with pytest.raises(DegenerateInputError):
             assortativity(net, {n: 7 for n in net.node_ids})
 
-    def test_mixing_matrix_invariants(self, rng):
-        x = rng.integers(0, 5, 60)
-        y = rng.integers(0, 5, 60)
-        mm = mixing_matrix_from_pairs(x, y)
-        assert mm.e.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(mm.e, mm.e.T, atol=1e-15)
-        assert np.allclose(mm.a, mm.b, atol=1e-15)
-
-
 class TestDoubleEdgeSwap:
     def test_preserves_degrees_and_simplicity(self, rng):
         net = _random_graph(rng, n=25, p=0.25)
         edges = [(int(e.i[1:]), int(e.j[1:])) for e in net.edges]
-        swapped = double_edge_swap(edges, n_swaps=10 * len(edges),
-                                   rng=task_rng(5, 0))
+        swapped, accepted = double_edge_swap(edges, 10 * len(edges), task_rng(5, 0))
         def degs(es):
             d: dict[int, int] = {}
             for a, b in es:
@@ -191,17 +181,18 @@ class TestDoubleEdgeSwap:
         assert len(canon) == len(edges)                  # simple, same count
         assert all(a != b for a, b in swapped)           # no self-loops
         assert canon != {tuple(sorted(e)) for e in edges}  # actually rewired
+        assert 0 < accepted <= 10 * len(edges)
 
     @pytest.mark.parametrize("n,p", [(60, 0.05), (30, 0.3), (20, 0.6)])
     def test_matches_reference_on_random_graphs(self, n, p):
         for seed in range(4):
             r = np.random.default_rng(seed)
             edges = _edge_indices(_random_graph(r, n=n, p=p), r)
-            n_swaps = 10 * len(edges)
-            swapped = double_edge_swap(edges, n_swaps, task_rng(seed, 1))
-            assert swapped == reference_double_edge_swap(edges, n_swaps,
+            n_steps = 10 * len(edges)
+            swapped = double_edge_swap(edges, n_steps, task_rng(seed, 1))
+            assert swapped == reference_double_edge_swap(edges, n_steps,
                                                          task_rng(seed, 1))
-            assert swapped != edges
+            assert swapped[0] != edges
 
     def test_matches_reference_on_two_cliques(self):
         edges = _edge_indices(two_cliques(8))
@@ -209,45 +200,37 @@ class TestDoubleEdgeSwap:
             assert double_edge_swap(edges, 10 * len(edges), task_rng(seed, 2)) == \
                 reference_double_edge_swap(edges, 10 * len(edges), task_rng(seed, 2))
 
-    @staticmethod
-    def _outcome(fn, edges, n_swaps, seed, max_tries):
-        try:
-            return fn(edges, n_swaps, task_rng(seed, 0), max_tries=max_tries)
-        except DegenerateInputError as err:
-            return str(err)
+    @pytest.mark.parametrize("edges", [
+        [(a, b) for a in range(4) for b in range(a + 1, 4)],  # K4
+        [(0, 1)],
+    ], ids=["K4", "single-edge"])
+    def test_graph_without_swaps_stays_put(self, edges):
+        # every proposal is rejected, and each rejection is a step
+        for steps in (0, 1, 1023, 1025):
+            got = double_edge_swap(edges, steps, task_rng(0, 0))
+            assert got == (edges, 0)
+            assert got == reference_double_edge_swap(edges, steps, task_rng(0, 0))
 
-    def test_try_budget_matches_reference(self):
-        # T, the fewest tries the reference needs, is found by bisection:
-        # with max_tries T both kernels return the same edges, with T - 1
-        # both raise the same error; other budgets cross the 1024-try blocks
-        edges = _edge_indices(_random_graph(np.random.default_rng(5), n=20, p=0.6))
-        lo, hi = 0, 100 * 600 + 1000
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if isinstance(self._outcome(reference_double_edge_swap, edges, 600, 3,
-                                        mid), str):
-                lo = mid
-            else:
-                hi = mid
-        assert hi > 1024
-        for max_tries in [hi - 1, hi, hi + 1, 1, 1023, 1024, 1025, 2048, 2049]:
-            got = self._outcome(double_edge_swap, edges, 600, 3, max_tries)
-            assert got == self._outcome(reference_double_edge_swap, edges, 600, 3,
-                                        max_tries)
-            assert isinstance(got, str) == (max_tries < hi)
-
-    def test_single_edge_errors(self):
-        with pytest.raises(DegenerateInputError):
-            double_edge_swap([(0, 1)], 5, task_rng(0, 0))
-
-    def test_impossible_swap_raises(self):
-        # complete graph: every proposal collides with an existing edge
-        edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-        with pytest.raises(DegenerateInputError) as new:
-            double_edge_swap(edges, 1, task_rng(0, 0), max_tries=2000)
-        with pytest.raises(DegenerateInputError) as ref:
-            reference_double_edge_swap(edges, 1, task_rng(0, 0), max_tries=2000)
-        assert str(new.value) == str(ref.value)
+    def test_uniform_over_two_regular_graphs_on_six_nodes(self):
+        # the 70 simple 2-regular graphs on 6 labelled nodes (60 hexagons, 10
+        # pairs of triangles) differ in how many proposals they accept, 24 to
+        # 36 of 72; counting rejections as steps still samples them uniformly.
+        # From a hexagon, 60 steps leave the chain within 3e-6 of uniform in
+        # total variation (exact transition matrix).
+        graphs = {frozenset(es) for es in itertools.combinations(
+            itertools.combinations(range(6), 2), 6)
+            if all(sum(v in e for e in es) == 2 for v in range(6))}
+        assert len(graphs) == 70
+        start = [(v, (v + 1) % 6) for v in range(6)]
+        runs = 7000
+        counts = dict.fromkeys(graphs, 0)
+        for rep in range(runs):
+            edges, _ = double_edge_swap(start, 60, task_rng(0, rep))
+            counts[frozenset(tuple(sorted(e)) for e in edges)] += 1
+        expected = runs / len(graphs)
+        stat = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert len(counts) == 70
+        assert stat < 111.06  # upper 0.1% point of chi-square with 69 df
 
     @pytest.mark.parametrize("edges,message", [
         ([(0, 1), (2, 2)], "self-loop"),
@@ -304,6 +287,43 @@ class TestNullModels:
         with pytest.raises(DegenerateInputError):
             null_shuffle(net, {n: 4 for n in net.node_ids}, replicas=5, seed=0,
                          workers=1)
+
+    @pytest.mark.parametrize("n,values", [(4, 4), (8, 2)], ids=["K4", "K8-minus-edge"])
+    def test_graph_without_swaps_gives_point_mass(self, n, values):
+        # K4, and K8 without edge (0, 1), admit no swap; r and both nulls are
+        # still defined, and the rewire null is a point mass at r
+        net = fixture_network(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                                  if n == 4 or (a, b) != (0, 1)])
+        attr = {node: k % values for k, node in enumerate(net.node_ids)}
+        r = assortativity(net, attr)
+        rew = null_rewire(net, attr, replicas=20, seed=1, workers=1)
+        assert rew.acceptance == 0.0
+        assert rew.ci_low == rew.ci_high == r
+        assert rew.mean == pytest.approx(r, abs=1e-15)
+        shu = null_shuffle(net, attr, replicas=20, seed=2, workers=1)
+        assert shu.undefined == 0
+
+    def test_rewire_acceptance_on_a_sparse_graph(self):
+        net = _random_graph(np.random.default_rng(3), n=40, p=0.1)
+        attr = {node: k % 5 for k, node in enumerate(net.node_ids)}
+        stats = null_rewire(net, attr, replicas=10, seed=2, workers=1)
+        assert 0.0 < stats.acceptance <= 1.0
+
+    def test_shuffle_leaves_out_undefined_replicas(self):
+        # opd-like: 9 of 10 nodes share one value and there are two edges, so
+        # a permutation that puts the other value off the edges leaves r
+        # undefined; wherever it lands on an endpoint, r = -1/3
+        net = fixture_network(10, [(0, 1), (2, 3)])
+        attr = {node: 1 for node in net.node_ids}
+        attr["N000"] = 2
+        r = assortativity(net, attr)
+        stats = null_shuffle(net, attr, replicas=200, seed=4, workers=1)
+        off_edges = sum(int(np.flatnonzero(task_rng(4, rep).permutation(10) == 0)[0]) >= 4
+                        for rep in range(200))
+        assert 0 < off_edges < 200
+        assert stats.undefined == off_edges
+        assert stats.replicas == 200
+        assert stats.ci_low == stats.ci_high == r == pytest.approx(-1 / 3, abs=1e-15)
 
     def test_attribute_multiset_preserved_per_replica(self):
         # shuffle permutes values; check via a replica-level reimplementation
