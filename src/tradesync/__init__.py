@@ -9,12 +9,12 @@ from .ingest import (AutoFilterPolicy, QuoteSeries, TradeRecord, TradingCalendar
                      split_off_calendar)
 from .netmetrics import (Partition, assortativity, discretize_attribute, louvain,
                          modularity_of, null_rewire, null_shuffle)
-from .polarization import (PolarizationScore, attach_scores,
-                           population_distribution, polarization_score,
-                           score_population, shuffled_baseline)
+from .polarization import (PolarizationScore, population_distribution,
+                           polarization_score, score_population,
+                           shuffled_baseline)
 from .report import PipelineParams, analyze_asset, build_report
 from .syncnet import (OverlapWindow, SyncEdge, SyncNetwork, build_sync_network,
-                      cross_correlation, overlap_window, permutation_filter)
+                      cross_correlation, overlap_window)
 from .synth import SynthConfig, generate, plant_assortative_network
 from .volatility import (MesoSeries, VolatilitySeries, high_low_volatility,
                          meso_long_correlation, meso_series,
@@ -25,12 +25,12 @@ __all__ = [
     "Partition", "PipelineParams", "PolarizationScore", "QuoteSeries",
     "SyncEdge", "SyncNetwork", "SynthConfig", "TailFit", "TradeRecord",
     "TradingCalendar", "VolatilitySeries", "analyze_asset", "assortativity",
-    "attach_scores", "build_activity", "build_calendar", "build_report",
+    "build_activity", "build_calendar", "build_report",
     "build_sync_network", "ccdf", "cross_correlation", "discretize_attribute",
     "filter_automatic", "generate", "high_low_volatility", "hill_fit",
     "louvain", "meso_long_correlation", "meso_series", "meso_short_correlation",
     "modularity_of", "null_rewire", "null_shuffle", "overlap_window",
-    "parse_quotes", "parse_trades", "permutation_filter",
+    "parse_quotes", "parse_trades",
     "plant_assortative_network", "polarization_score", "population_distribution",
     "score_population", "shuffled_baseline", "split_off_calendar",
 ]

@@ -167,3 +167,11 @@ def hill_sweep(values, k_values=None) -> list[TailFit]:
 def ops_vs_days(series: dict[str, ActivitySeries]) -> list[tuple[int, int]]:
     """(active days, total operations) per investor, in investor-id order."""
     return [(series[inv].n_active, series[inv].total_ops) for inv in sorted(series)]
+
+
+def write_nodes(series: dict[str, ActivitySeries], node_ids, stream) -> None:
+    """Per-investor activity row of each of `node_ids`, in the given order."""
+    stream.write("investor\ttotal_ops\tN\tT\topd\n")
+    for inv in node_ids:
+        s = series[inv]
+        stream.write(f"{inv}\t{s.total_ops}\t{s.n_active}\t{s.span}\t{s.opd!r}\n")

@@ -17,7 +17,7 @@ from dataclasses import fields
 from . import activity as act
 from . import volatility as vola
 from .errors import TradesyncError
-from .ingest import QuotesFormat, TradesFormat, parse_quotes, parse_trades, select_ticker
+from .ingest import parse_quotes, parse_trades, select_ticker
 from .report import (PipelineParams, analyze_asset, assortativity_stage,
                      build_report, derive_seeds, dump_report, front_stage,
                      network_stage, polarization_stage, score_stage,
@@ -110,9 +110,8 @@ def _single_asset(args) -> tuple[str, str]:
 def _read_trades(args):
     if not args.trades:
         raise TradesyncError("--trades is required")
-    fmt = TradesFormat(delimiter=args.delimiter)
     with open(args.trades) as f:
-        return parse_trades(f, fmt)
+        return parse_trades(f, args.delimiter)
 
 
 def _print_rejects(parsed, stream) -> None:
@@ -121,9 +120,8 @@ def _print_rejects(parsed, stream) -> None:
 
 
 def _read_quotes(path: str, ticker: str, args):
-    fmt = QuotesFormat(delimiter=args.delimiter)
     with open(path) as f:
-        return parse_quotes(f, ticker, fmt)
+        return parse_quotes(f, ticker, args.delimiter)
 
 
 def _front(args):
@@ -162,7 +160,7 @@ def _write_json(path: str, obj) -> None:
 
 def _write_asset_tables(analysis, out: str) -> None:
     os.makedirs(out, exist_ok=True)
-    write_network_tables(analysis.net, out)
+    write_network_tables(analysis, out)
     write_partition_table(analysis.partition, out)
     write_polarization_tables(analysis, out)
     write_activity_tables(analysis.series, out)
@@ -194,9 +192,7 @@ def cmd_activity(args) -> int:
              (("activity", "tail_fit", "total_ops"), ("opd", "opd_tail_fit", "opd"))]
     out = _outdir(args)
     with open(os.path.join(out, "activity_nodes.tsv"), "w") as f:
-        f.write("investor\ttotal_ops\tN\tT\topd\n")
-        for inv, s in sorted(series.items()):
-            f.write(f"{inv}\t{s.total_ops}\t{s.n_active}\t{s.span}\t{s.opd!r}\n")
+        act.write_nodes(series, sorted(series), f)
     write_activity_tables(series, out)
     fits = {}
     for name, fit, attr in tails:
@@ -235,7 +231,7 @@ def cmd_syncnet(args) -> int:
     analysis, params, seeds = _front(args)
     network_stage(analysis, params, seeds)
     out = _outdir(args)
-    write_network_tables(analysis.net, out)
+    write_network_tables(analysis, out)
     d = analysis.net.diagnostics
     _write_json(os.path.join(out, "syncnet_diagnostics.json"), d)
     print(f"network {analysis.ticker}: {d['nodes']} nodes, {d['edges_retained']} "

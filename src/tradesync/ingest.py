@@ -13,7 +13,7 @@ import datetime as dt
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, DataError
 
@@ -55,25 +55,6 @@ class ParseResult:
 
     def reject_report(self) -> str:
         return "\n".join(str(r) for r in self.rejects)
-
-
-@dataclass(frozen=True)
-class TradesFormat:
-    """Column mapping for a trades file. `columns` maps canonical field names
-    to header names; fields absent from the file (is_auto) are simply omitted."""
-
-    delimiter: str = ","
-    columns: dict[str, str] = field(
-        default_factory=lambda: {f: f for f in TRADE_FIELDS[:6]}
-    )
-
-
-@dataclass(frozen=True)
-class QuotesFormat:
-    delimiter: str = ","
-    columns: dict[str, str] = field(
-        default_factory=lambda: {f: f for f in QUOTE_FIELDS}
-    )
 
 
 class QuoteSeries:
@@ -153,36 +134,29 @@ class FilterResult:
     retention_by_ticker: dict[str, float]
 
 
-def _header_positions(header: list[str], columns: dict[str, str], mandatory: tuple[str, ...],
-                      what: str) -> dict[str, int]:
-    pos = {}
-    for fld, name in columns.items():
-        if name in header:
-            pos[fld] = header.index(name)
+def _header_positions(header: list[str], fields: tuple[str, ...],
+                      mandatory: tuple[str, ...], what: str) -> dict[str, int]:
+    pos = {f: header.index(f) for f in fields if f in header}
     missing = [f for f in mandatory if f not in pos]
     if missing:
         raise ConfigError(f"{what} file is missing mandatory columns: {', '.join(missing)}")
     return pos
 
 
-def parse_trades(source, fmt: TradesFormat | None = None) -> ParseResult:
+def parse_trades(source, delimiter: str = ",") -> ParseResult:
     """Parse a trades stream (text file object or str content).
 
     Rows failing validation are reported with their 1-based line number and
     kept out of the result; a missing mandatory column is fatal.
     """
-    fmt = fmt or TradesFormat()
     if isinstance(source, str):
         source = io.StringIO(source)
-    reader = csv.reader(source, delimiter=fmt.delimiter)
+    reader = csv.reader(source, delimiter=delimiter)
     try:
         header = next(reader)
     except StopIteration:
         raise ConfigError("trades file is empty") from None
-    columns = dict(fmt.columns)
-    if "is_auto" not in columns:
-        columns["is_auto"] = "is_auto"
-    pos = _header_positions(header, columns, TRADE_FIELDS[:6], "trades")
+    pos = _header_positions(header, TRADE_FIELDS, TRADE_FIELDS[:6], "trades")
     has_auto = "is_auto" in pos
 
     records: list[TradeRecord] = []
@@ -242,14 +216,13 @@ def parse_trades(source, fmt: TradesFormat | None = None) -> ParseResult:
     return ParseResult(records, rejects)
 
 
-def write_trades(records: list[TradeRecord], stream, fmt: TradesFormat | None = None,
+def write_trades(records: list[TradeRecord], stream, delimiter: str = ",",
                  include_auto: bool | None = None) -> None:
     """Serialize records in the canonical column order; parse(write(x)) == x."""
-    fmt = fmt or TradesFormat()
     if include_auto is None:
         include_auto = any(r.is_auto is not None for r in records)
     fields = list(TRADE_FIELDS) if include_auto else list(TRADE_FIELDS[:6])
-    writer = csv.writer(stream, delimiter=fmt.delimiter, lineterminator="\n")
+    writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
     writer.writerow(fields)
     for r in records:
         row = [r.investor_id, r.date.isoformat(), r.ticker, str(r.shares),
@@ -259,18 +232,17 @@ def write_trades(records: list[TradeRecord], stream, fmt: TradesFormat | None = 
         writer.writerow(row)
 
 
-def parse_quotes(source, ticker: str, fmt: QuotesFormat | None = None) -> QuoteSeries:
+def parse_quotes(source, ticker: str, delimiter: str = ",") -> QuoteSeries:
     """Parse one asset's quotes stream. Any invalid row is fatal because a
     broken row would corrupt the trading calendar; the error names the line."""
-    fmt = fmt or QuotesFormat()
     if isinstance(source, str):
         source = io.StringIO(source)
-    reader = csv.reader(source, delimiter=fmt.delimiter)
+    reader = csv.reader(source, delimiter=delimiter)
     try:
         header = next(reader)
     except StopIteration:
         raise ConfigError("quotes file is empty") from None
-    pos = _header_positions(header, fmt.columns, QUOTE_FIELDS, "quotes")
+    pos = _header_positions(header, QUOTE_FIELDS, QUOTE_FIELDS, "quotes")
 
     rows: list[tuple[dt.date, float, float, float]] = []
     for lineno, row in enumerate(reader, start=2):
@@ -283,6 +255,8 @@ def parse_quotes(source, ticker: str, fmt: QuotesFormat | None = None) -> QuoteS
             low = float(row[pos["low"]])
         except (ValueError, IndexError):
             raise DataError(f"quotes line {lineno}: malformed row") from None
+        if not all(map(math.isfinite, (open_, high, low))):
+            raise DataError(f"quotes line {lineno}: non-finite price")
         if open_ <= 0 or high <= 0 or low <= 0:
             raise DataError(f"quotes line {lineno}: non-positive price")
         if high < low:
@@ -305,9 +279,8 @@ def parse_quotes(source, ticker: str, fmt: QuotesFormat | None = None) -> QuoteS
     )
 
 
-def write_quotes(quotes: QuoteSeries, stream, fmt: QuotesFormat | None = None) -> None:
-    fmt = fmt or QuotesFormat()
-    writer = csv.writer(stream, delimiter=fmt.delimiter, lineterminator="\n")
+def write_quotes(quotes: QuoteSeries, stream, delimiter: str = ",") -> None:
+    writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
     writer.writerow(list(QUOTE_FIELDS))
     for day, o, h, low in zip(quotes.days, quotes.open, quotes.high, quotes.low):
         writer.writerow([day.isoformat(), repr(o), repr(h), repr(low)])

@@ -5,6 +5,7 @@ population distribution and a shuffled decorrelation baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +13,6 @@ import numpy as np
 from .activity import ActivitySeries
 from .errors import DegenerateInputError
 from .parallel import task_rng
-from .syncnet import SyncNetwork, with_node_scores
 from .volatility import VolatilitySeries
 
 _BLOCK_ELEMENTS = 2_000_000
@@ -63,50 +63,55 @@ class PolarizationSummary:
     variance_ratio: float
 
 
-def _trading_day_values(a: ActivitySeries, vol: VolatilitySeries
-                        ) -> tuple[np.ndarray, np.ndarray]:
+def _moments(a: ActivitySeries, vol: VolatilitySeries, min_days: int,
+             nu_moments: str) -> tuple[np.ndarray, np.ndarray, tuple, float] | str:
+    """(centered activity, centered volatility, sigma factors, bound) over the
+    investor's trading days, or the reason the investor is excluded.
+
+    rho_ov = mean(oc * nc) / prod(factors), clipped to [-bound, bound]. With
+    'trading', means and population sigmas of both series are taken over
+    exactly those days: one factor, sqrt(var_O * var_nu), and bound 1.
+    'global' instead uses whole-calendar volatility moments; that variant is
+    not bounded by [-1, 1] and exists for sensitivity checks. Its factors
+    sigma_O and sigma_nu stay apart so every product of them rounds the same.
+    """
+    if nu_moments not in ("trading", "global"):
+        raise ValueError(f"unknown nu_moments mode {nu_moments!r}")
     if a.last_day >= len(vol.nu):
         raise ValueError("activity span extends past the volatility series")
-    counts = a.counts
-    active = counts > 0
-    ops = counts[active].astype(float)
+    active = a.counts > 0
+    ops = a.counts[active].astype(float)
+    if ops.size < min_days:
+        return EXCLUDE_FEW_DAYS
+    oc = ops - ops.mean()
+    vo = float(np.mean(oc * oc))
+    if vo == 0.0:
+        return EXCLUDE_CONST_OPS
     nu = vol.nu[a.first_day:a.last_day + 1][active]
-    return ops, nu
+    if nu_moments == "trading":
+        nc = nu - nu.mean()
+        spread = float(np.mean(nc * nc))
+        factors, bound = (float(np.sqrt(vo * spread)),), 1.0
+    else:
+        nc = nu - vol.nu.mean()
+        spread = float(vol.nu.std())
+        factors, bound = (float(np.sqrt(vo)), spread), math.inf
+    if spread == 0.0:
+        return EXCLUDE_CONST_NU
+    return oc, nc, factors, bound
 
 
 def polarization_score(a: ActivitySeries, vol: VolatilitySeries,
                        min_days: int = 20, nu_moments: str = "trading"
                        ) -> PolarizationScore | Exclusion:
-    """Correlation of O(t) with nu(t) over the investor's trading days only.
-
-    Means and population sigmas of both series are taken over exactly those
-    days (nu_moments='global' instead uses whole-calendar volatility moments;
-    that variant is not bounded by [-1, 1] and exists for sensitivity checks).
-    """
-    ops, nu = _trading_day_values(a, vol)
-    n = ops.size
-    if n < min_days:
-        return Exclusion(a.investor_id, EXCLUDE_FEW_DAYS)
-    oc = ops - ops.mean()
-    vo = float(np.mean(oc * oc))
-    if vo == 0.0:
-        return Exclusion(a.investor_id, EXCLUDE_CONST_OPS)
-    if nu_moments == "trading":
-        nc = nu - nu.mean()
-        vn = float(np.mean(nc * nc))
-        if vn == 0.0:
-            return Exclusion(a.investor_id, EXCLUDE_CONST_NU)
-        rho = float(np.mean(oc * nc)) / float(np.sqrt(vo * vn))
-        rho = min(1.0, max(-1.0, rho))
-    elif nu_moments == "global":
-        nc = nu - vol.nu.mean()
-        sd_n = float(vol.nu.std())
-        if sd_n == 0.0:
-            return Exclusion(a.investor_id, EXCLUDE_CONST_NU)
-        rho = float(np.mean(oc * nc)) / (float(np.sqrt(vo)) * sd_n)
-    else:
-        raise ValueError(f"unknown nu_moments mode {nu_moments!r}")
-    return PolarizationScore(a.investor_id, rho, n)
+    """Correlation of O(t) with nu(t) over the investor's trading days only,
+    with the volatility moments `nu_moments` names (see `_moments`)."""
+    m = _moments(a, vol, min_days, nu_moments)
+    if isinstance(m, str):
+        return Exclusion(a.investor_id, m)
+    oc, nc, factors, bound = m
+    rho = float(np.mean(oc * nc)) / math.prod(factors)
+    return PolarizationScore(a.investor_id, min(bound, max(-bound, rho)), oc.size)
 
 
 def score_population(series: dict[str, ActivitySeries], vol: VolatilitySeries,
@@ -121,10 +126,6 @@ def score_population(series: dict[str, ActivitySeries], vol: VolatilitySeries,
         else:
             excluded.append(out)
     return scores, excluded
-
-
-def scores_as_dict(scores: list[PolarizationScore]) -> dict[str, float]:
-    return {s.investor_id: s.rho_ov for s in scores}
 
 
 def population_distribution(scores: list[PolarizationScore], bins: int = 50) -> Histogram:
@@ -154,36 +155,20 @@ def shuffled_baseline(series: dict[str, ActivitySeries], vol: VolatilitySeries,
     Each eligible investor consumes an RNG stream derived from (seed, its
     index in sorted id order), so results do not depend on evaluation order.
     """
-    if nu_moments not in ("trading", "global"):
-        raise ValueError(f"unknown nu_moments mode {nu_moments!r}")
-    eligible: list[tuple[np.ndarray, np.ndarray]] = []
+    eligible: list[tuple[np.ndarray, np.ndarray, float]] = []
     for inv in sorted(series):
-        a = series[inv]
-        ops, nu = _trading_day_values(a, vol)
-        if ops.size < min_days:
+        m = _moments(series[inv], vol, min_days, nu_moments)
+        if isinstance(m, str):
             continue
-        oc = ops - ops.mean()
-        vo = float(np.mean(oc * oc))
+        oc, nc, factors, bound = m
         # correlation with permuted nu reduces to a dot product because
         # permutation leaves both sets of moments unchanged
-        if nu_moments == "trading":
-            nc = nu - nu.mean()
-            vn = float(np.mean(nc * nc))
-            if vo == 0.0 or vn == 0.0:
-                continue
-            weight = oc / (ops.size * np.sqrt(vo * vn))
-        else:
-            nc = nu - vol.nu.mean()
-            sd_n = float(vol.nu.std())
-            if vo == 0.0 or sd_n == 0.0:
-                continue
-            weight = oc / (ops.size * np.sqrt(vo) * sd_n)
-        eligible.append((weight, nc))
+        eligible.append((oc / math.prod(factors, start=oc.size), nc, bound))
     if not eligible:
         raise DegenerateInputError("no eligible investors for the shuffled baseline")
 
     shuf = np.empty((replicas, len(eligible)))
-    for idx, (weight, nc) in enumerate(eligible):
+    for idx, (weight, nc, bound) in enumerate(eligible):
         rng = task_rng(seed, idx)
         n = nc.size
         block = max(1, min(replicas, _BLOCK_ELEMENTS // max(n, 1)))
@@ -192,10 +177,8 @@ def shuffled_baseline(series: dict[str, ActivitySeries], vol: VolatilitySeries,
             rows = min(block, replicas - done)
             mat = np.tile(nc, (rows, 1))
             rng.permuted(mat, axis=1, out=mat)
-            shuf[done:done + rows, idx] = mat @ weight
+            shuf[done:done + rows, idx] = np.clip(mat @ weight, -bound, bound)
             done += rows
-    if nu_moments == "trading":
-        np.clip(shuf, -1.0, 1.0, out=shuf)
     replica_vars = shuf.var(axis=1)
     return ShuffledBaseline(
         replica_variances=replica_vars,
@@ -216,16 +199,6 @@ def summarize(scores: list[PolarizationScore], baseline: ShuffledBaseline,
         shuffled_variance=baseline.shuffled_variance,
         variance_ratio=hist.variance / baseline.shuffled_variance,
     )
-
-
-def attach_scores(net: SyncNetwork, scores: list[PolarizationScore]
-                  ) -> tuple[SyncNetwork, list[str]]:
-    """Set rho_ov on the network's scored nodes; returns the new network and
-    the nodes left without a score."""
-    mapping = scores_as_dict(scores)
-    scored_net = with_node_scores(net, mapping)
-    flagged = [n for n in net.node_ids if n not in mapping]
-    return scored_net, flagged
 
 
 def write_scores(scores: list[PolarizationScore], stream) -> None:

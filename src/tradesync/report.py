@@ -20,10 +20,10 @@ from . import activity as act
 from . import netmetrics as nm
 from . import polarization as pol
 from . import volatility as vola
-from .errors import DegenerateInputError, TradesyncError
+from .errors import ConfigError, DegenerateInputError, TradesyncError
 from .ingest import (AutoFilterPolicy, QuoteSeries, TradeRecord, build_calendar,
                      filter_automatic, split_off_calendar)
-from .syncnet import SyncNetwork, build_sync_network, write_edges, write_nodes
+from .syncnet import SyncNetwork, build_sync_network, write_edges
 
 REPORT_VERSION = "3"
 
@@ -45,6 +45,10 @@ class PipelineParams:
     swap_factor: int = 10
     opd_cap: int = 100
     auto_filter: str = "none"
+
+    def __post_init__(self):
+        if self.replicas < 1:
+            raise ConfigError(f"replicas must be at least 1, got {self.replicas}")
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
@@ -224,15 +228,16 @@ def assortativity_stage(a: AssetAnalysis, params: PipelineParams,
                         seeds: dict[str, int], workers: int | None = None) -> None:
     """Assortativity by rho_ov and by opd, each with its rewire and shuffle
     nulls (after the network and the scores)."""
-    a.net, unscored = pol.attach_scores(a.net, a.scores)
+    rho = {s.investor_id: s.rho_ov for s in a.scores}
+    nodes = a.net.node_ids
+    unscored = sum(inv not in rho for inv in nodes)
     if unscored:
-        a.notes["unscored_nodes"] = len(unscored)
+        a.notes["unscored_nodes"] = unscored
     attributes = {
         "rho_ov": lambda: nm.discretize_attribute(
-            {s.investor_id: s.rho_ov for s in a.scores
-             if s.investor_id in a.net.node_attrs}),
+            {inv: rho[inv] for inv in nodes if inv in rho}),
         "opd": lambda: nm.discretize_opd(
-            {inv: x.opd for inv, x in a.net.node_attrs.items()}, params.opd_cap),
+            {inv: a.series[inv].opd for inv in nodes}, params.opd_cap),
     }
     for name, attribute in attributes.items():
         key = f"assortativity_{name}"
@@ -292,9 +297,10 @@ def write_activity_tables(series: dict, out: str) -> None:
                  act.ops_vs_days(series))
 
 
-def write_network_tables(net: SyncNetwork, out: str) -> None:
-    _write_table(os.path.join(out, "edges.tsv"), write_edges, net)
-    _write_table(os.path.join(out, "nodes.tsv"), write_nodes, net)
+def write_network_tables(a: AssetAnalysis, out: str) -> None:
+    _write_table(os.path.join(out, "edges.tsv"), write_edges, a.net)
+    with open(os.path.join(out, "nodes.tsv"), "w") as f:
+        act.write_nodes(a.series, a.net.node_ids, f)
 
 
 def write_partition_table(partition: nm.Partition | None, out: str) -> None:
@@ -326,7 +332,7 @@ def build_report(sections: dict[str, dict], params: PipelineParams,
 
 
 def dump_report(report: dict, stream) -> None:
-    json.dump(_plain(report), stream, sort_keys=True, indent=2)
+    json.dump(_plain(report), stream, sort_keys=True, indent=2, allow_nan=False)
     stream.write("\n")
 
 

@@ -13,7 +13,7 @@ is identical for any worker count and any execution order.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,24 +51,15 @@ class SyncEdge:
     pvalue: float
 
 
-@dataclass(frozen=True)
-class NodeAttrs:
-    total_ops: int
-    n_active: int
-    span: int
-    opd: float
-    rho_ov: float | None = None
-
-
 @dataclass
 class SyncNetwork:
     """Undirected simple graph of investors; edges are the pair correlations
     that survived the significance filter. Isolated nodes stay in the node
-    set (they are only dropped for display purposes downstream)."""
+    set (they are only dropped for display purposes downstream); per-investor
+    numbers stay on the ActivitySeries of each node id."""
 
     ticker: str
     node_ids: list[str]
-    node_attrs: dict[str, NodeAttrs]
     edges: list[SyncEdge]
     diagnostics: dict = field(default_factory=dict)
 
@@ -149,16 +140,6 @@ def permutation_pvalue(x: np.ndarray, y: np.ndarray, shuffles: int,
     count, _ = _shuffle_exceed_count(np.asarray(x, float), np.asarray(y, float),
                                      shuffles, rng)
     return (1 + count) / (shuffles + 1)
-
-
-def permutation_filter(a: ActivitySeries, b: ActivitySeries, w: OverlapWindow,
-                       shuffles: int = 999, level: float = 0.01,
-                       seed: int = 0) -> tuple[float, bool]:
-    """Significance filter for one pair; keep means p-value below `level`."""
-    x = a.window(w.start, w.end).astype(float)
-    y = b.window(w.start, w.end).astype(float)
-    pvalue = permutation_pvalue(x, y, shuffles, task_rng(seed))
-    return pvalue, pvalue < level
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +262,6 @@ def build_sync_network(series: dict[str, ActivitySeries], min_ops: int = 20,
     edges = [SyncEdge(i=node_ids[st.i], j=node_ids[st.j], rho=st.rho,
                       overlap=st.overlap, pvalue=st.pvalue)
              for st in results if st.kept]
-    attrs = {inv: NodeAttrs(total_ops=series[inv].total_ops,
-                            n_active=series[inv].n_active,
-                            span=series[inv].span,
-                            opd=series[inv].opd)
-             for inv in node_ids}
     diagnostics = {
         "pairs_total": n_pairs,
         "pairs_disjoint": counters["disjoint"],
@@ -300,20 +276,10 @@ def build_sync_network(series: dict[str, ActivitySeries], min_ops: int = 20,
         "shuffles_used": counters["shuffles_used"],
         "level": level,
     }
-    net = SyncNetwork(ticker=ticker, node_ids=node_ids, node_attrs=attrs,
-                      edges=edges, diagnostics=diagnostics)
+    net = SyncNetwork(ticker=ticker, node_ids=node_ids, edges=edges,
+                      diagnostics=diagnostics)
     net.diagnostics["isolated_nodes"] = len(net.isolated_nodes())
     return net
-
-
-def with_node_scores(net: SyncNetwork, scores: dict[str, float]) -> SyncNetwork:
-    """Copy of the network with rho_ov set on the scored nodes."""
-    attrs = {
-        inv: replace(a, rho_ov=scores.get(inv)) for inv, a in net.node_attrs.items()
-    }
-    return SyncNetwork(ticker=net.ticker, node_ids=list(net.node_ids),
-                       node_attrs=attrs, edges=list(net.edges),
-                       diagnostics=dict(net.diagnostics))
 
 
 def write_edges(net: SyncNetwork, stream) -> None:
@@ -321,9 +287,3 @@ def write_edges(net: SyncNetwork, stream) -> None:
     for e in net.edges:
         stream.write(f"{e.i}\t{e.j}\t{e.rho!r}\t{e.overlap}\t{e.pvalue!r}\n")
 
-
-def write_nodes(net: SyncNetwork, stream) -> None:
-    stream.write("investor\ttotal_ops\tN\tT\topd\n")
-    for inv in net.node_ids:
-        a = net.node_attrs[inv]
-        stream.write(f"{inv}\t{a.total_ops}\t{a.n_active}\t{a.span}\t{a.opd!r}\n")

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegenerateInputError, GenerationError
 from .ingest import QuoteSeries, TradeRecord, write_quotes, write_trades
 from .netmetrics import _endpoint_r
-from .syncnet import NodeAttrs, SyncEdge, SyncNetwork
+from .syncnet import SyncEdge, SyncNetwork
 
 
 @dataclass(frozen=True)
@@ -226,11 +226,9 @@ def write_synth(result: SynthResult, out_dir: str) -> dict[str, str]:
 
 def _fixture_network(n_nodes: int, edges: list[tuple[int, int]]) -> SyncNetwork:
     ids = [f"P{i:04d}" for i in range(n_nodes)]
-    attrs = {i: NodeAttrs(total_ops=0, n_active=0, span=0, opd=0.0) for i in ids}
     edge_list = [SyncEdge(i=ids[a], j=ids[b], rho=1.0, overlap=1, pvalue=0.001)
                  for a, b in sorted(edges)]
-    return SyncNetwork(ticker="FIXTURE", node_ids=ids, node_attrs=attrs,
-                       edges=edge_list)
+    return SyncNetwork(ticker="FIXTURE", node_ids=ids, edges=edge_list)
 
 
 def _edge_r(edges: list[tuple[int, int]], scores: np.ndarray) -> float | None:

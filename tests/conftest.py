@@ -5,7 +5,7 @@ import pytest
 
 from tradesync.activity import ActivitySeries
 from tradesync.ingest import QuoteSeries, TradeRecord, build_calendar
-from tradesync.syncnet import NodeAttrs, SyncEdge, SyncNetwork
+from tradesync.syncnet import SyncEdge, SyncNetwork
 
 
 def make_quotes(n_days: int, ticker: str = "TST", start=dt.date(2003, 1, 6),
@@ -42,12 +42,11 @@ def series_from_counts(counts, investor="I1", ticker="TST", first_day=0
 
 
 def fixture_network(n_nodes: int, edges, ticker="TST") -> SyncNetwork:
-    """Network with given index edges and placeholder node attributes."""
+    """Network with given index edges."""
     ids = [f"N{i:03d}" for i in range(n_nodes)]
-    attrs = {i: NodeAttrs(total_ops=0, n_active=0, span=0, opd=0.0) for i in ids}
     edge_list = [SyncEdge(i=ids[a], j=ids[b], rho=1.0, overlap=1, pvalue=0.001)
                  for a, b in sorted(tuple(sorted(e)) for e in edges)]
-    return SyncNetwork(ticker=ticker, node_ids=ids, node_attrs=attrs, edges=edge_list)
+    return SyncNetwork(ticker=ticker, node_ids=ids, edges=edge_list)
 
 
 def two_cliques(k: int = 5) -> SyncNetwork:

@@ -110,6 +110,18 @@ def test_syncnet_outputs(synth_data, tmp_path):
     assert (out / "nodes.tsv").exists()
 
 
+def test_nodes_table_is_the_network_rows_of_the_activity_table(synth_data, tmp_path):
+    assert main(["activity"] + _common(synth_data, tmp_path / "act")) == 0
+    assert main(["syncnet"] + _common(synth_data, tmp_path / "net")) == 0
+    header, *rows = (tmp_path / "act" / "activity_nodes.tsv").read_text().splitlines()
+    nodes = (tmp_path / "net" / "nodes.tsv").read_text().splitlines()
+    diag = json.loads((tmp_path / "net" / "syncnet_diagnostics.json").read_text())
+    # network nodes are the investors with at least --min-ops (20) operations
+    network_rows = [r for r in rows if int(r.split("\t")[1]) >= 20]
+    assert len(network_rows) == diag["nodes"] < len(rows)
+    assert nodes == [header] + network_rows
+
+
 def test_metrics_outputs(synth_data, tmp_path):
     out = tmp_path / "met"
     rc = main(["metrics"] + _common(synth_data, out))
@@ -160,6 +172,32 @@ def test_report_end_to_end_and_determinism(synth_data, tmp_path):
     assert section["meso"]["long"] is not None
     for name in ("edges.tsv", "nodes.tsv", "scores.tsv"):
         assert (out1 / "SYN" / name).exists()
+
+
+@pytest.mark.parametrize("shuffles", ["199", "99"])
+def test_report_rejects_zero_replicas(synth_data, tmp_path, capsys, shuffles):
+    out = tmp_path / "zero"
+    args = _common(synth_data, out)
+    args[args.index("--replicas") + 1] = "0"
+    args[args.index("--shuffles") + 1] = shuffles
+    assert main(["report"] + args) == 2
+    assert "replicas must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_report_rejects_non_finite_quotes(synth_data, tmp_path, capsys, value):
+    lines = (synth_data / "quotes.csv").read_text().splitlines(keepends=True)
+    date, open_, _, low = lines[5].rstrip("\n").split(",")
+    lines[5] = f"{date},{open_},{value},{low}\n"
+    quotes = tmp_path / "quotes.csv"
+    quotes.write_text("".join(lines))
+    args = _common(synth_data, tmp_path / "nf")
+    args[args.index("--quotes") + 1] = str(quotes)
+    assert main(["report"] + args) == 1
+    report = json.loads((tmp_path / "nf" / "report.json").read_text())
+    assert report["assets"]["SYN"] == {"error": "quotes line 6: non-finite price"}
+    assert "quotes line 6" in capsys.readouterr().err
 
 
 def test_report_partial_failure(synth_data, tmp_path, capsys):

@@ -141,6 +141,15 @@ def test_quotes_validation():
         QuoteSeries("REP", [], [], [], [])
 
 
+@pytest.mark.parametrize("row", [
+    "2003-01-07,inf,inf,95", "2003-01-07,100,inf,95", "2003-01-07,100,105,-inf",
+    "2003-01-07,nan,105,95", "2003-01-07,100,nan,95", "2003-01-07,100,105,nan",
+])
+def test_quotes_reject_non_finite_prices(row):
+    with pytest.raises(DataError, match="quotes line 3: non-finite price"):
+        parse_quotes(f"date,open,high,low\n2003-01-06,100,105,95\n{row}\n", "REP")
+
+
 def test_calendar_and_off_calendar_flagging():
     quotes = make_quotes(5)
     cal = build_calendar(quotes)

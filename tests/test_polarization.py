@@ -6,11 +6,10 @@ from oracles import bruteforce_activity_vol_correlation
 from tradesync.errors import DegenerateInputError
 from tradesync.parallel import task_rng
 from tradesync.polarization import (EXCLUDE_CONST_OPS, EXCLUDE_FEW_DAYS,
-                                    Exclusion, PolarizationScore, attach_scores,
+                                    Exclusion, PolarizationScore,
                                     polarization_score, population_distribution,
                                     score_population, shuffled_baseline,
                                     summarize)
-from tradesync.syncnet import build_sync_network
 from tradesync.volatility import VolatilitySeries
 
 
@@ -191,23 +190,3 @@ class TestShuffledBaseline:
         reasons = {e.reason for e in exclusions}
         assert reasons <= {EXCLUDE_FEW_DAYS, EXCLUDE_CONST_OPS, "constant-volatility"}
         assert len(scores) + len(exclusions) == len(series)
-
-
-class TestAttachScores:
-    def test_flags_unscored_nodes(self, rng):
-        series, vol = _population(rng, 30, 120)
-        net = build_sync_network(series, min_ops=5, shuffles=199, seed=1, workers=1)
-        scores, _ = score_population(series, vol, min_days=20)
-        scored_net, flagged = attach_scores(net, scores)
-        have = {s.investor_id for s in scores}
-        for node in scored_net.node_ids:
-            if node in have:
-                assert scored_net.node_attrs[node].rho_ov is not None
-            else:
-                assert node in flagged
-
-    def test_empty_scores_all_flagged(self, rng):
-        series, vol = _population(rng, 10, 100)
-        net = build_sync_network(series, min_ops=5, shuffles=199, seed=1, workers=1)
-        _, flagged = attach_scores(net, [])
-        assert flagged == net.node_ids

@@ -1,8 +1,13 @@
+import io
+
+import pytest
+
 from tradesync import netmetrics
-from tradesync.errors import DegenerateInputError
+from tradesync.errors import ConfigError, DegenerateInputError
 from tradesync.ingest import select_ticker
-from tradesync.report import (PipelineParams, analyze_asset, build_report,
-                              derive_seeds, front_stage, network_stage)
+from tradesync.report import (PipelineParams, analyze_asset, assortativity_stage,
+                              build_report, derive_seeds, dump_report, front_stage,
+                              network_stage, score_stage)
 from tradesync.synth import CommunitySpec, SynthConfig, generate
 
 NULLS = ("rho_ov_rewire", "rho_ov_shuffle", "opd_rewire", "opd_shuffle")
@@ -79,3 +84,57 @@ def test_negative_edge_weights_become_a_modularity_note():
     assert any(e.rho < 0 for e in analysis.net.edges)
     assert analysis.partition is None
     assert "non-negative" in analysis.notes["modularity"]
+
+
+def _scored_network(params):
+    res = generate(SynthConfig(n_agents=60, n_days=120, beta_mean=0.4,
+                               base_rate_scale=0.1,
+                               communities=(CommunitySpec(8, 1.0),), seed=3))
+    seeds = derive_seeds(5, 0)
+    analysis = front_stage(select_ticker(res.trades, res.quotes.ticker), res.quotes,
+                           params)
+    network_stage(analysis, params, seeds, workers=1)
+    score_stage(analysis, params)
+    return analysis, seeds
+
+
+def test_unscored_network_nodes_are_noted_and_left_out_of_rho_ov(monkeypatch):
+    params = PipelineParams(shuffles=199, replicas=20)
+    analysis, seeds = _scored_network(params)
+    nodes = analysis.net.node_ids
+    dropped = next(s.investor_id for s in analysis.scores if s.investor_id in nodes)
+    analysis.scores = [s for s in analysis.scores if s.investor_id != dropped]
+    rho = {s.investor_id: s.rho_ov for s in analysis.scores}
+    unscored = [n for n in nodes if n not in rho]
+    assert dropped in unscored
+
+    seen = []
+    discretize = netmetrics.discretize_attribute
+    monkeypatch.setattr(netmetrics, "discretize_attribute",
+                        lambda values: seen.append(values) or discretize(values))
+    assortativity_stage(analysis, params, seeds, workers=1)
+    assert analysis.notes["unscored_nodes"] == len(unscored)
+    assert seen == [{n: rho[n] for n in nodes if n in rho}]
+    assert analysis.assortativity["rho_ov"] is not None
+
+
+def test_a_network_without_scores_notes_every_node():
+    params = PipelineParams(shuffles=199, replicas=20)
+    analysis, seeds = _scored_network(params)
+    analysis.scores = []
+    assortativity_stage(analysis, params, seeds, workers=1)
+    assert analysis.notes["unscored_nodes"] == len(analysis.net.node_ids)
+    assert analysis.assortativity["rho_ov"] is None
+    assert "assortativity_rho_ov" in analysis.notes
+    assert analysis.assortativity["opd"] is not None
+
+
+@pytest.mark.parametrize("replicas", [0, -1])
+def test_replicas_below_one_rejected(replicas):
+    with pytest.raises(ConfigError, match="replicas"):
+        PipelineParams(replicas=replicas)
+
+
+def test_report_json_refuses_non_finite_numbers():
+    with pytest.raises(ValueError):
+        dump_report({"variance_ratio": float("nan")}, io.StringIO())

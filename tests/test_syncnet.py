@@ -10,8 +10,7 @@ from tradesync.errors import DegenerateInputError
 from tradesync.parallel import task_rng
 from tradesync.syncnet import (build_sync_network, cross_correlation,
                                evaluate_pairs, overlap_window,
-                               permutation_filter, permutation_pvalue,
-                               write_edges)
+                               permutation_pvalue, write_edges)
 from tradesync.volatility import population_correlation
 
 
@@ -90,9 +89,10 @@ class TestPermutationFilter:
         w = overlap_window(a, b)
         rho = cross_correlation(a, b, w)
         assert rho == 1.0
-        pvalue, keep = permutation_filter(a, b, w, shuffles=999, level=0.01,
-                                          seed=7)
-        assert keep is True
+        x = a.window(w.start, w.end).astype(float)
+        y = b.window(w.start, w.end).astype(float)
+        pvalue = permutation_pvalue(x, y, shuffles=999, rng=task_rng(7))
+        assert pvalue < 0.01
         assert pvalue == pytest.approx(1 / 1000)
 
     def test_exact_zero_rho_not_kept(self):
