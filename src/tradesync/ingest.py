@@ -58,7 +58,9 @@ class ParseResult:
 
 
 class QuoteSeries:
-    """Daily open/high/low prices for one asset on strictly increasing days."""
+    """Daily open/high/low prices for one asset on strictly increasing days.
+    `parse_quotes` checks each row (positive, finite, low <= open <= high) and
+    the day order; `synth` builds valid quotes by construction."""
 
     def __init__(self, ticker: str, days: list[dt.date], open_: list[float],
                  high: list[float], low: list[float]):
@@ -67,14 +69,6 @@ class QuoteSeries:
             raise DataError("empty quote series")
         if not (len(open_) == len(high) == len(low) == n):
             raise DataError("quote columns have unequal lengths")
-        for i in range(1, n):
-            if days[i] <= days[i - 1]:
-                raise DataError(f"quote days not strictly increasing at {days[i]}")
-        for i in range(n):
-            if open_[i] <= 0 or high[i] <= 0 or low[i] <= 0:
-                raise DataError(f"non-positive price on {days[i]}")
-            if not (low[i] <= open_[i] <= high[i]):
-                raise DataError(f"violated low <= open <= high on {days[i]}")
         self.ticker = ticker
         self.days = list(days)
         self.open = list(open_)

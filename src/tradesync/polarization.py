@@ -187,9 +187,7 @@ def shuffled_baseline(series: dict[str, ActivitySeries], vol: VolatilitySeries,
     )
 
 
-def summarize(scores: list[PolarizationScore], baseline: ShuffledBaseline,
-              bins: int = 50) -> PolarizationSummary:
-    hist = population_distribution(scores, bins=bins)
+def summarize(hist: Histogram, baseline: ShuffledBaseline) -> PolarizationSummary:
     if baseline.shuffled_variance <= 0.0:
         raise DegenerateInputError("shuffled variance is zero; ratio undefined")
     return PolarizationSummary(

@@ -49,6 +49,16 @@ class PipelineParams:
     def __post_init__(self):
         if self.replicas < 1:
             raise ConfigError(f"replicas must be at least 1, got {self.replicas}")
+        if not 0.0 < self.p_level < 1.0:
+            raise ConfigError(f"p_level must lie in (0, 1), got {self.p_level}")
+        # the smallest p-value a pair can get is 1 / (shuffles + 1)
+        if self.shuffles < 0 or 1 / (self.shuffles + 1) >= self.p_level:
+            raise ConfigError(f"{self.shuffles} shuffles cannot give a p-value "
+                              f"below p_level {self.p_level}")
+        for name in ("swap_factor", "bins", "opd_cap"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
@@ -219,7 +229,7 @@ def polarization_stage(a: AssetAnalysis, params: PipelineParams,
                                          seed=seeds["shuffle_baseline"],
                                          min_days=params.min_days,
                                          nu_moments=params.nu_moments)
-        a.summary = pol.summarize(a.scores, baseline, params.bins)
+        a.summary = pol.summarize(a.histogram, baseline)
     except DegenerateInputError as err:
         a.notes["polarization"] = str(err)
 

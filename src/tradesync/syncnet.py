@@ -13,6 +13,8 @@ is identical for any worker count and any execution order.
 from __future__ import annotations
 
 import bisect
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,21 +77,6 @@ class SyncNetwork:
         return [n for n in self.node_ids if deg[n] == 0]
 
 
-@dataclass(frozen=True)
-class PairStat:
-    """Outcome for one tested node pair (indices into the eligible node list).
-    A pair that stopped early has a censored p-value, >= level."""
-
-    i: int
-    j: int
-    status: str  # ok | disjoint | short | degenerate
-    rho: float | None = None
-    pvalue: float | None = None
-    overlap: int = 0
-    kept: bool = False
-    shuffles_used: int = 0
-
-
 def overlap_window(a: ActivitySeries, b: ActivitySeries) -> OverlapWindow | None:
     start = max(a.first_day, b.first_day)
     end = min(a.last_day, b.last_day)
@@ -143,7 +130,13 @@ def permutation_pvalue(x: np.ndarray, y: np.ndarray, shuffles: int,
 
 
 # ---------------------------------------------------------------------------
-# parallel pair evaluation
+# parallel pair test
+
+def _row_offsets(n: int) -> list[int]:
+    """Flat index of the first pair (i, i + 1) of each row of the (i < j)
+    triangle over n nodes."""
+    return [0, *itertools.accumulate(range(n - 1, 0, -1))]
+
 
 def _pair_at(p: int, cum: list[int]) -> tuple[int, int]:
     """Decode flat pair index p into (i, j), i < j, using cumulative row sizes."""
@@ -152,78 +145,42 @@ def _pair_at(p: int, cum: list[int]) -> tuple[int, int]:
     return i, j
 
 
-def _eval_pair(ia: int, ib: int, payload: dict) -> PairStat:
+def _test_pairs(payload: dict, chunk: range) -> tuple[list[SyncEdge], dict]:
+    """Test the pairs at a contiguous range of flat triangle indices: the kept
+    edges in index order, and the count of each pair outcome."""
     series: list[ActivitySeries] = payload["series"]
-    a, b = series[ia], series[ib]
-    w = overlap_window(a, b)
-    if w is None:
-        return PairStat(ia, ib, "disjoint")
-    if w.length < 2:
-        return PairStat(ia, ib, "short", overlap=w.length)
-    x = a.window(w.start, w.end).astype(float)
-    y = b.window(w.start, w.end).astype(float)
-    try:
-        rho = population_correlation(x, y)
-    except DegenerateInputError:
-        return PairStat(ia, ib, "degenerate", overlap=w.length)
-    rng = task_rng(payload["seed"], ia, ib)
-    count, used = _shuffle_exceed_count(x, y, payload["shuffles"], rng,
-                                        payload["level"])
-    pvalue = (1 + count) / (used + 1)
-    return PairStat(ia, ib, "ok", rho=rho, pvalue=pvalue, overlap=w.length,
-                    kept=pvalue < payload["level"], shuffles_used=used)
-
-
-def _new_counters() -> dict:
-    return {"disjoint": 0, "short": 0, "degenerate": 0, "tested": 0,
-            "kept": 0, "negative_rho": 0, "shuffles_used": 0}
-
-
-def _eval_chunk(payload: dict, chunk) -> tuple[list[PairStat], dict]:
-    """Test a chunk of pairs: (i, j) tuples, or flat indices into the (i < j)
-    triangle when the payload carries its cumulative row offsets."""
-    counters = _new_counters()
-    out: list[PairStat] = []
-    keep_all = payload["keep_all"]
-    cum = payload["cum"]
-    indices = chunk if cum is None else (_pair_at(p, cum) for p in chunk)
-    for ia, ib in indices:
-        st = _eval_pair(ia, ib, payload)
-        if st.status == "ok":
-            counters["tested"] += 1
-            counters["shuffles_used"] += st.shuffles_used
-            counters["negative_rho"] += int(st.rho < 0)
-            counters["kept"] += int(st.kept)
-        else:
-            counters[st.status] += 1
-        if keep_all or st.kept:
-            out.append(st)
-    return out, counters
-
-
-def _run_chunks(payload: dict, chunks: list, workers: int
-                ) -> tuple[list[PairStat], dict]:
-    results: list[PairStat] = []
-    counters = _new_counters()
-    for stats, c in map_tasks(_eval_chunk, payload, chunks, workers):
-        results.extend(stats)
-        for k, v in c.items():
-            counters[k] += v
-    return results, counters
-
-
-def evaluate_pairs(series: list[ActivitySeries], pairs: list[tuple[int, int]],
-                   shuffles: int = 999, level: float = 0.01, seed: int = 0,
-                   workers: int | None = None) -> tuple[list[PairStat], dict]:
-    """Correlate and significance-test an explicit list of (unique) index pairs.
-
-    Returns one PairStat per input pair (in input order) plus a counter
-    summary. The RNG stream of a pair depends only on (seed, i, j).
-    """
-    workers = resolve_workers(workers)
-    payload = {"series": series, "seed": seed, "shuffles": shuffles,
-               "level": level, "keep_all": True, "cum": None}
-    return _run_chunks(payload, chunked(list(pairs), workers * 8), workers)
+    node_ids, cum = payload["node_ids"], payload["cum"]
+    seed, shuffles, level = payload["seed"], payload["shuffles"], payload["level"]
+    counts = dict.fromkeys(("disjoint", "short", "degenerate", "tested",
+                            "negative_rho", "shuffles_used"), 0)
+    edges: list[SyncEdge] = []
+    for p in chunk:
+        ia, ib = _pair_at(p, cum)
+        a, b = series[ia], series[ib]
+        w = overlap_window(a, b)
+        if w is None:
+            counts["disjoint"] += 1
+            continue
+        if w.length < 2:
+            counts["short"] += 1
+            continue
+        x = a.window(w.start, w.end).astype(float)
+        y = b.window(w.start, w.end).astype(float)
+        try:
+            rho = population_correlation(x, y)
+        except DegenerateInputError:
+            counts["degenerate"] += 1
+            continue
+        count, used = _shuffle_exceed_count(x, y, shuffles, task_rng(seed, ia, ib),
+                                            level)
+        counts["tested"] += 1
+        counts["negative_rho"] += int(rho < 0)
+        counts["shuffles_used"] += used
+        pvalue = (1 + count) / (used + 1)
+        if pvalue < level:
+            edges.append(SyncEdge(i=node_ids[ia], j=node_ids[ib], rho=rho,
+                                  overlap=w.length, pvalue=pvalue))
+    return edges, counts
 
 
 def build_sync_network(series: dict[str, ActivitySeries], min_ops: int = 20,
@@ -243,37 +200,32 @@ def build_sync_network(series: dict[str, ActivitySeries], min_ops: int = 20,
     ticker = tickers.pop() if tickers else ""
 
     node_ids = sorted(inv for inv, s in series.items() if s.total_ops >= min_ops)
-    slist = [series[inv] for inv in node_ids]
     n = len(node_ids)
     n_pairs = n * (n - 1) // 2
     workers = resolve_workers(workers)
+    payload = {"series": [series[inv] for inv in node_ids], "node_ids": node_ids,
+               "cum": _row_offsets(n), "seed": seed, "shuffles": shuffles,
+               "level": level}
+    edges: list[SyncEdge] = []
+    counts: Counter = Counter()
+    # chunks are contiguous and come back in order, so edges are sorted
+    for chunk_edges, chunk_counts in map_tasks(
+            _test_pairs, payload, chunked(range(n_pairs), workers * 8), workers):
+        edges.extend(chunk_edges)
+        counts.update(chunk_counts)
 
-    # cumulative flat-index offsets of each row of the (i < j) triangle
-    cum = [0] * n
-    for i in range(1, n):
-        cum[i] = cum[i - 1] + (n - i)
-
-    payload = {"series": slist, "seed": seed, "shuffles": shuffles,
-               "level": level, "keep_all": False, "cum": cum}
-    # chunks are contiguous and come back in order, so results are sorted
-    results, counters = _run_chunks(payload, chunked(range(n_pairs), workers * 8),
-                                    workers)
-
-    edges = [SyncEdge(i=node_ids[st.i], j=node_ids[st.j], rho=st.rho,
-                      overlap=st.overlap, pvalue=st.pvalue)
-             for st in results if st.kept]
     diagnostics = {
         "pairs_total": n_pairs,
-        "pairs_disjoint": counters["disjoint"],
-        "pairs_short_overlap": counters["short"],
-        "pairs_degenerate": counters["degenerate"],
-        "pairs_tested": counters["tested"],
-        "pairs_negative_rho": counters["negative_rho"],
-        "edges_retained": counters["kept"],
+        "pairs_disjoint": counts["disjoint"],
+        "pairs_short_overlap": counts["short"],
+        "pairs_degenerate": counts["degenerate"],
+        "pairs_tested": counts["tested"],
+        "pairs_negative_rho": counts["negative_rho"],
+        "edges_retained": len(edges),
         "nodes": n,
         "min_ops": min_ops,
         "shuffles": shuffles,
-        "shuffles_used": counters["shuffles_used"],
+        "shuffles_used": counts["shuffles_used"],
         "level": level,
     }
     net = SyncNetwork(ticker=ticker, node_ids=node_ids, edges=edges,

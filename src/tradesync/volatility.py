@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DegenerateInputError
+from .errors import DegenerateInputError
 from .activity import ActivitySeries
 from .ingest import QuoteSeries, TradingCalendar
 
@@ -37,8 +37,6 @@ def high_low_volatility(quotes: QuoteSeries) -> VolatilitySeries:
     open_ = np.asarray(quotes.open, dtype=float)
     high = np.asarray(quotes.high, dtype=float)
     low = np.asarray(quotes.low, dtype=float)
-    if np.any(open_ <= 0):
-        raise DataError("open price must be positive")
     return VolatilitySeries(ticker=quotes.ticker, nu=(high - low) / open_)
 
 

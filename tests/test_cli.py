@@ -185,6 +185,23 @@ def test_report_rejects_zero_replicas(synth_data, tmp_path, capsys, shuffles):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--shuffles", "0", "0 shuffles cannot give a p-value below p_level 0.01"),
+    ("--shuffles", "10", "10 shuffles cannot give a p-value below p_level 0.01"),
+    ("--p-level", "2", "p_level must lie in (0, 1), got 2.0"),
+    ("--p-level", "0", "p_level must lie in (0, 1), got 0.0"),
+    ("--swap-factor", "-3", "swap_factor must be at least 1, got -3"),
+    ("--bins", "0", "bins must be at least 1, got 0"),
+    ("--opd-cap", "-1", "opd_cap must be at least 1, got -1"),
+])
+def test_report_rejects_out_of_range_parameters(synth_data, tmp_path, capsys, flag,
+                                                value, message):
+    out = tmp_path / "bad"
+    assert main(["report"] + _common(synth_data, out, (flag, value))) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_report_rejects_non_finite_quotes(synth_data, tmp_path, capsys, value):
     lines = (synth_data / "quotes.csv").read_text().splitlines(keepends=True)

@@ -132,7 +132,7 @@ class TestShuffledBaseline:
         series, vol = _population(rng, 250, 250, beta=0.8)
         scores, _ = score_population(series, vol, min_days=20)
         baseline = shuffled_baseline(series, vol, replicas=40, seed=2)
-        summary = summarize(scores, baseline)
+        summary = summarize(population_distribution(scores), baseline)
         assert summary.variance_ratio > 1.0
         assert summary.mean > 0
 
@@ -143,7 +143,8 @@ class TestShuffledBaseline:
             series, vol = _population(rng, 250, 250, beta=0.0)
             scores, _ = score_population(series, vol, min_days=20)
             baseline = shuffled_baseline(series, vol, replicas=30, seed=seed)
-            ratios.append(summarize(scores, baseline).variance_ratio)
+            summary = summarize(population_distribution(scores), baseline)
+            ratios.append(summary.variance_ratio)
         assert np.mean(ratios) == pytest.approx(1.0, abs=0.1)
 
     def test_shuffled_mean_within_three_se(self, rng):

@@ -9,8 +9,7 @@ from tradesync import syncnet
 from tradesync.errors import DegenerateInputError
 from tradesync.parallel import task_rng
 from tradesync.syncnet import (build_sync_network, cross_correlation,
-                               evaluate_pairs, overlap_window,
-                               permutation_pvalue, write_edges)
+                               overlap_window, permutation_pvalue, write_edges)
 from tradesync.volatility import population_correlation
 
 
@@ -225,36 +224,45 @@ class TestBuildSyncNetwork:
         with pytest.raises(ValueError):
             build_sync_network({"A": s1, "B": s2}, workers=1)
 
+    def test_pair_outcomes_counted_by_status(self):
+        series = {
+            "a": series_from_counts([1, 2, 1, 3, 1], investor="a"),
+            "b": series_from_counts([2, 1, 2, 1, 2], investor="b"),
+            "c": series_from_counts([1, 1], investor="c", first_day=30),  # disjoint
+            "d": series_from_counts([5], investor="d", first_day=2),      # short
+        }
+        net = build_sync_network(series, min_ops=1, shuffles=199, seed=1, workers=1)
+        d = net.diagnostics
+        assert (d["pairs_total"], d["pairs_tested"], d["pairs_disjoint"],
+                d["pairs_short_overlap"], d["pairs_degenerate"]) == (6, 1, 3, 2, 0)
 
-class TestEvaluatePairs:
-    def test_explicit_pairs_statuses(self, rng):
-        slist = [
-            series_from_counts([1, 2, 1, 3, 1], investor="a"),          # 0
-            series_from_counts([2, 1, 2, 1, 2], investor="b"),          # 1
-            series_from_counts([1, 1], investor="c", first_day=30),     # 2: disjoint
-            series_from_counts([5], investor="d", first_day=2),         # 3: short
-        ]
-        results, counters = evaluate_pairs(slist, [(0, 1), (0, 2), (0, 3)],
-                                           shuffles=199, seed=1, workers=1)
-        assert [r.status for r in results] == ["ok", "disjoint", "short"]
-        assert counters["tested"] == 1
 
-    def test_pair_rng_independent_of_order(self, rng):
-        slist = [series_from_counts(rng.poisson(1.5, 40) + (np.arange(40) == 0),
-                                    investor=f"s{i}") for i in range(6)]
-        fwd, _ = evaluate_pairs(slist, [(0, 1), (2, 3), (4, 5)], shuffles=199,
-                                seed=8, workers=1)
-        rev, _ = evaluate_pairs(slist, [(4, 5), (2, 3), (0, 1)], shuffles=199,
-                                seed=8, workers=1)
-        by_pair_fwd = {(r.i, r.j): r.pvalue for r in fwd}
-        by_pair_rev = {(r.i, r.j): r.pvalue for r in rev}
-        assert by_pair_fwd == by_pair_rev
+class TestTriangle:
+    def test_every_pair_once_in_row_major_order(self):
+        for n in range(2, 41):
+            cum = syncnet._row_offsets(n)
+            decoded = [syncnet._pair_at(p, cum) for p in range(n * (n - 1) // 2)]
+            assert decoded == [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def _windows(slist, i, j):
     w = overlap_window(slist[i], slist[j])
     return (slist[i].window(w.start, w.end).astype(float),
             slist[j].window(w.start, w.end).astype(float))
+
+
+def _stop_point(flags, shuffles, level, block_rows):
+    """Shuffles an early-stopped pair draws: the first block end where
+    (1 + count) / (shuffles + 1) reaches level, else all of them."""
+    for done in [*range(block_rows, shuffles, block_rows), shuffles]:
+        if (1 + flags[:done].sum()) / (shuffles + 1) >= level:
+            return done
+    return shuffles
+
+
+def _network(slist, **kwargs):
+    return build_sync_network({s.investor_id: s for s in slist}, min_ops=1,
+                              workers=1, **kwargs)
 
 
 class TestEarlyStopping:
@@ -271,28 +279,22 @@ class TestEarlyStopping:
             counts[0] = max(counts[0], 1)
             counts[-1] = max(counts[-1], 1)
             slist.append(series_from_counts(counts, investor=f"s{i:02d}"))
-        pairs = [(i, j) for i in range(16) for j in range(i + 1, 16)]
-        results, counters = evaluate_pairs(slist, pairs, shuffles=shuffles,
-                                           level=level, seed=seed, workers=1)
-        stopped = kept = 0
-        for st in results:
-            x, y = _windows(slist, st.i, st.j)
-            assert st.rho == population_correlation(x, y)
-            full_p = permutation_pvalue(x, y, shuffles, task_rng(seed, st.i, st.j))
-            assert st.kept == (full_p < level)
-            if st.kept:
-                kept += 1
-                assert (st.pvalue, st.shuffles_used) == (full_p, shuffles)
-                continue
-            assert st.pvalue >= level and full_p >= level
-            assert st.shuffles_used % block_rows == 0 or st.shuffles_used == shuffles
-            stopped += st.shuffles_used < shuffles
-            # the censored count is the full run's count over the same prefix
-            prefix = _replayed_exceedances(x, y, st.shuffles_used,
-                                           task_rng(seed, st.i, st.j))
-            assert st.pvalue == (1 + prefix.sum()) / (st.shuffles_used + 1)
-        assert kept >= 5 and stopped >= len(pairs) // 2
-        assert counters["shuffles_used"] == sum(st.shuffles_used for st in results)
+        net = _network(slist, shuffles=shuffles, level=level, seed=seed)
+        assert net.node_ids == [s.investor_id for s in slist]
+        assert net.diagnostics["pairs_tested"] == 120
+        full, stops = {}, []
+        for i in range(16):
+            for j in range(i + 1, 16):
+                x, y = _windows(slist, i, j)
+                full_p = permutation_pvalue(x, y, shuffles, task_rng(seed, i, j))
+                if full_p < level:
+                    full[(f"s{i:02d}", f"s{j:02d}")] = (population_correlation(x, y),
+                                                        full_p)
+                flags = _replayed_exceedances(x, y, shuffles, task_rng(seed, i, j))
+                stops.append(_stop_point(flags, shuffles, level, block_rows))
+        assert {(e.i, e.j): (e.rho, e.pvalue) for e in net.edges} == full
+        assert len(full) >= 5 and sum(s < shuffles for s in stops) >= len(stops) // 2
+        assert net.diagnostics["shuffles_used"] == sum(stops)
 
     @pytest.mark.parametrize("block_rows", [1, 50])
     def test_stopping_exceedance_on_last_shuffle(self, monkeypatch, block_rows):
@@ -311,12 +313,12 @@ class TestEarlyStopping:
         count = int(flags[:shuffles].sum())
         assert flags[shuffles - 1] and count >= 1
         # at this level the pair's count reaches the stop point exactly on its
-        # last shuffle: it is dropped with its exact p-value
+        # last shuffle: it is dropped after drawing every shuffle
         level = (1 + count) / (shuffles + 1)
-        (st,), _ = evaluate_pairs(slist, [(0, 1)], shuffles=shuffles, level=level,
-                                  seed=5, workers=1)
-        assert (st.kept, st.pvalue, st.shuffles_used) == (False, level, shuffles)
-        # one ulp above, the same pair is kept with the same p-value
-        (st,), _ = evaluate_pairs(slist, [(0, 1)], shuffles=shuffles,
-                                  level=np.nextafter(level, 1.0), seed=5, workers=1)
-        assert (st.kept, st.pvalue, st.shuffles_used) == (True, level, shuffles)
+        net = _network(slist, shuffles=shuffles, level=level, seed=5)
+        assert (net.edges, net.diagnostics["shuffles_used"]) == ([], shuffles)
+        # one ulp above, the same pair is kept with that exact p-value
+        net = _network(slist, shuffles=shuffles, level=np.nextafter(level, 1.0),
+                       seed=5)
+        assert [e.pvalue for e in net.edges] == [level]
+        assert net.diagnostics["shuffles_used"] == shuffles
