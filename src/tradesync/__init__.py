@@ -3,8 +3,9 @@ analytics from per-trade records and daily open/high/low quotes."""
 
 __version__ = "0.1.0"
 
-from .activity import ActivitySeries, TailFit, build_activity, ccdf, hill_fit
-from .ingest import (AutoFilterPolicy, QuoteSeries, TradeRecord, TradingCalendar,
+from .activity import (ActivityMatrix, ActivitySeries, TailFit, build_activity, ccdf,
+                       hill_fit)
+from .ingest import (AutoFilterPolicy, QuoteSeries, TradeColumns, TradingCalendar,
                      build_calendar, filter_automatic, parse_quotes, parse_trades,
                      split_off_calendar)
 from .netmetrics import (Partition, assortativity, discretize_attribute, louvain,
@@ -21,9 +22,9 @@ from .volatility import (MesoSeries, VolatilitySeries, high_low_volatility,
                          meso_short_correlation)
 
 __all__ = [
-    "ActivitySeries", "AutoFilterPolicy", "MesoSeries", "OverlapWindow",
-    "Partition", "PipelineParams", "PolarizationScore", "QuoteSeries",
-    "SyncEdge", "SyncNetwork", "SynthConfig", "TailFit", "TradeRecord",
+    "ActivityMatrix", "ActivitySeries", "AutoFilterPolicy", "MesoSeries",
+    "OverlapWindow", "Partition", "PipelineParams", "PolarizationScore", "QuoteSeries",
+    "SyncEdge", "SyncNetwork", "SynthConfig", "TailFit", "TradeColumns",
     "TradingCalendar", "VolatilitySeries", "analyze_asset", "assortativity",
     "build_activity", "build_calendar", "build_report",
     "build_sync_network", "ccdf", "cross_correlation", "discretize_attribute",

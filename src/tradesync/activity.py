@@ -1,20 +1,23 @@
 """Per-investor activity series and heterogeneity statistics.
 
 An activity series counts operations per trading day between the investor's
-first and last active day. Tail heaviness of total activity and of
+first and last active day. A population's series live in one sparse matrix
+of investors x calendar days. Tail heaviness of total activity and of
 operations-per-day is quantified with the Hill estimator.
 """
 
 from __future__ import annotations
 
+import bisect
+import datetime as dt
 import math
-from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DegenerateInputError
-from .ingest import TradeRecord, TradingCalendar
+from .ingest import TradeColumns, TradingCalendar
 
 
 @dataclass(frozen=True)
@@ -26,7 +29,6 @@ class ActivitySeries:
     """
 
     investor_id: str
-    ticker: str
     first_day: int
     last_day: int
     counts: np.ndarray
@@ -50,29 +52,50 @@ class ActivitySeries:
         lo = start - self.first_day
         return self.counts[lo:lo + (end - start + 1)]
 
-    @classmethod
-    def from_day_counts(cls, investor_id: str, ticker: str,
-                        day_counts: dict[int, int]) -> "ActivitySeries":
-        if not day_counts:
-            raise DataError(f"no operations for investor {investor_id}")
-        first = min(day_counts)
-        last = max(day_counts)
+
+class ActivityMatrix(Mapping[str, ActivitySeries]):
+    """One asset's operation counts as a CSR matrix of investors x calendar
+    days: row k is investor `ids[k]` (ids sorted), active on the calendar
+    ordinals `day[indptr[k]:indptr[k + 1]]` (increasing) with the positive
+    counts `count[...]`. Per-row statistics are arrays; looking an investor
+    up builds their dense ActivitySeries."""
+
+    def __init__(self, ticker: str, ids: list[str], indptr: np.ndarray,
+                 day: np.ndarray, count: np.ndarray):
+        self.ticker = ticker
+        self.ids = ids
+        self.indptr, self.day, self.count = indptr, day, count
+        starts, ends = indptr[:-1], indptr[1:]
+        self.n_active = ends - starts
+        self.first_day = day[starts]
+        self.last_day = day[ends - 1]
+        cum = np.concatenate(([0], np.cumsum(count)))
+        self.total_ops = cum[ends] - cum[starts]
+
+    @property
+    def opd(self) -> np.ndarray:
+        return self.total_ops / self.n_active
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __getitem__(self, investor_id: str) -> ActivitySeries:
+        k = bisect.bisect_left(self.ids, investor_id)
+        if k == len(self.ids) or self.ids[k] != investor_id:
+            raise KeyError(investor_id)
+        return self.row(k)
+
+    def row(self, k: int) -> ActivitySeries:
+        lo, hi = int(self.indptr[k]), int(self.indptr[k + 1])
+        first, last = int(self.day[lo]), int(self.day[hi - 1])
         counts = np.zeros(last - first + 1, dtype=np.int64)
-        for day, c in day_counts.items():
-            if c < 0:
-                raise DataError("negative operation count")
-            counts[day - first] = c
-        if counts[0] <= 0 or counts[-1] <= 0:
-            raise DataError("activity span must start and end on active days")
-        return cls(
-            investor_id=investor_id,
-            ticker=ticker,
-            first_day=first,
-            last_day=last,
-            counts=counts,
-            total_ops=int(counts.sum()),
-            n_active=int((counts > 0).sum()),
-        )
+        counts[self.day[lo:hi] - first] = self.count[lo:hi]
+        return ActivitySeries(investor_id=self.ids[k], first_day=first, last_day=last,
+                              counts=counts, total_ops=int(self.total_ops[k]),
+                              n_active=hi - lo)
 
 
 @dataclass(frozen=True)
@@ -88,23 +111,31 @@ class TailFit:
         return {"alpha": self.alpha, "stderr": self.stderr, "k": self.k, "n": self.n}
 
 
-def build_activity(trades: list[TradeRecord], calendar: TradingCalendar
-                   ) -> dict[str, ActivitySeries]:
+def build_activity(trades: TradeColumns, calendar: TradingCalendar) -> ActivityMatrix:
     """Count each investor's operations per calendar day.
 
     All trades must be on-calendar and belong to the calendar's asset
     (run split_off_calendar first).
     """
-    per_investor: dict[str, dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    for t in trades:
-        if t.ticker != calendar.ticker:
-            raise DataError(f"trade ticker {t.ticker} does not match calendar "
-                            f"{calendar.ticker}")
-        per_investor[t.investor_id][calendar.ordinal(t.date)] += 1
-    return {
-        inv: ActivitySeries.from_day_counts(inv, calendar.ticker, days)
-        for inv, days in sorted(per_investor.items())
-    }
+    for code in np.unique(trades.ticker).tolist():
+        if trades.tickers[code] != calendar.ticker:
+            raise DataError(f"trade ticker {trades.tickers[code]} does not match "
+                            f"calendar {calendar.ticker}")
+    pos = calendar.positions(trades.day)
+    if (pos < 0).any():
+        day = dt.date.fromordinal(int(trades.day[np.argmax(pos < 0)]))
+        raise DataError(f"{day} is not a trading day for {calendar.ticker}")
+    # rows in investor-id order
+    codes = np.unique(trades.investor)
+    names = [trades.investor_ids[c] for c in codes.tolist()]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(trades.investor_ids), dtype=np.int64)
+    rank[codes[order]] = np.arange(len(order))
+    cells, count = np.unique(rank[trades.investor] * len(calendar) + pos,
+                             return_counts=True)
+    row, day = np.divmod(cells, len(calendar))
+    return ActivityMatrix(calendar.ticker, [names[i] for i in order],
+                          np.searchsorted(row, np.arange(len(order) + 1)), day, count)
 
 
 def ccdf(values) -> list[tuple[float, float]]:
@@ -164,14 +195,18 @@ def hill_sweep(values, k_values=None) -> list[TailFit]:
     return fits
 
 
-def ops_vs_days(series: dict[str, ActivitySeries]) -> list[tuple[int, int]]:
+def ops_vs_days(series: ActivityMatrix) -> list[tuple[int, int]]:
     """(active days, total operations) per investor, in investor-id order."""
-    return [(series[inv].n_active, series[inv].total_ops) for inv in sorted(series)]
+    return list(zip(series.n_active.tolist(), series.total_ops.tolist()))
 
 
-def write_nodes(series: dict[str, ActivitySeries], node_ids, stream) -> None:
+def write_nodes(series: ActivityMatrix, node_ids, stream) -> None:
     """Per-investor activity row of each of `node_ids`, in the given order."""
+    rows = np.array([bisect.bisect_left(series.ids, inv) for inv in node_ids],
+                    dtype=np.int64)
     stream.write("investor\ttotal_ops\tN\tT\topd\n")
-    for inv in node_ids:
-        s = series[inv]
-        stream.write(f"{inv}\t{s.total_ops}\t{s.n_active}\t{s.span}\t{s.opd!r}\n")
+    stream.writelines(
+        f"{inv}\t{ops}\t{n}\t{span}\t{opd!r}\n" for inv, ops, n, span, opd in zip(
+            node_ids, series.total_ops[rows].tolist(), series.n_active[rows].tolist(),
+            (series.last_day - series.first_day + 1)[rows].tolist(),
+            series.opd[rows].tolist()))

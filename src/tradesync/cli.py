@@ -192,11 +192,11 @@ def cmd_activity(args) -> int:
              (("activity", "tail_fit", "total_ops"), ("opd", "opd_tail_fit", "opd"))]
     out = _outdir(args)
     with open(os.path.join(out, "activity_nodes.tsv"), "w") as f:
-        act.write_nodes(series, sorted(series), f)
+        act.write_nodes(series, series.ids, f)
     write_activity_tables(series, out)
     fits = {}
     for name, fit, attr in tails:
-        sweep = act.hill_sweep([getattr(s, attr) for s in series.values()])
+        sweep = act.hill_sweep(getattr(series, attr))
         fits[name] = {"fit": fit.as_dict(), "sweep": [f.as_dict() for f in sweep]}
         print(f"{name} tail index: {fit.alpha:.4f} +- {fit.stderr:.4f} "
               f"(k={fit.k}, n={fit.n})")

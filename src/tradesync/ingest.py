@@ -12,31 +12,40 @@ import csv
 import datetime as dt
 import io
 import math
-from collections import Counter
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import ConfigError, DataError
 
 TRADE_FIELDS = ("investor_id", "date", "ticker", "shares", "price", "side", "is_auto")
 QUOTE_FIELDS = ("date", "open", "high", "low")
 
-_BOOL_TOKENS = {
-    "true": True, "1": True, "yes": True,
-    "false": False, "0": False, "no": False,
-}
+_AUTO_TOKENS = {"true": 1, "1": 1, "yes": 1, "false": 0, "0": 0, "no": 0, "": -1}
+_DAY_NUMBERS = dt.date.max.toordinal() + 1  # bound on any date.toordinal()
 
 
 @dataclass(frozen=True)
-class TradeRecord:
-    """One buy/sell operation by one investor on one day in one asset."""
+class TradeColumns:
+    """The fields of parsed trades that the analysis reads, one entry per
+    trade in file order. Investor and ticker are codes into the two id tables;
+    `day` is the date's proleptic Gregorian ordinal (`date.toordinal()`);
+    `is_auto` is 1, 0, or -1 where the flag is missing."""
 
-    investor_id: str
-    date: dt.date
-    ticker: str
-    shares: int
-    price: float
-    side: str
-    is_auto: bool | None = None
+    investor: np.ndarray  # int32
+    ticker: np.ndarray    # int32
+    day: np.ndarray       # int32
+    is_auto: np.ndarray   # int8
+    investor_ids: list[str]
+    tickers: list[str]
+
+    def __len__(self) -> int:
+        return self.day.size
+
+    def take(self, mask: np.ndarray) -> "TradeColumns":
+        return replace(self, investor=self.investor[mask], ticker=self.ticker[mask],
+                       day=self.day[mask], is_auto=self.is_auto[mask])
 
 
 @dataclass(frozen=True)
@@ -50,7 +59,7 @@ class Reject:
 
 @dataclass
 class ParseResult:
-    records: list[TradeRecord]
+    records: TradeColumns
     rejects: list[Reject]
 
     def reject_report(self) -> str:
@@ -81,20 +90,20 @@ class QuoteSeries:
 
 @dataclass
 class TradingCalendar:
-    """Ordered trading days of one asset plus the day -> ordinal index."""
+    """Ordered trading days of one asset, as `date.toordinal()` numbers; a
+    day's calendar ordinal is its index."""
 
     ticker: str
-    days: list[dt.date]
-    index: dict[dt.date, int]
+    day_numbers: np.ndarray
 
-    def ordinal(self, day: dt.date) -> int:
-        try:
-            return self.index[day]
-        except KeyError:
-            raise DataError(f"{day} is not a trading day for {self.ticker}") from None
+    def positions(self, day_numbers: np.ndarray) -> np.ndarray:
+        """Calendar ordinal of each `date.toordinal()` value, -1 off calendar."""
+        pos = np.searchsorted(self.day_numbers, day_numbers)
+        hit = self.day_numbers[np.minimum(pos, len(self) - 1)] == day_numbers
+        return np.where(hit, pos, -1)
 
     def __len__(self) -> int:
-        return len(self.days)
+        return self.day_numbers.size
 
 
 @dataclass(frozen=True)
@@ -123,7 +132,7 @@ class AutoFilterPolicy:
 
 @dataclass
 class FilterResult:
-    retained: list[TradeRecord]
+    retained: TradeColumns
     dropped: int
     retention_by_ticker: dict[str, float]
 
@@ -141,7 +150,8 @@ def parse_trades(source, delimiter: str = ",") -> ParseResult:
     """Parse a trades stream (text file object or str content).
 
     Rows failing validation are reported with their 1-based line number and
-    kept out of the result; a missing mandatory column is fatal.
+    kept out of the result; a missing mandatory column is fatal. Shares, price
+    and side are validated but not kept.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -151,9 +161,13 @@ def parse_trades(source, delimiter: str = ",") -> ParseResult:
     except StopIteration:
         raise ConfigError("trades file is empty") from None
     pos = _header_positions(header, TRADE_FIELDS, TRADE_FIELDS[:6], "trades")
-    has_auto = "is_auto" in pos
+    p_inv, p_date, p_tick, p_shares, p_price, p_side = (pos[f] for f in TRADE_FIELDS[:6])
+    p_auto = pos.get("is_auto")
 
-    records: list[TradeRecord] = []
+    investor, ticker, day, is_auto = array("i"), array("i"), array("i"), array("b")
+    investor_ids: dict[str, int] = {}  # id -> code, in code order
+    tickers: dict[str, int] = {}
+    dates: dict[str, int] = {}  # raw field -> date.toordinal(), 0 if invalid
     rejects: list[Reject] = []
     needed = max(pos.values()) + 1
     for lineno, row in enumerate(reader, start=2):
@@ -162,13 +176,19 @@ def parse_trades(source, delimiter: str = ",") -> ParseResult:
         if len(row) < needed:
             rejects.append(Reject(lineno, "wrong field count"))
             continue
-        try:
-            date = dt.date.fromisoformat(row[pos["date"]].strip())
-        except ValueError:
+        text = row[p_date]
+        ordinal = dates.get(text)
+        if ordinal is None:
+            try:
+                ordinal = dt.date.fromisoformat(text.strip()).toordinal()
+            except ValueError:
+                ordinal = 0
+            dates[text] = ordinal
+        if not ordinal:
             rejects.append(Reject(lineno, "bad date"))
             continue
         try:
-            shares = int(row[pos["shares"]])
+            shares = int(row[p_shares])
         except ValueError:
             rejects.append(Reject(lineno, "bad shares"))
             continue
@@ -176,54 +196,48 @@ def parse_trades(source, delimiter: str = ",") -> ParseResult:
             rejects.append(Reject(lineno, "non-positive shares"))
             continue
         try:
-            price = float(row[pos["price"]])
+            price = float(row[p_price])
         except ValueError:
-            rejects.append(Reject(lineno, "bad price"))
+            price = math.nan
+        if not 0.0 < price < math.inf:  # false for NaN too
+            reason = "non-positive price" if -math.inf < price <= 0.0 else "bad price"
+            rejects.append(Reject(lineno, reason))
             continue
-        if not math.isfinite(price):
-            rejects.append(Reject(lineno, "bad price"))
-            continue
-        if not price > 0:
-            rejects.append(Reject(lineno, "non-positive price"))
-            continue
-        side = row[pos["side"]].strip().lower()
-        if side not in ("buy", "sell"):
+        if row[p_side].strip().lower() not in ("buy", "sell"):
             rejects.append(Reject(lineno, "bad side"))
             continue
-        is_auto = None
-        if has_auto:
-            token = row[pos["is_auto"]].strip().lower()
-            if token:
-                if token not in _BOOL_TOKENS:
-                    rejects.append(Reject(lineno, "bad is_auto"))
-                    continue
-                is_auto = _BOOL_TOKENS[token]
-        records.append(TradeRecord(
-            investor_id=row[pos["investor_id"]].strip(),
-            date=date,
-            ticker=row[pos["ticker"]].strip(),
-            shares=shares,
-            price=price,
-            side=side,
-            is_auto=is_auto,
-        ))
+        auto = -1
+        if p_auto is not None:
+            auto = _AUTO_TOKENS.get(row[p_auto].strip().lower())
+            if auto is None:
+                rejects.append(Reject(lineno, "bad is_auto"))
+                continue
+        investor.append(investor_ids.setdefault(row[p_inv].strip(), len(investor_ids)))
+        ticker.append(tickers.setdefault(row[p_tick].strip(), len(tickers)))
+        day.append(ordinal)
+        is_auto.append(auto)
+    records = TradeColumns(  # array "i" holds C ints, as np.intc does
+        investor=np.frombuffer(investor, dtype=np.intc),
+        ticker=np.frombuffer(ticker, dtype=np.intc),
+        day=np.frombuffer(day, dtype=np.intc),
+        is_auto=np.frombuffer(is_auto, dtype=np.int8),
+        investor_ids=list(investor_ids), tickers=list(tickers))
     return ParseResult(records, rejects)
 
 
-def write_trades(records: list[TradeRecord], stream, delimiter: str = ",",
-                 include_auto: bool | None = None) -> None:
-    """Serialize records in the canonical column order; parse(write(x)) == x."""
-    if include_auto is None:
-        include_auto = any(r.is_auto is not None for r in records)
-    fields = list(TRADE_FIELDS) if include_auto else list(TRADE_FIELDS[:6])
+def write_trades(stream, investor_id, date, ticker, shares, price, side,
+                 is_auto=None, delimiter: str = ",") -> None:
+    """Write equal-length trade columns in the canonical column order: ids,
+    ISO date strings, int shares, float prices (written by repr), 'buy' or
+    'sell'. An `is_auto` column of True, False or None adds the optional
+    field, empty where None."""
+    columns = [investor_id, date, ticker, shares, price, side]
+    if is_auto is not None:
+        columns.append(["" if v is None else ("true" if v else "false")
+                        for v in is_auto])
     writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(fields)
-    for r in records:
-        row = [r.investor_id, r.date.isoformat(), r.ticker, str(r.shares),
-               repr(r.price), r.side]
-        if include_auto:
-            row.append("" if r.is_auto is None else ("true" if r.is_auto else "false"))
-        writer.writerow(row)
+    writer.writerow(TRADE_FIELDS[:len(columns)])
+    writer.writerows(zip(*columns))
 
 
 def parse_quotes(source, ticker: str, delimiter: str = ",") -> QuoteSeries:
@@ -280,45 +294,44 @@ def write_quotes(quotes: QuoteSeries, stream, delimiter: str = ",") -> None:
         writer.writerow([day.isoformat(), repr(o), repr(h), repr(low)])
 
 
-def filter_automatic(trades: list[TradeRecord], policy: AutoFilterPolicy) -> FilterResult:
+def filter_automatic(trades: TradeColumns, policy: AutoFilterPolicy) -> FilterResult:
     """Apply the automatic-operation filter; reports retention per asset."""
     if policy.kind == "none":
-        retained = list(trades)
+        retained = trades
     elif policy.kind == "flag":
-        if any(t.is_auto is None for t in trades):
+        if (trades.is_auto < 0).any():
             raise ConfigError("policy 'flag' requires an is_auto value on every trade")
-        retained = [t for t in trades if not t.is_auto]
-    else:  # threshold
-        per_day = Counter((t.investor_id, t.ticker, t.date) for t in trades)
-        retained = [t for t in trades
-                    if per_day[(t.investor_id, t.ticker, t.date)] <= policy.k]
+        retained = trades.take(trades.is_auto == 0)
+    else:  # threshold: operations per investor-asset-day
+        _, pair = np.unique(trades.investor.astype(np.int64) * len(trades.tickers)
+                            + trades.ticker, return_inverse=True)
+        _, cell, ops = np.unique(pair * _DAY_NUMBERS + trades.day,
+                                 return_inverse=True, return_counts=True)
+        retained = trades.take(ops[cell] <= policy.k)
 
-    total = Counter(t.ticker for t in trades)
-    kept = Counter(t.ticker for t in retained)
-    retention = {tick: kept[tick] / n for tick, n in sorted(total.items())}
+    total = np.bincount(trades.ticker, minlength=len(trades.tickers))
+    kept = np.bincount(retained.ticker, minlength=len(trades.tickers))
+    retention = {tick: int(kept[c]) / int(total[c])
+                 for tick, c in sorted(zip(trades.tickers, range(total.size)))
+                 if total[c]}
     return FilterResult(retained, len(trades) - len(retained), retention)
 
 
 def build_calendar(quotes: QuoteSeries) -> TradingCalendar:
     """Calendar days are exactly the quote days (quote validation already
     guarantees a nonempty, strictly increasing day list)."""
-    return TradingCalendar(
-        ticker=quotes.ticker,
-        days=list(quotes.days),
-        index={d: i for i, d in enumerate(quotes.days)},
-    )
+    return TradingCalendar(quotes.ticker, np.array([d.toordinal() for d in quotes.days],
+                                                  dtype=np.int32))
 
 
-def split_off_calendar(trades: list[TradeRecord], calendar: TradingCalendar
-                       ) -> tuple[list[TradeRecord], list[TradeRecord]]:
+def split_off_calendar(trades: TradeColumns, calendar: TradingCalendar
+                       ) -> tuple[TradeColumns, TradeColumns]:
     """Partition trades into (on-calendar, off-calendar). Off-calendar trades
     cannot be paired with same-day volatility and are excluded from analysis."""
-    on: list[TradeRecord] = []
-    off: list[TradeRecord] = []
-    for t in trades:
-        (on if t.date in calendar.index else off).append(t)
-    return on, off
+    on = calendar.positions(trades.day) >= 0
+    return trades.take(on), trades.take(~on)
 
 
-def select_ticker(trades: list[TradeRecord], ticker: str) -> list[TradeRecord]:
-    return [t for t in trades if t.ticker == ticker]
+def select_ticker(trades: TradeColumns, ticker: str) -> TradeColumns:
+    code = trades.tickers.index(ticker) if ticker in trades.tickers else -1
+    return trades.take(trades.ticker == code)

@@ -6,11 +6,12 @@ population distribution and a shuffled decorrelation baseline.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .activity import ActivitySeries
+from .activity import ActivityMatrix, ActivitySeries
 from .errors import DegenerateInputError
 from .parallel import task_rng
 from .volatility import VolatilitySeries
@@ -114,18 +115,21 @@ def polarization_score(a: ActivitySeries, vol: VolatilitySeries,
     return PolarizationScore(a.investor_id, min(bound, max(-bound, rho)), oc.size)
 
 
-def score_population(series: dict[str, ActivitySeries], vol: VolatilitySeries,
+def score_population(series: ActivityMatrix, vol: VolatilitySeries,
                      min_days: int = 20, nu_moments: str = "trading"
-                     ) -> tuple[list[PolarizationScore], list[Exclusion]]:
+                     ) -> tuple[list[PolarizationScore], Counter]:
+    """Scores in investor-id order, and the number of exclusions by reason.
+    Only investors with at least `min_days` trading days get a dense series."""
+    rows = np.flatnonzero(series.n_active >= min_days)
     scores: list[PolarizationScore] = []
-    excluded: list[Exclusion] = []
-    for inv in sorted(series):
-        out = polarization_score(series[inv], vol, min_days, nu_moments)
+    excluded = Counter({EXCLUDE_FEW_DAYS: len(series) - rows.size})
+    for k in rows.tolist():
+        out = polarization_score(series.row(k), vol, min_days, nu_moments)
         if isinstance(out, PolarizationScore):
             scores.append(out)
         else:
-            excluded.append(out)
-    return scores, excluded
+            excluded[out.reason] += 1
+    return scores, +excluded
 
 
 def population_distribution(scores: list[PolarizationScore], bins: int = 50) -> Histogram:
@@ -144,7 +148,7 @@ def population_distribution(scores: list[PolarizationScore], bins: int = 50) -> 
     )
 
 
-def shuffled_baseline(series: dict[str, ActivitySeries], vol: VolatilitySeries,
+def shuffled_baseline(series: ActivityMatrix, vol: VolatilitySeries,
                       replicas: int = 100, seed: int = 0, min_days: int = 20,
                       nu_moments: str = "trading") -> ShuffledBaseline:
     """Decorrelation baseline: permute nu over each investor's trading days,
@@ -156,8 +160,8 @@ def shuffled_baseline(series: dict[str, ActivitySeries], vol: VolatilitySeries,
     index in sorted id order), so results do not depend on evaluation order.
     """
     eligible: list[tuple[np.ndarray, np.ndarray, float]] = []
-    for inv in sorted(series):
-        m = _moments(series[inv], vol, min_days, nu_moments)
+    for k in np.flatnonzero(series.n_active >= min_days).tolist():
+        m = _moments(series.row(k), vol, min_days, nu_moments)
         if isinstance(m, str):
             continue
         oc, nc, factors, bound = m

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import netmetrics as nm
 from . import polarization as pol
 from . import volatility as vola
 from .errors import ConfigError, DegenerateInputError, TradesyncError
-from .ingest import (AutoFilterPolicy, QuoteSeries, TradeRecord, build_calendar,
+from .ingest import (AutoFilterPolicy, QuoteSeries, TradeColumns, build_calendar,
                      filter_automatic, split_off_calendar)
 from .syncnet import SyncNetwork, build_sync_network, write_edges
 
@@ -59,6 +60,11 @@ class PipelineParams:
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value}")
+        if self.ma_window < 2:
+            raise ConfigError(f"ma_window must be at least 2, got {self.ma_window}")
+        if self.ma_mode == "centered" and self.ma_window % 2 == 0:
+            raise ConfigError(f"centered moving average needs an odd ma_window, "
+                              f"got {self.ma_window}")
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
@@ -82,7 +88,7 @@ class AssetAnalysis:
     belong in the JSON report once every stage has run."""
 
     ticker: str
-    series: dict
+    series: act.ActivityMatrix
     vol: vola.VolatilitySeries
     meso: vola.MesoSeries
     tail_fit: act.TailFit | None
@@ -94,7 +100,7 @@ class AssetAnalysis:
     net: SyncNetwork | None = None
     partition: nm.Partition | None = None
     scores: list[pol.PolarizationScore] = field(default_factory=list)
-    exclusions: list[pol.Exclusion] = field(default_factory=list)
+    exclusions: Counter = field(default_factory=Counter)  # reason -> investors
     histogram: pol.Histogram | None = None
     summary: pol.PolarizationSummary | None = None
     # attribute name -> result, None where the note says why
@@ -110,7 +116,7 @@ class AssetAnalysis:
         return {"mean": s.mean, "variance": s.variance, "mode_bin": s.mode_bin,
                 "shuffled_variance": s.shuffled_variance,
                 "variance_ratio": s.variance_ratio,
-                "scored": len(self.scores), "excluded": len(self.exclusions)}
+                "scored": len(self.scores), "excluded": self.exclusions.total()}
 
     def to_section(self) -> dict:
         def tail(f):
@@ -163,7 +169,7 @@ def _noted(notes: dict, key: str, errors, fn, *args, **kwargs):
 # Degenerate sub-steps (no scores, constant series, too few edges) are
 # recorded under `notes` instead of aborting the asset.
 
-def front_stage(trades: list[TradeRecord], quotes: QuoteSeries,
+def front_stage(trades: TradeColumns, quotes: QuoteSeries,
                 params: PipelineParams) -> AssetAnalysis:
     """Filter, calendar, activity, volatility, meso correlations, tail fits."""
     notes: dict = {}
@@ -173,15 +179,14 @@ def front_stage(trades: list[TradeRecord], quotes: QuoteSeries,
     series = act.build_activity(kept, calendar)
     vol = vola.high_low_volatility(quotes)
     meso = vola.meso_series(series, calendar)
-    totals = [s.total_ops for s in series.values()]
-    opds = [s.opd for s in series.values()]
+    totals, opds = series.total_ops, series.opd
     population = {
         "trades_input": len(trades),
         "trades_after_auto_filter": len(filtered.retained),
         "auto_filter_retention": filtered.retention_by_ticker.get(quotes.ticker),
         "off_calendar_trades": len(off),
         "investors": len(series),
-        "operations": int(sum(totals)),
+        "operations": int(totals.sum()),
     }
     return AssetAnalysis(
         ticker=quotes.ticker, series=series, vol=vol, meso=meso,
@@ -271,7 +276,7 @@ def assortativity_stage(a: AssetAnalysis, params: PipelineParams,
                                 seed=seeds[f"{name}_shuffle"], workers=workers))
 
 
-def analyze_asset(trades: list[TradeRecord], quotes: QuoteSeries,
+def analyze_asset(trades: TradeColumns, quotes: QuoteSeries,
                   params: PipelineParams, root_seed: int = 0,
                   asset_index: int = 0, workers: int | None = None
                   ) -> AssetAnalysis:
@@ -298,11 +303,11 @@ def _write_pairs(path: str, header: str, rows) -> None:
         f.writelines(f"{a}\t{b}\n" for a, b in rows)
 
 
-def write_activity_tables(series: dict, out: str) -> None:
+def write_activity_tables(series: act.ActivityMatrix, out: str) -> None:
     _write_pairs(os.path.join(out, "activity_ccdf.tsv"), "value\tfraction",
-                 act.ccdf([s.total_ops for s in series.values()]))
+                 act.ccdf(series.total_ops))
     _write_pairs(os.path.join(out, "opd_ccdf.tsv"), "value\tfraction",
-                 act.ccdf([s.opd for s in series.values()]))
+                 act.ccdf(series.opd))
     _write_pairs(os.path.join(out, "ops_vs_days.tsv"), "trading_days\ttotal_ops",
                  act.ops_vs_days(series))
 

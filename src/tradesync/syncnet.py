@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activity import ActivitySeries
+from .activity import ActivityMatrix, ActivitySeries
 from .errors import DegenerateInputError
 from .parallel import chunked, map_tasks, resolve_workers, task_rng
 from .volatility import population_correlation
@@ -58,7 +58,7 @@ class SyncNetwork:
     """Undirected simple graph of investors; edges are the pair correlations
     that survived the significance filter. Isolated nodes stay in the node
     set (they are only dropped for display purposes downstream); per-investor
-    numbers stay on the ActivitySeries of each node id."""
+    numbers stay in the asset's ActivityMatrix."""
 
     ticker: str
     node_ids: list[str]
@@ -104,11 +104,17 @@ def _shuffle_exceed_count(x: np.ndarray, y: np.ndarray, shuffles: int,
     s0 = float(np.dot(x, y))
     block = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // max(x.size, 1)))
     count = done = 0
+    # with no day where both are active, every replica's product is >= 0 = s0:
+    # each block counts in full, so it is not drawn
+    disjoint = s0 == 0.0 and (x >= 0).all() and (y >= 0).all()
     while done < shuffles:
         rows = min(block, shuffles - done)
-        xs = np.tile(x, (rows, 1))
-        rng.permuted(xs, axis=1, out=xs)
-        count += int(np.count_nonzero(xs @ y >= s0))
+        if disjoint:
+            count += rows
+        else:
+            xs = np.tile(x, (rows, 1))
+            rng.permuted(xs, axis=1, out=xs)
+            count += int(np.count_nonzero(xs @ y >= s0))
         done += rows
         if level is not None and (1 + count) / (shuffles + 1) >= level:
             break
@@ -183,7 +189,7 @@ def _test_pairs(payload: dict, chunk: range) -> tuple[list[SyncEdge], dict]:
     return edges, counts
 
 
-def build_sync_network(series: dict[str, ActivitySeries], min_ops: int = 20,
+def build_sync_network(series: ActivityMatrix, min_ops: int = 20,
                        shuffles: int = 999, level: float = 0.01, seed: int = 0,
                        workers: int | None = None) -> SyncNetwork:
     """Build the synchronization network for one asset.
@@ -194,16 +200,12 @@ def build_sync_network(series: dict[str, ActivitySeries], min_ops: int = 20,
     counted in the diagnostics; `shuffles_used` totals the shuffles the
     tested pairs drew before they stopped.
     """
-    tickers = {s.ticker for s in series.values()}
-    if len(tickers) > 1:
-        raise ValueError(f"series from multiple assets: {sorted(tickers)}")
-    ticker = tickers.pop() if tickers else ""
-
-    node_ids = sorted(inv for inv, s in series.items() if s.total_ops >= min_ops)
+    rows = np.flatnonzero(series.total_ops >= min_ops).tolist()
+    node_ids = [series.ids[k] for k in rows]
     n = len(node_ids)
     n_pairs = n * (n - 1) // 2
     workers = resolve_workers(workers)
-    payload = {"series": [series[inv] for inv in node_ids], "node_ids": node_ids,
+    payload = {"series": [series.row(k) for k in rows], "node_ids": node_ids,
                "cum": _row_offsets(n), "seed": seed, "shuffles": shuffles,
                "level": level}
     edges: list[SyncEdge] = []
@@ -228,7 +230,7 @@ def build_sync_network(series: dict[str, ActivitySeries], min_ops: int = 20,
         "shuffles_used": counts["shuffles_used"],
         "level": level,
     }
-    net = SyncNetwork(ticker=ticker, node_ids=node_ids, edges=edges,
+    net = SyncNetwork(ticker=series.ticker, node_ids=node_ids, edges=edges,
                       diagnostics=diagnostics)
     net.diagnostics["isolated_nodes"] = len(net.isolated_nodes())
     return net

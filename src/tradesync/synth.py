@@ -11,6 +11,7 @@ consumes, and a truth record keeps every planted quantity for recovery tests.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, GenerationError
-from .ingest import QuoteSeries, TradeRecord, write_quotes, write_trades
+from .ingest import QuoteSeries, write_quotes, write_trades
 from .netmetrics import _endpoint_r
 from .syncnet import SyncEdge, SyncNetwork
 
@@ -99,9 +100,24 @@ class SynthTruth:
         }
 
 
+@dataclass(frozen=True)
+class SynthTrades:
+    """One entry per trade, ordered by agent, then day: agent index, calendar
+    day index, shares, price, and side (1 buy, 0 sell)."""
+
+    agent: np.ndarray
+    day: np.ndarray
+    shares: np.ndarray
+    price: np.ndarray
+    side: np.ndarray
+
+    def __len__(self) -> int:
+        return self.agent.size
+
+
 @dataclass
 class SynthResult:
-    trades: list[TradeRecord]
+    trades: SynthTrades
     quotes: QuoteSeries
     truth: SynthTruth
 
@@ -186,19 +202,8 @@ def generate(config: SynthConfig) -> SynthResult:
 
     lo = low[trade_days]
     prices = lo + (high[trade_days] - lo) * price_frac
-    ids = [agent_id(i) for i in range(n)]
-    trades = [
-        TradeRecord(
-            investor_id=ids[a],
-            date=days[d],
-            ticker=config.ticker,
-            shares=int(s),
-            price=float(p),
-            side="buy" if b else "sell",
-        )
-        for a, d, s, p, b in zip(trade_agents.tolist(), trade_days.tolist(),
-                                 shares.tolist(), prices.tolist(), sides.tolist())
-    ]
+    trades = SynthTrades(agent=trade_agents, day=trade_days, shares=shares,
+                         price=prices, side=sides)
     truth = SynthTruth(lambdas=lambdas, betas=betas, community=labels, nu=nu)
     return SynthResult(trades=trades, quotes=quotes, truth=truth)
 
@@ -211,13 +216,19 @@ def write_synth(result: SynthResult, out_dir: str) -> dict[str, str]:
         "quotes": os.path.join(out_dir, "quotes.csv"),
         "truth": os.path.join(out_dir, "truth.json"),
     }
+    t = result.trades
+    ids = np.array([agent_id(i) for i in range(result.truth.lambdas.size)], dtype=object)
+    dates = np.array([d.isoformat() for d in result.quotes.days], dtype=object)
+    sides = np.array(["sell", "buy"], dtype=object)
     with open(paths["trades"], "w") as f:
-        write_trades(result.trades, f)
+        write_trades(f, ids[t.agent].tolist(), dates[t.day].tolist(),
+                     itertools.repeat(result.quotes.ticker), t.shares.tolist(),
+                     t.price.tolist(), sides[t.side].tolist())
     with open(paths["quotes"], "w") as f:
         write_quotes(result.quotes, f)
     with open(paths["truth"], "w") as f:
-        json.dump(result.truth.as_dict(), f, sort_keys=True)
-        f.write("\n")
+        # dumps runs the C encoder; dump would encode in Python
+        f.write(json.dumps(result.truth.as_dict(), sort_keys=True) + "\n")
     return paths
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError
-from .activity import ActivitySeries
+from .activity import ActivityMatrix
 from .ingest import QuoteSeries, TradingCalendar
 
 
@@ -40,10 +40,9 @@ def high_low_volatility(quotes: QuoteSeries) -> VolatilitySeries:
     return VolatilitySeries(ticker=quotes.ticker, nu=(high - low) / open_)
 
 
-def meso_series(series: dict[str, ActivitySeries], calendar: TradingCalendar) -> MesoSeries:
+def meso_series(series: ActivityMatrix, calendar: TradingCalendar) -> MesoSeries:
     ops = np.zeros(len(calendar), dtype=np.int64)
-    for s in series.values():
-        ops[s.first_day:s.last_day + 1] += s.counts
+    np.add.at(ops, series.day, series.count)
     return MesoSeries(ticker=calendar.ticker, ops=ops)
 
 

@@ -1,11 +1,14 @@
 import datetime as dt
+import io
 
 import numpy as np
 import pytest
 
-from tradesync.activity import ActivitySeries
-from tradesync.ingest import QuoteSeries, TradeRecord, build_calendar
+from tradesync.activity import ActivityMatrix, ActivitySeries
+from tradesync.ingest import (QuoteSeries, TradeColumns, build_calendar, parse_trades,
+                              write_trades)
 from tradesync.syncnet import SyncEdge, SyncNetwork
+from tradesync.synth import agent_id
 
 
 def make_quotes(n_days: int, ticker: str = "TST", start=dt.date(2003, 1, 6),
@@ -25,20 +28,65 @@ def make_quotes(n_days: int, ticker: str = "TST", start=dt.date(2003, 1, 6),
 
 def make_trade(investor: str, day: dt.date, ticker: str = "TST",
                shares: int = 100, price: float = 10.0, side: str = "buy",
-               is_auto=None) -> TradeRecord:
-    return TradeRecord(investor_id=investor, date=day, ticker=ticker,
-                       shares=shares, price=price, side=side, is_auto=is_auto)
+               is_auto=None) -> tuple:
+    """One trade as a row of the trades file's fields, in column order."""
+    return (investor, day, ticker, shares, price, side, is_auto)
 
 
-def series_from_counts(counts, investor="I1", ticker="TST", first_day=0
-                       ) -> ActivitySeries:
+def columns(trades) -> TradeColumns:
+    """Rows from `make_trade`, written as a trades file and parsed back."""
+    buf = io.StringIO()
+    inv, day, tick, shares, price, side, auto = (list(c) for c in zip(*trades)) \
+        if trades else ([],) * 7
+    write_trades(buf, inv, [d.isoformat() for d in day], tick, shares, price, side,
+                 auto if any(v is not None for v in auto) else None)
+    parsed = parse_trades(buf.getvalue())
+    assert parsed.rejects == []
+    return parsed.records
+
+
+def synth_columns(res) -> TradeColumns:
+    """A synth result's trades as `parse_trades` keeps them from its file."""
+    n = len(res.trades)
+    day_numbers = np.array([d.toordinal() for d in res.quotes.days], dtype=np.int32)
+    return TradeColumns(
+        investor=res.trades.agent.astype(np.int32), ticker=np.zeros(n, dtype=np.int32),
+        day=day_numbers[res.trades.day], is_auto=np.full(n, -1, dtype=np.int8),
+        investor_ids=[agent_id(i) for i in range(res.truth.lambdas.size)],
+        tickers=[res.quotes.ticker])
+
+
+def rows_of(trades: TradeColumns) -> list[tuple]:
+    """(investor, date, ticker, is_auto) of each trade, decoded from the codes."""
+    auto = {-1: None, 0: False, 1: True}
+    return [(trades.investor_ids[i], dt.date.fromordinal(d), trades.tickers[t], auto[a])
+            for i, d, t, a in zip(trades.investor.tolist(), trades.day.tolist(),
+                                  trades.ticker.tolist(), trades.is_auto.tolist())]
+
+
+def series_from_counts(counts, investor="I1", first_day=0) -> ActivitySeries:
     """Activity series straight from a day-count vector (leading/trailing
     zeros trimmed as the span definition requires)."""
-    counts = list(counts)
-    lo = next(i for i, c in enumerate(counts) if c > 0)
-    hi = max(i for i, c in enumerate(counts) if c > 0)
-    day_counts = {first_day + i: c for i, c in enumerate(counts) if lo <= i <= hi and c > 0}
-    return ActivitySeries.from_day_counts(investor, ticker, day_counts)
+    counts = np.asarray(counts, dtype=np.int64)
+    active = np.flatnonzero(counts > 0)
+    trimmed = counts[active[0]:active[-1] + 1].copy()
+    return ActivitySeries(investor_id=investor, first_day=first_day + int(active[0]),
+                          last_day=first_day + int(active[-1]), counts=trimmed,
+                          total_ops=int(trimmed.sum()), n_active=active.size)
+
+
+def matrix(series, ticker="TST") -> ActivityMatrix:
+    """The activity matrix of one asset's per-investor series."""
+    series = sorted(series, key=lambda s: s.investor_id)
+    active = [np.flatnonzero(s.counts) for s in series]
+    return ActivityMatrix(
+        ticker=ticker,
+        ids=[s.investor_id for s in series],
+        indptr=np.cumsum([0, *map(len, active)]),
+        day=np.concatenate([[], *(s.first_day + a for s, a in zip(series, active))]
+                           ).astype(np.int64),
+        count=np.concatenate([[], *(s.counts[a] for s, a in zip(series, active))]
+                             ).astype(np.int64))
 
 
 def fixture_network(n_nodes: int, edges, ticker="TST") -> SyncNetwork:

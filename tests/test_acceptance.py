@@ -14,7 +14,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from conftest import complete_bipartite, series_from_counts, two_cliques
+from conftest import (complete_bipartite, matrix, series_from_counts, synth_columns,
+                      two_cliques)
 from oracles import (bruteforce_activity_vol_correlation,
                      bruteforce_pair_correlation, endpoint_assortativity)
 from tradesync.activity import build_activity, hill_fit
@@ -88,8 +89,8 @@ def test_criterion_3_zipf_recovery():
     t0 = time.perf_counter()
     cfg = SynthConfig(n_agents=5000, n_days=2000, activity_tail_alpha=1.0, seed=101)
     res = generate(cfg)
-    series = build_activity(res.trades, build_calendar(res.quotes))
-    fit = hill_fit([s.total_ops for s in series.values()])
+    series = build_activity(synth_columns(res), build_calendar(res.quotes))
+    fit = hill_fit(series.total_ops)
     elapsed = time.perf_counter() - t0
     ok = abs(fit.alpha - 1.0) <= 0.1 and elapsed < 60.0
     _verdict(3, "planted Zipf tail recovery", ok,
@@ -111,7 +112,7 @@ def test_criterion_4_permutation_false_positive_rate():
     tested = retained = 0
     for k in range(n_pairs):
         pair = (slist[k], slist[n_pairs + k])
-        net = build_sync_network({s.investor_id: s for s in pair}, min_ops=1,
+        net = build_sync_network(matrix(pair), min_ops=1,
                                  shuffles=999, level=0.01, seed=4040 + k, workers=1)
         tested += net.diagnostics["pairs_tested"]
         retained += len(net.edges)
@@ -132,7 +133,7 @@ def test_criterion_5_planted_synchronization():
                           beta_mean=0.0, beta_sd=0.0, base_rate_scale=0.04,
                           communities=(CommunitySpec(20, 1.0),), seed=seed)
         res = generate(cfg)
-        series = build_activity(res.trades, build_calendar(res.quotes))
+        series = build_activity(synth_columns(res), build_calendar(res.quotes))
         net = build_sync_network(series, min_ops=20, shuffles=499, level=0.01,
                                  seed=seed + 5000, workers=None)
         planted = {f"A{i:05d}" for i in range(20)}
@@ -206,7 +207,7 @@ def _polarization_run(seed: int, beta_mean: float, beta_sd: float):
     cfg = SynthConfig(n_agents=400, n_days=250, beta_mean=beta_mean,
                       beta_sd=beta_sd, base_rate_scale=0.5, seed=seed)
     res = generate(cfg)
-    series = build_activity(res.trades, build_calendar(res.quotes))
+    series = build_activity(synth_columns(res), build_calendar(res.quotes))
     vol = high_low_volatility(res.quotes)
     scores, _ = score_population(series, vol, min_days=20)
     baseline = shuffled_baseline(series, vol, replicas=40, seed=seed + 900,

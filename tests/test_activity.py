@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_trade, series_from_counts
+from conftest import columns, make_trade, matrix, series_from_counts
 from oracles import bruteforce_hill, least_squares_slope
-from tradesync.activity import (build_activity, ccdf, hill_fit, hill_sweep,
-                                ops_vs_days)
+from tradesync.activity import build_activity, ccdf, hill_fit, hill_sweep, ops_vs_days
 from tradesync.errors import DataError, DegenerateInputError
 
 
@@ -17,7 +16,7 @@ class TestBuildActivity:
         days = quotes20.days
         trades = [make_trade("A", days[3]), make_trade("A", days[3]),
                   make_trade("A", days[7])]
-        series = build_activity(trades, calendar20)["A"]
+        series = build_activity(columns(trades), calendar20)["A"]
         assert series.first_day == 3 and series.last_day == 7
         assert list(series.counts) == [2, 0, 0, 0, 1]
         assert series.total_ops == 3
@@ -26,20 +25,21 @@ class TestBuildActivity:
         assert series.opd == 1.5
 
     def test_single_trade_boundary(self, calendar20, quotes20):
-        series = build_activity([make_trade("B", quotes20.days[9])], calendar20)["B"]
+        series = build_activity(columns([make_trade("B", quotes20.days[9])]),
+                                calendar20)["B"]
         assert series.n_active == series.span == 1
         assert series.opd == 1.0
 
     def test_opd_definition(self, calendar20, quotes20):
         trades = [make_trade("C", quotes20.days[d]) for d in range(20)] * 2
-        series = build_activity(trades, calendar20)["C"]
+        series = build_activity(columns(trades), calendar20)["C"]
         assert series.total_ops == 40
         assert series.n_active == 20
         assert series.opd == 2.0
 
     def test_wrong_ticker_raises(self, calendar20, quotes20):
         with pytest.raises(DataError):
-            build_activity([make_trade("A", quotes20.days[0], ticker="XXX")],
+            build_activity(columns([make_trade("A", quotes20.days[0], ticker="XXX")]),
                            calendar20)
 
     def test_invariants_on_random_populations(self, rng, calendar20, quotes20):
@@ -48,7 +48,7 @@ class TestBuildActivity:
         for i in range(50):
             for d in rng.integers(0, 20, size=rng.integers(1, 30)):
                 trades.append(make_trade(f"I{i:02d}", days[int(d)]))
-        for s in build_activity(trades, calendar20).values():
+        for s in build_activity(columns(trades), calendar20).values():
             assert s.n_active <= s.span
             assert s.opd >= s.total_ops / s.span
             assert s.counts[0] > 0 and s.counts[-1] > 0
@@ -152,10 +152,11 @@ class TestOpsVsDays:
             counts = [1] * n_days
             counts[0] += ops - n_days
             series[name] = series_from_counts(counts, investor=name)
-        assert ops_vs_days(series) == [(1, 1), (10, 15), (100, 400)]
+        assert ops_vs_days(matrix(series.values())) == \
+            [(1, 1), (10, 15), (100, 400)]
 
     def test_empty(self):
-        assert ops_vs_days({}) == []
+        assert ops_vs_days(matrix([])) == []
 
     def test_positive_slope_on_synthetic_population(self, rng):
         series = {}
@@ -163,7 +164,7 @@ class TestOpsVsDays:
             n_days = int(rng.integers(1, 60))
             counts = rng.poisson(2.0, n_days) + 1
             series[f"I{i:03d}"] = series_from_counts(counts, investor=f"I{i:03d}")
-        rows = ops_vs_days(series)
+        rows = ops_vs_days(matrix(series.values()))
         slope = least_squares_slope([float(r[0]) for r in rows],
                                     [float(r[1]) for r in rows])
         assert slope > 0

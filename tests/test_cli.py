@@ -193,11 +193,15 @@ def test_report_rejects_zero_replicas(synth_data, tmp_path, capsys, shuffles):
     ("--swap-factor", "-3", "swap_factor must be at least 1, got -3"),
     ("--bins", "0", "bins must be at least 1, got 0"),
     ("--opd-cap", "-1", "opd_cap must be at least 1, got -1"),
+    ("--ma-window", "0", "ma_window must be at least 2, got 0"),
+    ("--ma-window", "1", "ma_window must be at least 2, got 1"),
+    ("--ma-mode", "centered --ma-window 4",
+     "centered moving average needs an odd ma_window, got 4"),
 ])
 def test_report_rejects_out_of_range_parameters(synth_data, tmp_path, capsys, flag,
                                                 value, message):
     out = tmp_path / "bad"
-    assert main(["report"] + _common(synth_data, out, (flag, value))) == 2
+    assert main(["report"] + _common(synth_data, out, (flag, *value.split()))) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 

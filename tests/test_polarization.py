@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import series_from_counts
+from conftest import matrix, series_from_counts
 from oracles import bruteforce_activity_vol_correlation
 from tradesync.errors import DegenerateInputError
 from tradesync.parallel import task_rng
@@ -117,7 +117,7 @@ def _population(rng, n_inv, n_days, beta=0.0, nu=None):
         counts[-1] = max(counts[-1], 1)
         inv = f"I{i:04d}"
         series[inv] = series_from_counts(counts, investor=inv)
-    return series, VolatilitySeries("TST", nu)
+    return matrix(series.values()), VolatilitySeries("TST", nu)
 
 
 class TestShuffledBaseline:
@@ -165,7 +165,7 @@ class TestShuffledBaseline:
         nu[days] += 0.04 * r.standard_normal(30)
         counts = np.zeros(300, dtype=int)
         counts[days] = r.integers(1, 9, size=30)
-        series = {"I1": series_from_counts(counts)}
+        series = matrix([series_from_counts(counts)])
         replicas = 50
         baseline = shuffled_baseline(series, _vol(nu), replicas=replicas, seed=6,
                                      nu_moments=nu_moments)
@@ -185,9 +185,10 @@ class TestShuffledBaseline:
 
     def test_eligibility_invariants(self, rng):
         series, vol = _population(rng, 120, 150)
-        series["LONELY"] = series_from_counts([1, 2, 1], investor="LONELY")
+        series = matrix([
+            *series.values(), series_from_counts([1, 2, 1], investor="LONELY")])
         scores, exclusions = score_population(series, vol, min_days=20)
         assert all(s.trading_days_used >= 20 for s in scores)
-        reasons = {e.reason for e in exclusions}
+        reasons = set(exclusions)
         assert reasons <= {EXCLUDE_FEW_DAYS, EXCLUDE_CONST_OPS, "constant-volatility"}
-        assert len(scores) + len(exclusions) == len(series)
+        assert len(scores) + exclusions.total() == len(series)

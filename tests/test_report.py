@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from conftest import synth_columns
 from tradesync import netmetrics
 from tradesync.errors import ConfigError, DegenerateInputError
 from tradesync.ingest import select_ticker
@@ -38,8 +39,8 @@ def test_each_null_draws_its_own_stream(monkeypatch):
                                base_rate_scale=0.1,
                                communities=(CommunitySpec(8, 1.0),), seed=3))
     params = PipelineParams(shuffles=199, replicas=20)
-    analysis = analyze_asset(select_ticker(res.trades, res.quotes.ticker), res.quotes,
-                             params, root_seed=5, workers=1)
+    trades = select_ticker(synth_columns(res), res.quotes.ticker)
+    analysis = analyze_asset(trades, res.quotes, params, root_seed=5, workers=1)
     assert None not in (analysis.assortativity["rho_ov"], analysis.assortativity["opd"])
     seeds = derive_seeds(5, 0)
     assert drawn == [("rewire", seeds["rho_ov_rewire"]),
@@ -62,8 +63,8 @@ def test_a_failing_shuffle_null_keeps_r_and_the_rewire_null(monkeypatch):
                                base_rate_scale=0.1,
                                communities=(CommunitySpec(8, 1.0),), seed=3))
     params = PipelineParams(shuffles=199, replicas=20)
-    analysis = analyze_asset(select_ticker(res.trades, res.quotes.ticker), res.quotes,
-                             params, root_seed=5, workers=1)
+    trades = select_ticker(synth_columns(res), res.quotes.ticker)
+    analysis = analyze_asset(trades, res.quotes, params, root_seed=5, workers=1)
     opd = analysis.assortativity["opd"]
     assert opd.null_shuffle is None and opd.null_rewire.replicas == 20
     assert analysis.notes["assortativity_opd_null_shuffle"] == "every replica undefined"
@@ -77,8 +78,8 @@ def test_a_failing_shuffle_null_keeps_r_and_the_rewire_null(monkeypatch):
 def test_negative_edge_weights_become_a_modularity_note():
     res = generate(SynthConfig(n_agents=30, n_days=80, base_rate_scale=0.1, seed=3))
     params = PipelineParams(min_ops=5, shuffles=99, p_level=0.9)
-    analysis = front_stage(select_ticker(res.trades, res.quotes.ticker), res.quotes,
-                           params)
+    trades = select_ticker(synth_columns(res), res.quotes.ticker)
+    analysis = front_stage(trades, res.quotes, params)
     network_stage(analysis, params, derive_seeds(5, 0), workers=1)
     # a level this lax keeps negatively correlated pairs, which Louvain refuses
     assert any(e.rho < 0 for e in analysis.net.edges)
@@ -91,8 +92,8 @@ def _scored_network(params):
                                base_rate_scale=0.1,
                                communities=(CommunitySpec(8, 1.0),), seed=3))
     seeds = derive_seeds(5, 0)
-    analysis = front_stage(select_ticker(res.trades, res.quotes.ticker), res.quotes,
-                           params)
+    trades = select_ticker(synth_columns(res), res.quotes.ticker)
+    analysis = front_stage(trades, res.quotes, params)
     network_stage(analysis, params, seeds, workers=1)
     score_stage(analysis, params)
     return analysis, seeds

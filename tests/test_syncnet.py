@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import series_from_counts
+from conftest import matrix, series_from_counts
 from oracles import bruteforce_pair_correlation
 from tradesync import syncnet
 from tradesync.errors import DegenerateInputError
@@ -134,6 +134,11 @@ def _replayed_exceedances(x, y, shuffles, rng):
     return np.array(flags)
 
 
+def _build(series, **kwargs):
+    """build_sync_network on a dict of series, joined into one matrix."""
+    return build_sync_network(matrix(series.values()), **kwargs)
+
+
 def _population(rng, n_investors=24, n_days=80, lam=1.0):
     series = {}
     for i in range(n_investors):
@@ -155,8 +160,7 @@ class TestBuildSyncNetwork:
             counts[0] = max(counts[0], 1)
             counts[-1] = max(counts[-1], 1)
             series[inv] = series_from_counts(counts, investor=inv)
-        net = build_sync_network(series, min_ops=20, shuffles=499, level=0.01,
-                                 seed=3, workers=1)
+        net = _build(series, min_ops=20, shuffles=499, level=0.01, seed=3, workers=1)
         kept_pairs = {(e.i, e.j) for e in net.edges}
         assert ("SYNC_A", "SYNC_B") in kept_pairs
         # spurious edges stay near the false-positive level
@@ -164,8 +168,7 @@ class TestBuildSyncNetwork:
 
     def test_min_ops_filter_empties_network(self, rng):
         series = _population(rng, n_investors=6, n_days=10, lam=0.5)
-        net = build_sync_network(series, min_ops=1000, shuffles=199, seed=0,
-                                 workers=1)
+        net = _build(series, min_ops=1000, shuffles=199, seed=0, workers=1)
         assert net.node_ids == []
         assert net.edges == []
 
@@ -173,15 +176,14 @@ class TestBuildSyncNetwork:
         counts = [3, 1, 2, 5, 1, 2, 4, 1, 2, 3]
         series = {f"I{i}": series_from_counts(counts, investor=f"I{i}")
                   for i in range(6)}
-        net = build_sync_network(series, min_ops=1, shuffles=199, level=0.01,
-                                 seed=1, workers=1)
+        net = _build(series, min_ops=1, shuffles=199, level=0.01, seed=1, workers=1)
         assert len(net.edges) == 15
         assert all(e.rho == 1.0 for e in net.edges)
 
     def test_parallel_equals_serial(self, rng):
         series = _population(rng, n_investors=16, n_days=60)
-        net1 = build_sync_network(series, min_ops=5, shuffles=199, seed=9, workers=1)
-        net2 = build_sync_network(series, min_ops=5, shuffles=199, seed=9, workers=2)
+        net1 = _build(series, min_ops=5, shuffles=199, seed=9, workers=1)
+        net2 = _build(series, min_ops=5, shuffles=199, seed=9, workers=2)
         assert net1.edges == net2.edges
         assert net1.diagnostics == net2.diagnostics
 
@@ -189,8 +191,7 @@ class TestBuildSyncNetwork:
         series = _population(rng, n_investors=12, n_days=50)
         bufs = []
         for _ in range(2):
-            net = build_sync_network(series, min_ops=5, shuffles=199, seed=4,
-                                     workers=1)
+            net = _build(series, min_ops=5, shuffles=199, seed=4, workers=1)
             buf = io.StringIO()
             write_edges(net, buf)
             bufs.append(buf.getvalue())
@@ -200,8 +201,8 @@ class TestBuildSyncNetwork:
         series = _population(rng, n_investors=18, n_days=60)
         counts = []
         for level in (0.002, 0.01, 0.05, 0.2):
-            net = build_sync_network(series, min_ops=5, shuffles=499, seed=2,
-                                     level=level, workers=1)
+            net = _build(series, min_ops=5, shuffles=499, seed=2, level=level,
+                         workers=1)
             counts.append(len(net.edges))
         assert counts == sorted(counts)
 
@@ -209,20 +210,13 @@ class TestBuildSyncNetwork:
         series = _population(rng, n_investors=14, n_days=40)
         # one investor active on a single day: degenerate in most windows
         series["FLAT"] = series_from_counts([2], investor="FLAT", first_day=20)
-        net = build_sync_network(series, min_ops=1, shuffles=199, seed=5, workers=1)
+        net = _build(series, min_ops=1, shuffles=199, seed=5, workers=1)
         d = net.diagnostics
         assert d["pairs_total"] == d["pairs_disjoint"] + d["pairs_short_overlap"] \
             + d["pairs_degenerate"] + d["pairs_tested"]
         assert d["edges_retained"] == len(net.edges)
         assert "permute" not in d
         assert d["pairs_tested"] <= d["shuffles_used"] < d["pairs_tested"] * d["shuffles"]
-
-    def test_mixed_tickers_rejected(self):
-        s1 = series_from_counts([1, 2], investor="A")
-        s2 = series_from_counts([1, 2], investor="B")
-        object.__setattr__(s2, "ticker", "OTHER")
-        with pytest.raises(ValueError):
-            build_sync_network({"A": s1, "B": s2}, workers=1)
 
     def test_pair_outcomes_counted_by_status(self):
         series = {
@@ -231,7 +225,7 @@ class TestBuildSyncNetwork:
             "c": series_from_counts([1, 1], investor="c", first_day=30),  # disjoint
             "d": series_from_counts([5], investor="d", first_day=2),      # short
         }
-        net = build_sync_network(series, min_ops=1, shuffles=199, seed=1, workers=1)
+        net = _build(series, min_ops=1, shuffles=199, seed=1, workers=1)
         d = net.diagnostics
         assert (d["pairs_total"], d["pairs_tested"], d["pairs_disjoint"],
                 d["pairs_short_overlap"], d["pairs_degenerate"]) == (6, 1, 3, 2, 0)
@@ -261,7 +255,7 @@ def _stop_point(flags, shuffles, level, block_rows):
 
 
 def _network(slist, **kwargs):
-    return build_sync_network({s.investor_id: s for s in slist}, min_ops=1,
+    return build_sync_network(matrix(slist), min_ops=1,
                               workers=1, **kwargs)
 
 
@@ -322,3 +316,27 @@ class TestEarlyStopping:
                        seed=5)
         assert [e.pvalue for e in net.edges] == [level]
         assert net.diagnostics["shuffles_used"] == shuffles
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 50])
+    @pytest.mark.parametrize("level", [None, 0.003, 0.01, 0.05, 0.2, 1.0])
+    def test_pair_without_common_days_skips_the_draws(self, monkeypatch, block_rows,
+                                                      level):
+        monkeypatch.setattr(syncnet, "_BLOCK_ROWS", block_rows)
+        data = np.random.default_rng(31)
+        x_days = data.random(90) < 0.5
+        x = (data.integers(1, 4, 90) * x_days).astype(float)
+        y = (data.integers(1, 4, 90) * ~x_days).astype(float)
+        shuffles = 199
+        for shared in (False, True):
+            if shared:  # one common day makes x.y = 1, and the pair draws
+                k = np.flatnonzero(x_days)[0]
+                x[k] = y[k] = 1.0
+            flags = _replayed_exceedances(x, y, shuffles, task_rng(8, 2, 5))
+            assert flags.all() or shared  # every product reaches x.y = 0
+            done = shuffles if level is None else _stop_point(flags, shuffles, level,
+                                                              block_rows)
+            rng = task_rng(8, 2, 5)
+            state = rng.bit_generator.state
+            assert syncnet._shuffle_exceed_count(x, y, shuffles, rng, level) == \
+                (int(flags[:done].sum()), done)
+            assert (rng.bit_generator.state == state) == (not shared)

@@ -1,15 +1,16 @@
-import io
+import hashlib
 
 import numpy as np
 import pytest
 
+from conftest import rows_of, synth_columns
 from tradesync.errors import GenerationError
-from tradesync.ingest import build_calendar, parse_quotes, parse_trades, write_quotes, write_trades
+from tradesync.ingest import build_calendar, parse_quotes, parse_trades
 from tradesync.activity import build_activity
 from tradesync.netmetrics import assortativity
 from tradesync.polarization import score_population
 from tradesync.synth import (Ar1Config, CommunitySpec, SynthConfig, generate,
-                             plant_assortative_network)
+                             plant_assortative_network, write_synth)
 from tradesync.volatility import high_low_volatility
 
 
@@ -35,34 +36,48 @@ class TestConfigValidation:
             _cfg(**kw)
 
 
+def _files(res, out) -> dict[str, bytes]:
+    paths = write_synth(res, str(out))
+    return {name: open(path, "rb").read() for name, path in paths.items()}
+
+
 class TestGenerate:
-    def test_same_seed_byte_identical(self):
-        outs = []
-        for _ in range(2):
-            res = generate(_cfg())
-            t = io.StringIO()
-            q = io.StringIO()
-            write_trades(res.trades, t)
-            write_quotes(res.quotes, q)
-            outs.append((t.getvalue(), q.getvalue()))
+    def test_same_seed_byte_identical(self, tmp_path):
+        outs = [_files(generate(_cfg()), tmp_path / f"run{k}") for k in range(2)]
         assert outs[0] == outs[1]
-        assert generate(_cfg(seed=43)).trades != generate(_cfg()).trades
+        other = _files(generate(_cfg(seed=43)), tmp_path / "other")
+        assert other["trades"] != outs[0]["trades"]
+
+    def test_files_are_pinned(self, tmp_path):
+        # a fixed small config: any change to the draws or the file format shows
+        cfg = _cfg(beta_mean=0.3, communities=(CommunitySpec(6, 0.8),))
+        digests = {name: hashlib.sha256(blob).hexdigest()
+                   for name, blob in _files(generate(cfg), tmp_path).items()}
+        assert digests == {
+            "trades": "3fc06093238b53d39448c6a492e8b653b949fd009c865c4a9b1f97b70827d8ad",
+            "quotes": "29acad3e09ff65a13c57395a675a909d3ee1203817e4930a29aa0ab76c5b1532",
+            "truth": "d8d592c184571288bf86c7c0787f5dc2a9432c0af818abe1ff38e6070a61eb3d",
+        }
 
     def test_quotes_reproduce_planted_volatility(self):
         res = generate(_cfg())
         vol = high_low_volatility(res.quotes)
         assert np.allclose(vol.nu, res.truth.nu, rtol=0, atol=1e-12)
 
-    def test_emitted_files_reingest_cleanly(self):
+    def test_emitted_files_reingest_cleanly(self, tmp_path):
         res = generate(_cfg())
-        t = io.StringIO()
-        write_trades(res.trades, t)
-        parsed = parse_trades(t.getvalue())
+        files = _files(res, tmp_path)
+        parsed = parse_trades(files["trades"].decode())
         assert parsed.rejects == []
-        assert parsed.records == res.trades
-        q = io.StringIO()
-        write_quotes(res.quotes, q)
-        reparsed = parse_quotes(q.getvalue(), res.quotes.ticker)
+        assert rows_of(parsed.records) == rows_of(synth_columns(res))
+        # shares, price and side are only validated on parse: the file holds
+        # the generated values exactly
+        fields = [line.split(",") for line in files["trades"].decode().splitlines()[1:]]
+        t = res.trades
+        assert [(int(f[3]), float(f[4]), f[5]) for f in fields] == list(zip(
+            t.shares.tolist(), t.price.tolist(),
+            [("sell", "buy")[b] for b in t.side.tolist()]))
+        reparsed = parse_quotes(files["quotes"].decode(), res.quotes.ticker)
         assert reparsed.days == res.quotes.days
 
     def test_truth_shapes_and_labels(self):
@@ -81,7 +96,7 @@ class TestGenerate:
                    base_rate_scale=0.5, seed=11)
         res = generate(cfg)
         cal = build_calendar(res.quotes)
-        series = build_activity(res.trades, cal)
+        series = build_activity(synth_columns(res), cal)
         vol = high_low_volatility(res.quotes)
         scores, _ = score_population(series, vol, min_days=20)
         vals = np.array([s.rho_ov for s in scores])
@@ -94,7 +109,7 @@ class TestGenerate:
                    base_rate_scale=0.5, seed=12)
         res = generate(cfg)
         cal = build_calendar(res.quotes)
-        series = build_activity(res.trades, cal)
+        series = build_activity(synth_columns(res), cal)
         vol = high_low_volatility(res.quotes)
         scores, _ = score_population(series, vol, min_days=20)
         vals = np.array([s.rho_ov for s in scores])
@@ -105,7 +120,7 @@ class TestGenerate:
                    seed=9)
         res = generate(cfg)
         cal = build_calendar(res.quotes)
-        series = build_activity(res.trades, cal)
+        series = build_activity(synth_columns(res), cal)
         a = series["A00000"]
         b = series["A00001"]
         start = max(a.first_day, b.first_day)

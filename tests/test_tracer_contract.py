@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import series_from_counts
+from conftest import matrix, series_from_counts
 from tradesync.polarization import shuffled_baseline
 from tradesync.syncnet import build_sync_network
 from tradesync.volatility import VolatilitySeries
@@ -33,9 +33,9 @@ def tracer():
 
 def _series(n_inv=6, n_days=60, seed=4):
     rng = np.random.default_rng(seed)
-    return {f"I{k}": series_from_counts(rng.integers(1, 6, size=n_days),
-                                        investor=f"I{k}")
-            for k in range(n_inv)}
+    return matrix(
+        series_from_counts(rng.integers(1, 6, size=n_days), investor=f"I{k}")
+        for k in range(n_inv))
 
 
 def test_every_target_is_a_function_of_its_module(tracer):

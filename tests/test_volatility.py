@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_quotes, series_from_counts
+from conftest import make_quotes, matrix, series_from_counts
 from oracles import bruteforce_pair_correlation, trailing_ma_residual
 from tradesync.errors import DegenerateInputError
 from tradesync.ingest import QuoteSeries
@@ -49,7 +49,7 @@ class TestMesoSeries:
             "A": series_from_counts([1, 0, 2], first_day=0, investor="A"),
             "B": series_from_counts([3, 1], first_day=1, investor="B"),
         }
-        meso = meso_series(series, calendar20)
+        meso = meso_series(matrix(series.values()), calendar20)
         assert list(meso.ops[:4]) == [1, 3, 3, 0]
         assert meso.ops.sum() == sum(s.total_ops for s in series.values())
         assert len(meso) == 20
