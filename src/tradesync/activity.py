@@ -8,7 +8,6 @@ operations-per-day is quantified with the Hill estimator.
 
 from __future__ import annotations
 
-import bisect
 import datetime as dt
 import math
 from collections.abc import Mapping
@@ -35,16 +34,6 @@ class ActivitySeries:
     total_ops: int
     n_active: int
 
-    @property
-    def span(self) -> int:
-        """Trading days between first and last operation, inclusive."""
-        return self.last_day - self.first_day + 1
-
-    @property
-    def opd(self) -> float:
-        """Operations per active trading day."""
-        return self.total_ops / self.n_active
-
     def window(self, start: int, end: int) -> np.ndarray:
         """Counts over calendar ordinals [start, end]; must lie inside the span."""
         if start < self.first_day or end > self.last_day:
@@ -64,6 +53,7 @@ class ActivityMatrix(Mapping[str, ActivitySeries]):
                  day: np.ndarray, count: np.ndarray):
         self.ticker = ticker
         self.ids = ids
+        self._rows = {inv: k for k, inv in enumerate(ids)}
         self.indptr, self.day, self.count = indptr, day, count
         starts, ends = indptr[:-1], indptr[1:]
         self.n_active = ends - starts
@@ -74,6 +64,7 @@ class ActivityMatrix(Mapping[str, ActivitySeries]):
 
     @property
     def opd(self) -> np.ndarray:
+        """Operations per active trading day of each row."""
         return self.total_ops / self.n_active
 
     def __len__(self) -> int:
@@ -83,10 +74,11 @@ class ActivityMatrix(Mapping[str, ActivitySeries]):
         return iter(self.ids)
 
     def __getitem__(self, investor_id: str) -> ActivitySeries:
-        k = bisect.bisect_left(self.ids, investor_id)
-        if k == len(self.ids) or self.ids[k] != investor_id:
-            raise KeyError(investor_id)
-        return self.row(k)
+        return self.row(self._rows[investor_id])
+
+    def rows_of(self, investor_ids) -> np.ndarray:
+        """Row index of each of `investor_ids`; KeyError for an absent id."""
+        return np.array([self._rows[inv] for inv in investor_ids], dtype=np.int64)
 
     def row(self, k: int) -> ActivitySeries:
         lo, hi = int(self.indptr[k]), int(self.indptr[k + 1])
@@ -202,8 +194,7 @@ def ops_vs_days(series: ActivityMatrix) -> list[tuple[int, int]]:
 
 def write_nodes(series: ActivityMatrix, node_ids, stream) -> None:
     """Per-investor activity row of each of `node_ids`, in the given order."""
-    rows = np.array([bisect.bisect_left(series.ids, inv) for inv in node_ids],
-                    dtype=np.int64)
+    rows = series.rows_of(node_ids)
     stream.write("investor\ttotal_ops\tN\tT\topd\n")
     stream.writelines(
         f"{inv}\t{ops}\t{n}\t{span}\t{opd!r}\n" for inv, ops, n, span, opd in zip(

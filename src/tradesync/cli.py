@@ -290,7 +290,7 @@ def cmd_synth(args) -> int:
     )
     result = generate(config)
     paths = write_synth(result, args.out_dir)
-    print(f"synth: {len(result.trades)} trades over {args.days} days "
+    print(f"synth: {result.agent.size} trades over {args.days} days "
           f"-> {paths['trades']}")
     return 0
 

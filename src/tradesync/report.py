@@ -213,8 +213,8 @@ def network_stage(a: AssetAnalysis, params: PipelineParams, seeds: dict[str, int
                          nm.louvain, a.net, seeds["louvain"])
     a.population.update({
         "network_investors": len(a.net.node_ids),
-        "network_operations": int(sum(
-            a.series[n].total_ops for n in a.net.node_ids)),
+        "network_operations": int(
+            a.series.total_ops[a.series.rows_of(a.net.node_ids)].sum()),
         "connected_investors": len(a.net.node_ids) - len(a.net.isolated_nodes()),
     })
 
@@ -252,7 +252,8 @@ def assortativity_stage(a: AssetAnalysis, params: PipelineParams,
         "rho_ov": lambda: nm.discretize_attribute(
             {inv: rho[inv] for inv in nodes if inv in rho}),
         "opd": lambda: nm.discretize_opd(
-            {inv: a.series[inv].opd for inv in nodes}, params.opd_cap),
+            dict(zip(nodes, a.series.opd[a.series.rows_of(nodes)].tolist())),
+            params.opd_cap),
     }
     for name, attribute in attributes.items():
         key = f"assortativity_{name}"

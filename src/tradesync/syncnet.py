@@ -104,17 +104,11 @@ def _shuffle_exceed_count(x: np.ndarray, y: np.ndarray, shuffles: int,
     s0 = float(np.dot(x, y))
     block = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // max(x.size, 1)))
     count = done = 0
-    # with no day where both are active, every replica's product is >= 0 = s0:
-    # each block counts in full, so it is not drawn
-    disjoint = s0 == 0.0 and (x >= 0).all() and (y >= 0).all()
     while done < shuffles:
         rows = min(block, shuffles - done)
-        if disjoint:
-            count += rows
-        else:
-            xs = np.tile(x, (rows, 1))
-            rng.permuted(xs, axis=1, out=xs)
-            count += int(np.count_nonzero(xs @ y >= s0))
+        xs = np.tile(x, (rows, 1))
+        rng.permuted(xs, axis=1, out=xs)
+        count += int(np.count_nonzero(xs @ y >= s0))
         done += rows
         if level is not None and (1 + count) / (shuffles + 1) >= level:
             break

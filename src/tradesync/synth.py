@@ -100,24 +100,15 @@ class SynthTruth:
         }
 
 
-@dataclass(frozen=True)
-class SynthTrades:
-    """One entry per trade, ordered by agent, then day: agent index, calendar
-    day index, shares, price, and side (1 buy, 0 sell)."""
-
+@dataclass
+class SynthResult:
+    # one entry per trade, ordered by agent, then day: agent index, calendar
+    # day index, shares, price, and side (1 buy, 0 sell)
     agent: np.ndarray
     day: np.ndarray
     shares: np.ndarray
     price: np.ndarray
     side: np.ndarray
-
-    def __len__(self) -> int:
-        return self.agent.size
-
-
-@dataclass
-class SynthResult:
-    trades: SynthTrades
     quotes: QuoteSeries
     truth: SynthTruth
 
@@ -202,10 +193,9 @@ def generate(config: SynthConfig) -> SynthResult:
 
     lo = low[trade_days]
     prices = lo + (high[trade_days] - lo) * price_frac
-    trades = SynthTrades(agent=trade_agents, day=trade_days, shares=shares,
-                         price=prices, side=sides)
     truth = SynthTruth(lambdas=lambdas, betas=betas, community=labels, nu=nu)
-    return SynthResult(trades=trades, quotes=quotes, truth=truth)
+    return SynthResult(agent=trade_agents, day=trade_days, shares=shares,
+                       price=prices, side=sides, quotes=quotes, truth=truth)
 
 
 def write_synth(result: SynthResult, out_dir: str) -> dict[str, str]:
@@ -216,14 +206,13 @@ def write_synth(result: SynthResult, out_dir: str) -> dict[str, str]:
         "quotes": os.path.join(out_dir, "quotes.csv"),
         "truth": os.path.join(out_dir, "truth.json"),
     }
-    t = result.trades
     ids = np.array([agent_id(i) for i in range(result.truth.lambdas.size)], dtype=object)
     dates = np.array([d.isoformat() for d in result.quotes.days], dtype=object)
     sides = np.array(["sell", "buy"], dtype=object)
     with open(paths["trades"], "w") as f:
-        write_trades(f, ids[t.agent].tolist(), dates[t.day].tolist(),
-                     itertools.repeat(result.quotes.ticker), t.shares.tolist(),
-                     t.price.tolist(), sides[t.side].tolist())
+        write_trades(f, ids[result.agent].tolist(), dates[result.day].tolist(),
+                     itertools.repeat(result.quotes.ticker), result.shares.tolist(),
+                     result.price.tolist(), sides[result.side].tolist())
     with open(paths["quotes"], "w") as f:
         write_quotes(result.quotes, f)
     with open(paths["truth"], "w") as f:

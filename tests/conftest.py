@@ -47,11 +47,11 @@ def columns(trades) -> TradeColumns:
 
 def synth_columns(res) -> TradeColumns:
     """A synth result's trades as `parse_trades` keeps them from its file."""
-    n = len(res.trades)
+    n = res.agent.size
     day_numbers = np.array([d.toordinal() for d in res.quotes.days], dtype=np.int32)
     return TradeColumns(
-        investor=res.trades.agent.astype(np.int32), ticker=np.zeros(n, dtype=np.int32),
-        day=day_numbers[res.trades.day], is_auto=np.full(n, -1, dtype=np.int8),
+        investor=res.agent.astype(np.int32), ticker=np.zeros(n, dtype=np.int32),
+        day=day_numbers[res.day], is_auto=np.full(n, -1, dtype=np.int8),
         investor_ids=[agent_id(i) for i in range(res.truth.lambdas.size)],
         tickers=[res.quotes.ticker])
 

@@ -16,26 +16,38 @@ class TestBuildActivity:
         days = quotes20.days
         trades = [make_trade("A", days[3]), make_trade("A", days[3]),
                   make_trade("A", days[7])]
-        series = build_activity(columns(trades), calendar20)["A"]
+        m = build_activity(columns(trades), calendar20)
+        series = m["A"]
         assert series.first_day == 3 and series.last_day == 7
         assert list(series.counts) == [2, 0, 0, 0, 1]
         assert series.total_ops == 3
         assert series.n_active == 2
-        assert series.span == 5
-        assert series.opd == 1.5
+        assert (m.last_day - m.first_day + 1).tolist() == [5]
+        assert m.opd.tolist() == [1.5]
 
     def test_single_trade_boundary(self, calendar20, quotes20):
-        series = build_activity(columns([make_trade("B", quotes20.days[9])]),
-                                calendar20)["B"]
-        assert series.n_active == series.span == 1
-        assert series.opd == 1.0
+        m = build_activity(columns([make_trade("B", quotes20.days[9])]), calendar20)
+        series = m["B"]
+        assert series.n_active == series.counts.size == 1
+        assert (m.last_day - m.first_day + 1).tolist() == [1]
+        assert m.opd.tolist() == [1.0]
 
     def test_opd_definition(self, calendar20, quotes20):
         trades = [make_trade("C", quotes20.days[d]) for d in range(20)] * 2
-        series = build_activity(columns(trades), calendar20)["C"]
+        m = build_activity(columns(trades), calendar20)
+        series = m["C"]
         assert series.total_ops == 40
         assert series.n_active == 20
-        assert series.opd == 2.0
+        assert m.opd.tolist() == [2.0]
+
+    def test_rows_of_maps_ids_to_rows(self, calendar20, quotes20):
+        trades = [make_trade(inv, quotes20.days[0]) for inv in "CAB"]
+        m = build_activity(columns(trades), calendar20)
+        assert m.ids == ["A", "B", "C"]
+        assert m.rows_of(["C", "A"]).tolist() == [2, 0]
+        assert "B" in m and "D" not in m
+        with pytest.raises(KeyError):
+            m.rows_of(["A", "D"])
 
     def test_wrong_ticker_raises(self, calendar20, quotes20):
         with pytest.raises(DataError):
@@ -48,9 +60,10 @@ class TestBuildActivity:
         for i in range(50):
             for d in rng.integers(0, 20, size=rng.integers(1, 30)):
                 trades.append(make_trade(f"I{i:02d}", days[int(d)]))
-        for s in build_activity(columns(trades), calendar20).values():
-            assert s.n_active <= s.span
-            assert s.opd >= s.total_ops / s.span
+        m = build_activity(columns(trades), calendar20)
+        for s, opd in zip(m.values(), m.opd.tolist()):
+            assert s.n_active <= s.counts.size
+            assert opd == s.total_ops / s.n_active >= s.total_ops / s.counts.size
             assert s.counts[0] > 0 and s.counts[-1] > 0
             assert s.total_ops == int(s.counts.sum())
 

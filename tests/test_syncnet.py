@@ -316,27 +316,3 @@ class TestEarlyStopping:
                        seed=5)
         assert [e.pvalue for e in net.edges] == [level]
         assert net.diagnostics["shuffles_used"] == shuffles
-
-    @pytest.mark.parametrize("block_rows", [1, 7, 50])
-    @pytest.mark.parametrize("level", [None, 0.003, 0.01, 0.05, 0.2, 1.0])
-    def test_pair_without_common_days_skips_the_draws(self, monkeypatch, block_rows,
-                                                      level):
-        monkeypatch.setattr(syncnet, "_BLOCK_ROWS", block_rows)
-        data = np.random.default_rng(31)
-        x_days = data.random(90) < 0.5
-        x = (data.integers(1, 4, 90) * x_days).astype(float)
-        y = (data.integers(1, 4, 90) * ~x_days).astype(float)
-        shuffles = 199
-        for shared in (False, True):
-            if shared:  # one common day makes x.y = 1, and the pair draws
-                k = np.flatnonzero(x_days)[0]
-                x[k] = y[k] = 1.0
-            flags = _replayed_exceedances(x, y, shuffles, task_rng(8, 2, 5))
-            assert flags.all() or shared  # every product reaches x.y = 0
-            done = shuffles if level is None else _stop_point(flags, shuffles, level,
-                                                              block_rows)
-            rng = task_rng(8, 2, 5)
-            state = rng.bit_generator.state
-            assert syncnet._shuffle_exceed_count(x, y, shuffles, rng, level) == \
-                (int(flags[:done].sum()), done)
-            assert (rng.bit_generator.state == state) == (not shared)

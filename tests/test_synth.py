@@ -73,10 +73,9 @@ class TestGenerate:
         # shares, price and side are only validated on parse: the file holds
         # the generated values exactly
         fields = [line.split(",") for line in files["trades"].decode().splitlines()[1:]]
-        t = res.trades
         assert [(int(f[3]), float(f[4]), f[5]) for f in fields] == list(zip(
-            t.shares.tolist(), t.price.tolist(),
-            [("sell", "buy")[b] for b in t.side.tolist()]))
+            res.shares.tolist(), res.price.tolist(),
+            [("sell", "buy")[b] for b in res.side.tolist()]))
         reparsed = parse_quotes(files["quotes"].decode(), res.quotes.ticker)
         assert reparsed.days == res.quotes.days
 
