@@ -128,11 +128,11 @@ def _front(args):
     """`report`'s front stage on the one --ticker/--quotes pair, plus the
     params and the seeds `report` gives its first asset. Trade rejects and
     off-calendar trades are listed on stderr."""
+    params = _params(args)
     ticker, qpath = _single_asset(args)
     parsed = _read_trades(args)
     _print_rejects(parsed, sys.stderr)
     quotes = _read_quotes(qpath, ticker, args)
-    params = _params(args)
     analysis = front_stage(select_ticker(parsed.records, ticker), quotes, params)
     off = analysis.population["off_calendar_trades"]
     if off:

@@ -6,6 +6,7 @@ randomized benchmarks (degree-preserving rewiring, attribute shuffling) with
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,22 +27,24 @@ class Partition:
 @dataclass(frozen=True)
 class NullStats:
     """Mean and 2.5/97.5 percentiles of r over the replicas where r is
-    defined, plus the counter of the null that made them: `acceptance`
-    (accepted over proposed swaps) for the rewire null, `undefined` (replicas
-    left out because r was undefined) for the shuffle null."""
+    defined, plus the counters of the null that made them: `acceptance`
+    (accepted over proposed swaps) and `lag1` (lag-1 autocorrelation of r
+    within chains, None where undefined) for the rewire null, `undefined`
+    (replicas left out because r was undefined) for the shuffle null."""
 
     mean: float
     ci_low: float
     ci_high: float
     replicas: int
     acceptance: float | None = None
+    lag1: float | None = None
     undefined: int | None = None
 
     def as_dict(self) -> dict:
-        out = {"mean": self.mean, "ci95_low": self.ci_low,
-               "ci95_high": self.ci_high, "replicas": self.replicas,
-               "acceptance": self.acceptance, "undefined": self.undefined}
-        return {k: v for k, v in out.items() if v is not None}
+        counters = ({"undefined": self.undefined} if self.acceptance is None
+                    else {"acceptance": self.acceptance, "lag1": self.lag1})
+        return {"mean": self.mean, "ci95_low": self.ci_low,
+                "ci95_high": self.ci_high, "replicas": self.replicas, **counters}
 
 
 @dataclass(frozen=True)
@@ -274,10 +277,13 @@ def assortativity(net: SyncNetwork, attribute: dict[str, int]) -> float:
 # ---------------------------------------------------------------------------
 # null models
 
-def double_edge_swap(edges: list[tuple[int, int]], n_steps: int,
-                     rng: np.random.Generator) -> tuple[list[tuple[int, int]], int]:
-    """Run `n_steps` steps of the degree-preserving double-edge-swap chain;
-    return the final edges and the number of accepted swaps.
+def double_edge_swap(edges: list[tuple[int, int]], schedule: Iterable[int],
+                     rng: np.random.Generator
+                     ) -> Iterator[tuple[list[int], list[int], int]]:
+    """Run the degree-preserving double-edge-swap chain from `edges` for each
+    step count in `schedule` in turn; after each count, yield the endpoint
+    lists (src, dst) of the current edges and the swaps accepted so far. The
+    lists are the chain's own state, carried from one count to the next.
 
     Each step picks two random edges (a,b),(c,d) and proposes (a,d),(c,b).
     A proposal that picks one edge twice or would create a self-loop or a
@@ -287,9 +293,9 @@ def double_edge_swap(edges: list[tuple[int, int]], n_steps: int,
     Nishimura and Ugander, SIAM Review 60:315, 2018); a graph that admits no
     swap, such as a complete graph or a single edge, comes back unchanged.
 
-    Nodes are non-negative ints. Proposals are drawn in blocks of 1024 and
-    the adjacency is one set of packed keys, so each step costs a few integer
-    operations and two set lookups.
+    Nodes are non-negative ints. Proposals are drawn in blocks of 1024, from
+    the start of each count, and the adjacency is one set of packed keys, so
+    each step costs a few integer operations and two set lookups.
     """
     m = len(edges)
     src = [int(a) for a, _ in edges]
@@ -310,42 +316,48 @@ def double_edge_swap(edges: list[tuple[int, int]], n_steps: int,
     add, remove = adj.add, adj.remove
     accepted = 0
     block = 1024
-    for start in range(0, n_steps, block):
-        size = min(block, n_steps - start)
-        picks = rng.integers(0, m, size=(size, 2)).ravel().tolist()
-        coins = rng.integers(0, 2, size=size).tolist()
-        it = iter(picks)
-        for e1, e2, coin in zip(it, it, coins):
-            if e1 == e2:
-                continue
-            a = src[e1]
-            b = dst[e1]
-            if coin:
-                c = dst[e2]
-                d = src[e2]
-            else:
-                c = src[e2]
-                d = dst[e2]
-            # propose (a,d) and (c,b)
-            if a == d or c == b:
-                continue
-            ad = a * n + d
-            cb = c * n + b
-            if ad in adj or cb in adj:
-                continue
-            remove(a * n + b)
-            remove(b * n + a)
-            remove(c * n + d)
-            remove(d * n + c)
-            add(ad)
-            add(d * n + a)
-            add(cb)
-            add(b * n + c)
-            dst[e1] = d
-            src[e2] = c
-            dst[e2] = b
-            accepted += 1
-    return list(zip(src, dst)), accepted
+    for n_steps in schedule:
+        for start in range(0, n_steps, block):
+            size = min(block, n_steps - start)
+            picks = rng.integers(0, m, size=(size, 2)).ravel().tolist()
+            coins = rng.integers(0, 2, size=size).tolist()
+            it = iter(picks)
+            for e1, e2, coin in zip(it, it, coins):
+                if e1 == e2:
+                    continue
+                a = src[e1]
+                b = dst[e1]
+                if coin:
+                    c = dst[e2]
+                    d = src[e2]
+                else:
+                    c = src[e2]
+                    d = dst[e2]
+                # propose (a,d) and (c,b)
+                if a == d or c == b:
+                    continue
+                ad = a * n + d
+                cb = c * n + b
+                if ad in adj or cb in adj:
+                    continue
+                remove(a * n + b)
+                remove(b * n + a)
+                remove(c * n + d)
+                remove(d * n + c)
+                add(ad)
+                add(d * n + a)
+                add(cb)
+                add(b * n + c)
+                dst[e1] = d
+                src[e2] = c
+                dst[e2] = b
+                accepted += 1
+        yield src, dst, accepted
+
+
+# rewire chains per null, and proposals per scored edge between two samples
+REWIRE_CHAINS = 4
+SAMPLE_GAP = 2
 
 
 def _null_stats(values: list[float], replicas: int, **counter) -> NullStats:
@@ -355,13 +367,25 @@ def _null_stats(values: list[float], replicas: int, **counter) -> NullStats:
                      replicas=replicas, **counter)
 
 
-def _rewire_replicas(payload: dict, reps: list[int]) -> list[tuple[float, int]]:
-    out = []
-    for rep in reps:
-        swapped, accepted = double_edge_swap(payload["pairs"], payload["n_steps"],
-                                             task_rng(payload["seed"], rep))
-        out.append((_endpoint_r(swapped, payload["scores"]), accepted))
-    return out
+def _rewire_chain(payload: dict, task: tuple[int, int]) -> tuple[list[float], int]:
+    """The r samples of chain `task[0]` and its accepted swaps: a sample
+    after the burn-in, then one after each further gap, `task[1]` in all."""
+    chain, samples = task
+    schedule = [payload["burn_in"]] + [payload["gap"]] * (samples - 1)
+    values, accepted = [], 0
+    for src, dst, accepted in double_edge_swap(payload["pairs"], schedule,
+                                               task_rng(payload["seed"], chain)):
+        values.append(_endpoint_r(np.array([src, dst]).T, payload["scores"]))
+    return values, accepted
+
+
+def _lag1(chains: list[list[float]]) -> float | None:
+    """Pooled lag-1 autocorrelation of r within chains about the overall mean."""
+    flat = np.concatenate(chains)
+    if flat.min() == flat.max() or max(map(len, chains)) < 2:
+        return None
+    dev = [np.asarray(c) - flat.mean() for c in chains]
+    return float(sum(d[:-1] @ d[1:] for d in dev) / sum(d @ d for d in dev))
 
 
 def _shuffle_replicas(payload: dict, reps: list[int]) -> list[float | None]:
@@ -376,31 +400,32 @@ def _shuffle_replicas(payload: dict, reps: list[int]) -> list[float | None]:
     return out
 
 
-def _run_null(fn, payload: dict, replicas: int, workers: int | None) -> list:
-    workers = resolve_workers(workers)
-    chunks = chunked(list(range(replicas)), workers * 4)
-    return [v for part in map_tasks(fn, payload, chunks, workers) for v in part]
-
-
 def null_rewire(net: SyncNetwork, attribute: dict[str, int], replicas: int = 1000,
                 seed: int = 0, swap_factor: int = 10,
                 workers: int | None = None) -> NullStats:
     """Assortativity under degree-preserving rewiring (attributes fixed).
 
-    Each replica runs swap_factor*|E| steps of the double-edge-swap chain on
-    a fresh copy and re-scores; reports the mean and the empirical 2.5/97.5
-    percentiles over replicas, and the share of proposed swaps accepted. A
-    swap keeps every endpoint's value, so the null is defined wherever r is;
-    a graph that admits no swap gets a point mass at r.
+    min(REWIRE_CHAINS, replicas) double-edge-swap chains start from the
+    observed graph, chain c on task_rng(seed, c); each burns in for
+    swap_factor*|E| proposals, then re-scores every SAMPLE_GAP*|E|
+    proposals, and the replicas are split over the chains. Reports the mean
+    and 2.5/97.5 percentiles over the samples, the share of proposed swaps
+    accepted (burn-in included) and the lag-1 autocorrelation of r. A swap
+    keeps every endpoint's value, so the null is defined wherever r is; a
+    graph that admits no swap gets a point mass at r.
     """
     pairs, scores = _edge_pairs_with_scores(net, attribute)
-    n_steps = swap_factor * len(pairs)
-    payload = {"pairs": pairs, "scores": scores, "seed": seed, "n_steps": n_steps}
-    results = _run_null(_rewire_replicas, payload, replicas, workers)
-    proposals = n_steps * replicas
+    burn_in, gap = swap_factor * len(pairs), SAMPLE_GAP * len(pairs)
+    payload = {"pairs": pairs, "scores": scores, "seed": seed,
+               "burn_in": burn_in, "gap": gap}
+    tasks = list(enumerate(map(len, chunked(range(replicas), REWIRE_CHAINS))))
+    results = map_tasks(_rewire_chain, payload, tasks, resolve_workers(workers))
+    chains = [values for values, _ in results]
+    proposals = len(tasks) * burn_in + (replicas - len(tasks)) * gap
     accepted = sum(a for _, a in results)
-    return _null_stats([r for r, _ in results], replicas,
-                       acceptance=accepted / proposals if proposals else 0.0)
+    return _null_stats([r for c in chains for r in c], replicas,
+                       acceptance=accepted / proposals if proposals else 0.0,
+                       lag1=_lag1(chains))
 
 
 def null_shuffle(net: SyncNetwork, attribute: dict[str, int], replicas: int = 1000,
@@ -410,8 +435,10 @@ def null_shuffle(net: SyncNetwork, attribute: dict[str, int], replicas: int = 10
     r; it is left out and counted as `undefined`."""
     pairs, scores = _edge_pairs_with_scores(net, attribute)
     payload = {"pairs": pairs, "scores": scores, "seed": seed}
-    values = [r for r in _run_null(_shuffle_replicas, payload, replicas, workers)
-              if r is not None]
+    workers = resolve_workers(workers)
+    chunks = chunked(list(range(replicas)), workers * 4)
+    values = [r for part in map_tasks(_shuffle_replicas, payload, chunks, workers)
+              for r in part if r is not None]
     if not values:
         raise DegenerateInputError("assortativity undefined in every shuffle "
                                    "replica: one value on every edge endpoint")

@@ -26,7 +26,7 @@ from .ingest import (AutoFilterPolicy, QuoteSeries, TradeColumns, build_calendar
                      filter_automatic, split_off_calendar)
 from .syncnet import SyncNetwork, build_sync_network, write_edges
 
-REPORT_VERSION = "3"
+REPORT_VERSION = "4"
 
 
 @dataclass(frozen=True)
@@ -365,7 +365,7 @@ _tail_fit_schema = {
     "required": ["alpha", "stderr", "k", "n"],
 }
 
-def _null_stats_schema(counter: str, kind: str, nullable: bool = False) -> dict:
+def _null_stats_schema(nullable: bool = False, **counters: dict) -> dict:
     return {
         "type": ["object", "null"] if nullable else "object",
         "properties": {
@@ -373,9 +373,9 @@ def _null_stats_schema(counter: str, kind: str, nullable: bool = False) -> dict:
             "ci95_low": {"type": "number"},
             "ci95_high": {"type": "number"},
             "replicas": {"type": "integer"},
-            counter: {"type": kind},
+            **counters,
         },
-        "required": ["mean", "ci95_low", "ci95_high", "replicas", counter],
+        "required": ["mean", "ci95_low", "ci95_high", "replicas", *counters],
     }
 
 
@@ -384,8 +384,10 @@ _assort_schema = {
     "properties": {
         "attribute": {"type": "string"},
         "r": {"type": "number"},
-        "null_rewire": _null_stats_schema("acceptance", "number"),
-        "null_shuffle": _null_stats_schema("undefined", "integer", nullable=True),
+        "null_rewire": _null_stats_schema(acceptance={"type": "number"},
+                                          lag1=_number_or_null),
+        "null_shuffle": _null_stats_schema(nullable=True,
+                                           undefined={"type": "integer"}),
     },
     "required": ["attribute", "r", "null_rewire", "null_shuffle"],
 }

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -210,12 +212,19 @@ def build_sync_network(series: ActivityMatrix, min_ops: int = 20,
         edges.extend(chunk_edges)
         counts.update(chunk_counts)
 
+    # kept pairs to expect if every tested pair were null: a null pair's rank
+    # among the grid statistics is uniform and ties count against it, so at
+    # most ceil(level * grid) - 1 ranks keep it; the level is read as the
+    # decimal it prints as, so that no ulp moves the ceiling
+    grid = shuffles + 1
+    false_rate = Fraction(math.ceil(Fraction(repr(float(level))) * grid) - 1, grid)
     diagnostics = {
         "pairs_total": n_pairs,
         "pairs_disjoint": counts["disjoint"],
         "pairs_short_overlap": counts["short"],
         "pairs_degenerate": counts["degenerate"],
         "pairs_tested": counts["tested"],
+        "expected_false_edges_max": float(false_rate * counts["tested"]),
         "pairs_negative_rho": counts["negative_rho"],
         "edges_retained": len(edges),
         "nodes": n,

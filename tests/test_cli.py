@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -163,7 +164,7 @@ def test_report_end_to_end_and_determinism(synth_data, tmp_path):
     r2 = (out2 / "report.json").read_bytes()
     assert r1 == r2
     report = json.loads(r1)
-    assert report["version"] == "3"
+    assert report["version"] == "4"
     assert report["run"]["seed"] == 5
     assert report["run"]["trade_rejects"] == 0
     assert "permute" not in report["run"]["defaults"]
@@ -295,12 +296,18 @@ def test_global_nu_moments_reach_the_baseline(synth_data, tmp_path):
     assert polar["global"]["shuffled_variance"] != polar["trading"]["shuffled_variance"]
 
 
-def test_report_lists_rejects(synth_data, tmp_path, capsys):
+def _malformed_trades(synth_data, tmp_path):
+    """The synth trades file with lines 4 and 8 made malformed."""
     trades = tmp_path / "trades.csv"
     lines = (synth_data / "trades.csv").read_text().splitlines(keepends=True)
     lines[3] = "X,2003-13-01,SYN,1,1.5,buy\n"
     lines[7] = "X,2003-01-06,SYN,-4,1.5,buy\n"
     trades.write_text("".join(lines))
+    return trades
+
+
+def test_report_lists_rejects(synth_data, tmp_path, capsys):
+    trades = _malformed_trades(synth_data, tmp_path)
     rc = main(["report", "--trades", str(trades),
                "--quotes", str(synth_data / "quotes.csv"), "--ticker", "SYN",
                "--shuffles", "199", "--replicas", "50", "--seed", "5",
@@ -310,3 +317,13 @@ def test_report_lists_rejects(synth_data, tmp_path, capsys):
     assert "line 4: bad date" in err and "line 8: non-positive shares" in err
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["run"]["trade_rejects"] == 2
+
+
+def test_subcommand_checks_parameters_before_reading_trades(synth_data, tmp_path,
+                                                            capsys):
+    args = _common(synth_data, tmp_path / "act", ("--ma-window", "0"))
+    args[args.index("--trades") + 1] = str(_malformed_trades(synth_data, tmp_path))
+    assert main(["activity"] + args) == 2
+    err = capsys.readouterr().err
+    assert "ma_window must be at least 2, got 0" in err
+    assert not re.search(r"line \d+:", err)

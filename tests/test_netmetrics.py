@@ -7,11 +7,18 @@ import pytest
 from conftest import complete_bipartite, fixture_network, two_cliques
 from oracles import (endpoint_assortativity, reference_double_edge_swap,
                      two_clique_modularity)
+from tradesync import netmetrics
 from tradesync.errors import DegenerateInputError
-from tradesync.netmetrics import (assortativity, discretize_attribute,
+from tradesync.netmetrics import (SAMPLE_GAP, assortativity, discretize_attribute,
                                   discretize_opd, double_edge_swap, louvain,
                                   modularity_of, null_rewire, null_shuffle)
 from tradesync.parallel import task_rng
+
+
+def _swap(edges, n_steps, rng):
+    """One run of the swap chain, in the form reference_double_edge_swap returns."""
+    (src, dst, accepted), = double_edge_swap(edges, [n_steps], rng)
+    return list(zip(src, dst)), accepted
 
 
 def _random_graph(rng, n=30, p=0.15):
@@ -169,7 +176,7 @@ class TestDoubleEdgeSwap:
     def test_preserves_degrees_and_simplicity(self, rng):
         net = _random_graph(rng, n=25, p=0.25)
         edges = [(int(e.i[1:]), int(e.j[1:])) for e in net.edges]
-        swapped, accepted = double_edge_swap(edges, 10 * len(edges), task_rng(5, 0))
+        swapped, accepted = _swap(edges, 10 * len(edges), task_rng(5, 0))
         def degs(es):
             d: dict[int, int] = {}
             for a, b in es:
@@ -189,7 +196,7 @@ class TestDoubleEdgeSwap:
             r = np.random.default_rng(seed)
             edges = _edge_indices(_random_graph(r, n=n, p=p), r)
             n_steps = 10 * len(edges)
-            swapped = double_edge_swap(edges, n_steps, task_rng(seed, 1))
+            swapped = _swap(edges, n_steps, task_rng(seed, 1))
             assert swapped == reference_double_edge_swap(edges, n_steps,
                                                          task_rng(seed, 1))
             assert swapped[0] != edges
@@ -197,8 +204,21 @@ class TestDoubleEdgeSwap:
     def test_matches_reference_on_two_cliques(self):
         edges = _edge_indices(two_cliques(8))
         for seed in range(4):
-            assert double_edge_swap(edges, 10 * len(edges), task_rng(seed, 2)) == \
+            assert _swap(edges, 10 * len(edges), task_rng(seed, 2)) == \
                 reference_double_edge_swap(edges, 10 * len(edges), task_rng(seed, 2))
+
+    def test_schedule_carries_the_chain_from_one_count_to_the_next(self):
+        # each count continues the same chain: the reference run again on
+        # the edges it left, on the same generator
+        r = np.random.default_rng(2)
+        edges = _edge_indices(_random_graph(r, n=40, p=0.15), r)
+        schedule = [10 * len(edges), 1, 1500, 0, 2 * len(edges)]
+        ref_rng, current, total = task_rng(3, 1), edges, 0
+        chain = double_edge_swap(edges, schedule, task_rng(3, 1))
+        for (src, dst, accepted), steps in zip(chain, schedule, strict=True):
+            current, got = reference_double_edge_swap(current, steps, ref_rng)
+            total += got
+            assert (list(zip(src, dst)), accepted) == (current, total)
 
     @pytest.mark.parametrize("edges", [
         [(a, b) for a in range(4) for b in range(a + 1, 4)],  # K4
@@ -207,7 +227,7 @@ class TestDoubleEdgeSwap:
     def test_graph_without_swaps_stays_put(self, edges):
         # every proposal is rejected, and each rejection is a step
         for steps in (0, 1, 1023, 1025):
-            got = double_edge_swap(edges, steps, task_rng(0, 0))
+            got = _swap(edges, steps, task_rng(0, 0))
             assert got == (edges, 0)
             assert got == reference_double_edge_swap(edges, steps, task_rng(0, 0))
 
@@ -225,7 +245,7 @@ class TestDoubleEdgeSwap:
         runs = 7000
         counts = dict.fromkeys(graphs, 0)
         for rep in range(runs):
-            edges, _ = double_edge_swap(start, 60, task_rng(0, rep))
+            edges, _ = _swap(start, 60, task_rng(0, rep))
             counts[frozenset(tuple(sorted(e)) for e in edges)] += 1
         expected = runs / len(graphs)
         stat = sum((c - expected) ** 2 / expected for c in counts.values())
@@ -240,7 +260,7 @@ class TestDoubleEdgeSwap:
     ])
     def test_invalid_edges_raise(self, edges, message):
         with pytest.raises(ValueError, match=message):
-            double_edge_swap(edges, 5, task_rng(0, 0))
+            _swap(edges, 5, task_rng(0, 0))
 
 
 class TestNullModels:
@@ -279,8 +299,9 @@ class TestNullModels:
         attr = {n: (1 if int(n[1:]) < 8 else 2) for n in net.node_ids}
         assert null_shuffle(net, attr, replicas=40, seed=2, workers=1) == \
             null_shuffle(net, attr, replicas=40, seed=2, workers=2)
-        assert null_rewire(net, attr, replicas=20, seed=2, workers=1) == \
-            null_rewire(net, attr, replicas=20, seed=2, workers=2)
+        rewired = {null_rewire(net, attr, replicas=22, seed=2, workers=w)
+                   for w in (1, 2, 3)}
+        assert len(rewired) == 1
 
     def test_shuffle_needs_two_values(self):
         net = two_cliques(3)
@@ -297,7 +318,8 @@ class TestNullModels:
         attr = {node: k % values for k, node in enumerate(net.node_ids)}
         r = assortativity(net, attr)
         rew = null_rewire(net, attr, replicas=20, seed=1, workers=1)
-        assert rew.acceptance == 0.0
+        assert rew.acceptance == 0.0 and rew.lag1 is None
+        assert rew.as_dict()["lag1"] is None
         assert rew.ci_low == rew.ci_high == r
         assert rew.mean == pytest.approx(r, abs=1e-15)
         shu = null_shuffle(net, attr, replicas=20, seed=2, workers=1)
@@ -308,6 +330,54 @@ class TestNullModels:
         attr = {node: k % 5 for k, node in enumerate(net.node_ids)}
         stats = null_rewire(net, attr, replicas=10, seed=2, workers=1)
         assert 0.0 < stats.acceptance <= 1.0
+
+    def test_rewire_null_is_four_thinned_reference_chains(self):
+        # sample k of chain c is the reference chain run on the observed
+        # edges for the burn-in, then k times for the gap, all on one
+        # task_rng(seed, c); ten replicas split 3, 3, 2, 2 over the chains
+        net = _random_graph(np.random.default_rng(8), n=30, p=0.2)
+        attr = {node: k % 7 for k, node in enumerate(net.node_ids)}
+        edges, scores = _edge_indices(net), [attr[n] for n in net.node_ids]
+        m = len(edges)
+        chains, proposals, accepted = [], 0, 0
+        for c, samples in enumerate([3, 3, 2, 2]):
+            rng, current, values = task_rng(7, c), edges, []
+            for k in range(samples):
+                steps = 10 * m if k == 0 else SAMPLE_GAP * m
+                current, got = reference_double_edge_swap(current, steps, rng)
+                proposals += steps
+                accepted += got
+                values.append(endpoint_assortativity(current, scores))
+            chains.append(values)
+        flat = [r for c in chains for r in c]
+        mu = sum(flat) / len(flat)
+        lag1 = sum((c[t] - mu) * (c[t + 1] - mu) for c in chains
+                   for t in range(len(c) - 1)) / sum((r - mu) ** 2 for r in flat)
+
+        stats = null_rewire(net, attr, replicas=10, seed=7, swap_factor=10, workers=1)
+        assert stats.replicas == 10
+        assert stats.acceptance == accepted / proposals
+        assert stats.mean == pytest.approx(mu, abs=1e-12)
+        assert [stats.ci_low, stats.ci_high] == pytest.approx(
+            np.percentile(flat, [2.5, 97.5]).tolist(), abs=1e-12)
+        assert stats.lag1 == pytest.approx(lag1, abs=1e-9)
+
+    @pytest.mark.parametrize("replicas", [1, 3, 5, 81])
+    def test_rewire_null_draws_one_sample_per_replica(self, monkeypatch, replicas):
+        seen = []
+        real = netmetrics._null_stats
+
+        def spy(values, n, **counters):
+            seen.append(len(values))
+            return real(values, n, **counters)
+
+        monkeypatch.setattr(netmetrics, "_null_stats", spy)
+        net = _random_graph(np.random.default_rng(3), n=40, p=0.1)
+        attr = {node: k % 5 for k, node in enumerate(net.node_ids)}
+        stats = null_rewire(net, attr, replicas=replicas, seed=2, workers=1)
+        assert seen == [replicas] and stats.replicas == replicas
+        # with at most four replicas no chain has a second sample
+        assert (stats.lag1 is None) == (replicas <= 4)
 
     def test_shuffle_leaves_out_undefined_replicas(self):
         # opd-like: 9 of 10 nodes share one value and there are two edges, so

@@ -1,4 +1,5 @@
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -217,6 +218,23 @@ class TestBuildSyncNetwork:
         assert d["edges_retained"] == len(net.edges)
         assert "permute" not in d
         assert d["pairs_tested"] <= d["shuffles_used"] < d["pairs_tested"] * d["shuffles"]
+
+    @pytest.mark.parametrize("shuffles,level,rate", [
+        (999, 0.01, Fraction(9, 1000)), (199, 0.01, Fraction(1, 200)),
+        (99, 0.07, Fraction(6, 100)),  # 0.07 * 100 is 7.000000000000001 in floats
+    ])
+    def test_expected_false_edges_max(self, rng, shuffles, level, rate):
+        series = _population(rng, n_investors=10, n_days=40)
+        net = _build(series, min_ops=5, shuffles=shuffles, level=level, seed=6,
+                     workers=1)
+        d = net.diagnostics
+        assert d["pairs_tested"] > 0
+        assert d["expected_false_edges_max"] == float(rate * d["pairs_tested"])
+        # the share of the shuffles + 1 null ranks that the keep test passes
+        grid = shuffles + 1
+        kept_ranks = sum((1 + c) / grid < level for c in range(grid))
+        assert d["expected_false_edges_max"] == pytest.approx(
+            kept_ranks / grid * d["pairs_tested"], rel=1e-15)
 
     def test_pair_outcomes_counted_by_status(self):
         series = {
