@@ -1,16 +1,15 @@
-"""Per-investor activity series and heterogeneity statistics.
+"""Per-investor activity and heterogeneity statistics.
 
-An activity series counts operations per trading day between the investor's
-first and last active day. A population's series live in one sparse matrix
-of investors x calendar days. Tail heaviness of total activity and of
-operations-per-day is quantified with the Hill estimator.
+An investor's activity counts their operations on each trading day. A
+population's activity lives in one sparse matrix of investors x calendar
+days. Tail heaviness of total activity and of operations-per-day is
+quantified with the Hill estimator.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,35 +18,11 @@ from .errors import DataError, DegenerateInputError
 from .ingest import TradeColumns, TradingCalendar
 
 
-@dataclass(frozen=True)
-class ActivitySeries:
-    """Day-indexed operation counts of one investor in one asset.
-
-    `counts[d]` holds the operations on calendar ordinal `first_day + d`;
-    the array spans exactly [first_day, last_day] and is positive at both ends.
-    """
-
-    investor_id: str
-    first_day: int
-    last_day: int
-    counts: np.ndarray
-    total_ops: int
-    n_active: int
-
-    def window(self, start: int, end: int) -> np.ndarray:
-        """Counts over calendar ordinals [start, end]; must lie inside the span."""
-        if start < self.first_day or end > self.last_day:
-            raise ValueError("window outside the active span")
-        lo = start - self.first_day
-        return self.counts[lo:lo + (end - start + 1)]
-
-
-class ActivityMatrix(Mapping[str, ActivitySeries]):
+class ActivityMatrix:
     """One asset's operation counts as a CSR matrix of investors x calendar
     days: row k is investor `ids[k]` (ids sorted), active on the calendar
     ordinals `day[indptr[k]:indptr[k + 1]]` (increasing) with the positive
-    counts `count[...]`. Per-row statistics are arrays; looking an investor
-    up builds their dense ActivitySeries."""
+    counts `count[...]`. Per-row statistics are arrays."""
 
     def __init__(self, ticker: str, ids: list[str], indptr: np.ndarray,
                  day: np.ndarray, count: np.ndarray):
@@ -70,24 +45,14 @@ class ActivityMatrix(Mapping[str, ActivitySeries]):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self):
-        return iter(self.ids)
-
-    def __getitem__(self, investor_id: str) -> ActivitySeries:
-        return self.row(self._rows[investor_id])
-
     def rows_of(self, investor_ids) -> np.ndarray:
         """Row index of each of `investor_ids`; KeyError for an absent id."""
         return np.array([self._rows[inv] for inv in investor_ids], dtype=np.int64)
 
-    def row(self, k: int) -> ActivitySeries:
-        lo, hi = int(self.indptr[k]), int(self.indptr[k + 1])
-        first, last = int(self.day[lo]), int(self.day[hi - 1])
-        counts = np.zeros(last - first + 1, dtype=np.int64)
-        counts[self.day[lo:hi] - first] = self.count[lo:hi]
-        return ActivitySeries(investor_id=self.ids[k], first_day=first, last_day=last,
-                              counts=counts, total_ops=int(self.total_ops[k]),
-                              n_active=hi - lo)
+    def active(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(calendar ordinals, operation counts) of row k's trading days."""
+        lo, hi = self.indptr[k], self.indptr[k + 1]
+        return self.day[lo:hi], self.count[lo:hi]
 
 
 @dataclass(frozen=True)

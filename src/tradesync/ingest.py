@@ -126,7 +126,12 @@ class AutoFilterPolicy:
     @classmethod
     def parse(cls, text: str) -> "AutoFilterPolicy":
         if text.startswith("threshold:"):
-            return cls("threshold", int(text.split(":", 1)[1]))
+            k = text.split(":", 1)[1]
+            try:
+                return cls("threshold", int(k))
+            except ValueError:
+                raise ConfigError(f"threshold policy needs an integer k, got {k!r}") \
+                    from None
         return cls(text)
 
 

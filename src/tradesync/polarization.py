@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activity import ActivityMatrix, ActivitySeries
+from .activity import ActivityMatrix
 from .errors import DegenerateInputError
 from .parallel import task_rng
 from .volatility import VolatilitySeries
@@ -64,10 +64,10 @@ class PolarizationSummary:
     variance_ratio: float
 
 
-def _moments(a: ActivitySeries, vol: VolatilitySeries, min_days: int,
+def _moments(series: ActivityMatrix, k: int, vol: VolatilitySeries, min_days: int,
              nu_moments: str) -> tuple[np.ndarray, np.ndarray, tuple, float] | str:
     """(centered activity, centered volatility, sigma factors, bound) over the
-    investor's trading days, or the reason the investor is excluded.
+    trading days of row k, or the reason the investor is excluded.
 
     rho_ov = mean(oc * nc) / prod(factors), clipped to [-bound, bound]. With
     'trading', means and population sigmas of both series are taken over
@@ -78,17 +78,17 @@ def _moments(a: ActivitySeries, vol: VolatilitySeries, min_days: int,
     """
     if nu_moments not in ("trading", "global"):
         raise ValueError(f"unknown nu_moments mode {nu_moments!r}")
-    if a.last_day >= len(vol.nu):
+    day, count = series.active(k)
+    if day[-1] >= len(vol.nu):
         raise ValueError("activity span extends past the volatility series")
-    active = a.counts > 0
-    ops = a.counts[active].astype(float)
+    ops = count.astype(float)
     if ops.size < min_days:
         return EXCLUDE_FEW_DAYS
     oc = ops - ops.mean()
     vo = float(np.mean(oc * oc))
     if vo == 0.0:
         return EXCLUDE_CONST_OPS
-    nu = vol.nu[a.first_day:a.last_day + 1][active]
+    nu = vol.nu[day]
     if nu_moments == "trading":
         nc = nu - nu.mean()
         spread = float(np.mean(nc * nc))
@@ -102,29 +102,28 @@ def _moments(a: ActivitySeries, vol: VolatilitySeries, min_days: int,
     return oc, nc, factors, bound
 
 
-def polarization_score(a: ActivitySeries, vol: VolatilitySeries,
+def polarization_score(series: ActivityMatrix, k: int, vol: VolatilitySeries,
                        min_days: int = 20, nu_moments: str = "trading"
                        ) -> PolarizationScore | Exclusion:
-    """Correlation of O(t) with nu(t) over the investor's trading days only,
-    with the volatility moments `nu_moments` names (see `_moments`)."""
-    m = _moments(a, vol, min_days, nu_moments)
+    """Correlation of O(t) with nu(t) over row k's trading days only, with
+    the volatility moments `nu_moments` names (see `_moments`)."""
+    m = _moments(series, k, vol, min_days, nu_moments)
     if isinstance(m, str):
-        return Exclusion(a.investor_id, m)
+        return Exclusion(series.ids[k], m)
     oc, nc, factors, bound = m
     rho = float(np.mean(oc * nc)) / math.prod(factors)
-    return PolarizationScore(a.investor_id, min(bound, max(-bound, rho)), oc.size)
+    return PolarizationScore(series.ids[k], min(bound, max(-bound, rho)), oc.size)
 
 
 def score_population(series: ActivityMatrix, vol: VolatilitySeries,
                      min_days: int = 20, nu_moments: str = "trading"
                      ) -> tuple[list[PolarizationScore], Counter]:
-    """Scores in investor-id order, and the number of exclusions by reason.
-    Only investors with at least `min_days` trading days get a dense series."""
+    """Scores in investor-id order, and the number of exclusions by reason."""
     rows = np.flatnonzero(series.n_active >= min_days)
     scores: list[PolarizationScore] = []
     excluded = Counter({EXCLUDE_FEW_DAYS: len(series) - rows.size})
     for k in rows.tolist():
-        out = polarization_score(series.row(k), vol, min_days, nu_moments)
+        out = polarization_score(series, k, vol, min_days, nu_moments)
         if isinstance(out, PolarizationScore):
             scores.append(out)
         else:
@@ -161,7 +160,7 @@ def shuffled_baseline(series: ActivityMatrix, vol: VolatilitySeries,
     """
     eligible: list[tuple[np.ndarray, np.ndarray, float]] = []
     for k in np.flatnonzero(series.n_active >= min_days).tolist():
-        m = _moments(series.row(k), vol, min_days, nu_moments)
+        m = _moments(series, k, vol, min_days, nu_moments)
         if isinstance(m, str):
             continue
         oc, nc, factors, bound = m

@@ -62,6 +62,13 @@ class PipelineParams:
                 raise ConfigError(f"{name} must be at least 1, got {value}")
         if self.ma_window < 2:
             raise ConfigError(f"ma_window must be at least 2, got {self.ma_window}")
+        for name, choices in (("ma_mode", ("trailing", "centered")),
+                              ("nu_moments", ("trading", "global"))):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ConfigError(f"{name} must be one of {', '.join(choices)}, "
+                                  f"got {value!r}")
+        AutoFilterPolicy.parse(self.auto_filter)
         if self.ma_mode == "centered" and self.ma_window % 2 == 0:
             raise ConfigError(f"centered moving average needs an odd ma_window, "
                               f"got {self.ma_window}")
@@ -129,7 +136,7 @@ class AssetAnalysis:
             "network": {
                 "nodes": len(self.net.node_ids),
                 "edges": len(self.net.edges),
-                "isolated": len(self.net.isolated_nodes()),
+                "isolated": self.net.diagnostics["isolated_nodes"],
                 "modularity": None if self.partition is None else self.partition.q,
                 "diagnostics": _plain(self.net.diagnostics),
             },
@@ -215,7 +222,7 @@ def network_stage(a: AssetAnalysis, params: PipelineParams, seeds: dict[str, int
         "network_investors": len(a.net.node_ids),
         "network_operations": int(
             a.series.total_ops[a.series.rows_of(a.net.node_ids)].sum()),
-        "connected_investors": len(a.net.node_ids) - len(a.net.isolated_nodes()),
+        "connected_investors": len(a.net.node_ids) - a.net.diagnostics["isolated_nodes"],
     })
 
 

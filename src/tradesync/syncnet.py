@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .activity import ActivityMatrix, ActivitySeries
+from .activity import ActivityMatrix
 from .errors import DegenerateInputError
 from .parallel import chunked, map_tasks, resolve_workers, task_rng
 from .volatility import population_correlation
@@ -31,19 +31,6 @@ from .volatility import population_correlation
 # where a pair may stop, never which permutations it draws.
 _BLOCK_ROWS = 50
 _BLOCK_ELEMENTS = 2_000_000
-
-
-@dataclass(frozen=True)
-class OverlapWindow:
-    """Calendar ordinals [start, end] where two investors are both inside
-    their active spans."""
-
-    start: int
-    end: int
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
 
 
 @dataclass(frozen=True)
@@ -77,20 +64,6 @@ class SyncNetwork:
     def isolated_nodes(self) -> list[str]:
         deg = self.degree()
         return [n for n in self.node_ids if deg[n] == 0]
-
-
-def overlap_window(a: ActivitySeries, b: ActivitySeries) -> OverlapWindow | None:
-    start = max(a.first_day, b.first_day)
-    end = min(a.last_day, b.last_day)
-    if start > end:
-        return None
-    return OverlapWindow(start, end)
-
-
-def cross_correlation(a: ActivitySeries, b: ActivitySeries, w: OverlapWindow) -> float:
-    x = a.window(w.start, w.end).astype(float)
-    y = b.window(w.start, w.end).astype(float)
-    return population_correlation(x, y)
 
 
 def _shuffle_exceed_count(x: np.ndarray, y: np.ndarray, shuffles: int,
@@ -149,8 +122,9 @@ def _pair_at(p: int, cum: list[int]) -> tuple[int, int]:
 
 def _test_pairs(payload: dict, chunk: range) -> tuple[list[SyncEdge], dict]:
     """Test the pairs at a contiguous range of flat triangle indices: the kept
-    edges in index order, and the count of each pair outcome."""
-    series: list[ActivitySeries] = payload["series"]
+    edges in index order, and the count of each pair outcome. A pair's window
+    is the overlap of the two nodes' active spans."""
+    spans, first, last = payload["spans"], payload["first"], payload["last"]
     node_ids, cum = payload["node_ids"], payload["cum"]
     seed, shuffles, level = payload["seed"], payload["shuffles"], payload["level"]
     counts = dict.fromkeys(("disjoint", "short", "degenerate", "tested",
@@ -158,16 +132,16 @@ def _test_pairs(payload: dict, chunk: range) -> tuple[list[SyncEdge], dict]:
     edges: list[SyncEdge] = []
     for p in chunk:
         ia, ib = _pair_at(p, cum)
-        a, b = series[ia], series[ib]
-        w = overlap_window(a, b)
-        if w is None:
+        start, end = max(first[ia], first[ib]), min(last[ia], last[ib])
+        if start > end:
             counts["disjoint"] += 1
             continue
-        if w.length < 2:
+        length = end - start + 1
+        if length < 2:
             counts["short"] += 1
             continue
-        x = a.window(w.start, w.end).astype(float)
-        y = b.window(w.start, w.end).astype(float)
+        x = spans[ia][start - first[ia]:end - first[ia] + 1]
+        y = spans[ib][start - first[ib]:end - first[ib] + 1]
         try:
             rho = population_correlation(x, y)
         except DegenerateInputError:
@@ -181,7 +155,7 @@ def _test_pairs(payload: dict, chunk: range) -> tuple[list[SyncEdge], dict]:
         pvalue = (1 + count) / (used + 1)
         if pvalue < level:
             edges.append(SyncEdge(i=node_ids[ia], j=node_ids[ib], rho=rho,
-                                  overlap=w.length, pvalue=pvalue))
+                                  overlap=length, pvalue=pvalue))
     return edges, counts
 
 
@@ -196,12 +170,20 @@ def build_sync_network(series: ActivityMatrix, min_ops: int = 20,
     counted in the diagnostics; `shuffles_used` totals the shuffles the
     tested pairs drew before they stopped.
     """
-    rows = np.flatnonzero(series.total_ops >= min_ops).tolist()
-    node_ids = [series.ids[k] for k in rows]
+    rows = np.flatnonzero(series.total_ops >= min_ops)
+    node_ids = [series.ids[k] for k in rows.tolist()]
+    first, last = series.first_day[rows].tolist(), series.last_day[rows].tolist()
+    # each node's counts on every day of its active span, as floats
+    spans = []
+    for k, start, end in zip(rows.tolist(), first, last):
+        day, count = series.active(k)
+        span = np.zeros(end - start + 1)
+        span[day - start] = count
+        spans.append(span)
     n = len(node_ids)
     n_pairs = n * (n - 1) // 2
     workers = resolve_workers(workers)
-    payload = {"series": [series.row(k) for k in rows], "node_ids": node_ids,
+    payload = {"spans": spans, "first": first, "last": last, "node_ids": node_ids,
                "cum": _row_offsets(n), "seed": seed, "shuffles": shuffles,
                "level": level}
     edges: list[SyncEdge] = []

@@ -1,10 +1,11 @@
 import datetime as dt
 import io
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from tradesync.activity import ActivityMatrix, ActivitySeries
+from tradesync.activity import ActivityMatrix
 from tradesync.ingest import (QuoteSeries, TradeColumns, build_calendar, parse_trades,
                               write_trades)
 from tradesync.syncnet import SyncEdge, SyncNetwork
@@ -64,29 +65,46 @@ def rows_of(trades: TradeColumns) -> list[tuple]:
                                   trades.ticker.tolist(), trades.is_auto.tolist())]
 
 
-def series_from_counts(counts, investor="I1", first_day=0) -> ActivitySeries:
-    """Activity series straight from a day-count vector (leading/trailing
-    zeros trimmed as the span definition requires)."""
+class Row(NamedTuple):
+    """One investor's row of an activity matrix: their trading days
+    (increasing) and the positive operation count on each."""
+
+    investor_id: str
+    day: np.ndarray
+    count: np.ndarray
+
+
+def series_from_counts(counts, investor="I1", first_day=0) -> Row:
+    """An investor's row from a day-count vector: `counts[d]` operations on
+    calendar day `first_day + d`, zero on days without trades."""
     counts = np.asarray(counts, dtype=np.int64)
     active = np.flatnonzero(counts > 0)
-    trimmed = counts[active[0]:active[-1] + 1].copy()
-    return ActivitySeries(investor_id=investor, first_day=first_day + int(active[0]),
-                          last_day=first_day + int(active[-1]), counts=trimmed,
-                          total_ops=int(trimmed.sum()), n_active=active.size)
+    return Row(investor, first_day + active, counts[active])
 
 
-def matrix(series, ticker="TST") -> ActivityMatrix:
-    """The activity matrix of one asset's per-investor series."""
-    series = sorted(series, key=lambda s: s.investor_id)
-    active = [np.flatnonzero(s.counts) for s in series]
+def matrix(rows, ticker="TST") -> ActivityMatrix:
+    """The activity matrix of one asset's per-investor rows."""
+    rows = sorted(rows, key=lambda r: r.investor_id)
     return ActivityMatrix(
         ticker=ticker,
-        ids=[s.investor_id for s in series],
-        indptr=np.cumsum([0, *map(len, active)]),
-        day=np.concatenate([[], *(s.first_day + a for s, a in zip(series, active))]
-                           ).astype(np.int64),
-        count=np.concatenate([[], *(s.counts[a] for s, a in zip(series, active))]
-                             ).astype(np.int64))
+        ids=[r.investor_id for r in rows],
+        indptr=np.cumsum([0, *(r.day.size for r in rows)]),
+        day=np.concatenate([[], *(r.day for r in rows)]).astype(np.int64),
+        count=np.concatenate([[], *(r.count for r in rows)]).astype(np.int64))
+
+
+def matrix_rows(m: ActivityMatrix) -> list[Row]:
+    """The rows of an activity matrix, in row order."""
+    return [Row(inv, *m.active(k)) for k, inv in enumerate(m.ids)]
+
+
+def window(m: ActivityMatrix, k: int, start: int, end: int) -> np.ndarray:
+    """Row k's operation counts on every calendar day of [start, end]."""
+    day, count = m.active(k)
+    out = np.zeros(end - start + 1, dtype=np.int64)
+    inside = (day >= start) & (day <= end)
+    out[day[inside] - start] = count[inside]
+    return out
 
 
 def fixture_network(n_nodes: int, edges, ticker="TST") -> SyncNetwork:

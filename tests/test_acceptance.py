@@ -73,8 +73,8 @@ def test_criterion_2_polarization_oracle():
         if active.sum() < 10 or counts[active].std() == 0:
             continue
         nu = rng.lognormal(-3.9, 0.4, n)
-        series = series_from_counts(counts, investor="X")
-        score = polarization_score(series, VolatilitySeries("TST", nu), min_days=10)
+        series = matrix([series_from_counts(counts, investor="X")])
+        score = polarization_score(series, 0, VolatilitySeries("TST", nu), min_days=10)
         ref = bruteforce_activity_vol_correlation(
             counts[active].astype(float).tolist(), nu[active].tolist())
         worst = max(worst, abs(score.rho_ov - ref))

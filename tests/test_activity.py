@@ -17,27 +17,25 @@ class TestBuildActivity:
         trades = [make_trade("A", days[3]), make_trade("A", days[3]),
                   make_trade("A", days[7])]
         m = build_activity(columns(trades), calendar20)
-        series = m["A"]
-        assert series.first_day == 3 and series.last_day == 7
-        assert list(series.counts) == [2, 0, 0, 0, 1]
-        assert series.total_ops == 3
-        assert series.n_active == 2
+        assert m.first_day.tolist() == [3] and m.last_day.tolist() == [7]
+        assert [a.tolist() for a in m.active(0)] == [[3, 7], [2, 1]]
+        assert m.total_ops.tolist() == [3]
+        assert m.n_active.tolist() == [2]
         assert (m.last_day - m.first_day + 1).tolist() == [5]
         assert m.opd.tolist() == [1.5]
 
     def test_single_trade_boundary(self, calendar20, quotes20):
         m = build_activity(columns([make_trade("B", quotes20.days[9])]), calendar20)
-        series = m["B"]
-        assert series.n_active == series.counts.size == 1
+        assert m.n_active.tolist() == [1]
+        assert [a.tolist() for a in m.active(0)] == [[9], [1]]
         assert (m.last_day - m.first_day + 1).tolist() == [1]
         assert m.opd.tolist() == [1.0]
 
     def test_opd_definition(self, calendar20, quotes20):
         trades = [make_trade("C", quotes20.days[d]) for d in range(20)] * 2
         m = build_activity(columns(trades), calendar20)
-        series = m["C"]
-        assert series.total_ops == 40
-        assert series.n_active == 20
+        assert m.total_ops.tolist() == [40]
+        assert m.n_active.tolist() == [20]
         assert m.opd.tolist() == [2.0]
 
     def test_rows_of_maps_ids_to_rows(self, calendar20, quotes20):
@@ -45,7 +43,6 @@ class TestBuildActivity:
         m = build_activity(columns(trades), calendar20)
         assert m.ids == ["A", "B", "C"]
         assert m.rows_of(["C", "A"]).tolist() == [2, 0]
-        assert "B" in m and "D" not in m
         with pytest.raises(KeyError):
             m.rows_of(["A", "D"])
 
@@ -61,11 +58,14 @@ class TestBuildActivity:
             for d in rng.integers(0, 20, size=rng.integers(1, 30)):
                 trades.append(make_trade(f"I{i:02d}", days[int(d)]))
         m = build_activity(columns(trades), calendar20)
-        for s, opd in zip(m.values(), m.opd.tolist()):
-            assert s.n_active <= s.counts.size
-            assert opd == s.total_ops / s.n_active >= s.total_ops / s.counts.size
-            assert s.counts[0] > 0 and s.counts[-1] > 0
-            assert s.total_ops == int(s.counts.sum())
+        spans = (m.last_day - m.first_day + 1).tolist()
+        for k, opd in enumerate(m.opd.tolist()):
+            day, count = m.active(k)
+            assert (day[0], day[-1]) == (m.first_day[k], m.last_day[k])
+            assert np.all(np.diff(day) > 0) and np.all(count > 0)
+            assert m.n_active[k] == day.size <= spans[k]
+            assert opd == m.total_ops[k] / m.n_active[k] >= m.total_ops[k] / spans[k]
+            assert m.total_ops[k] == int(count.sum())
 
 
 class TestCcdf:

@@ -198,6 +198,9 @@ def test_report_rejects_zero_replicas(synth_data, tmp_path, capsys, shuffles):
     ("--ma-window", "1", "ma_window must be at least 2, got 1"),
     ("--ma-mode", "centered --ma-window 4",
      "centered moving average needs an odd ma_window, got 4"),
+    ("--auto-filter", "bogus", "unknown auto-filter policy 'bogus'"),
+    ("--auto-filter", "threshold:0", "threshold policy needs k >= 1"),
+    ("--auto-filter", "threshold:x", "threshold policy needs an integer k, got 'x'"),
 ])
 def test_report_rejects_out_of_range_parameters(synth_data, tmp_path, capsys, flag,
                                                 value, message):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import matrix, series_from_counts
+from conftest import matrix, matrix_rows, series_from_counts
 from oracles import bruteforce_activity_vol_correlation
 from tradesync.errors import DegenerateInputError
 from tradesync.parallel import task_rng
@@ -18,14 +18,15 @@ def _vol(values):
 
 
 def _active_everywhere(counts, investor="I1"):
-    return series_from_counts(counts, investor=investor)
+    """A one-row activity matrix of `counts` from calendar day 0."""
+    return matrix([series_from_counts(counts, investor=investor)])
 
 
 class TestPolarizationScore:
     def test_proportional_alignment_gives_one(self):
         counts = [2, 5, 3, 7, 2, 4, 6, 3, 2, 8, 5, 3, 2, 4, 6, 7, 3, 2, 5, 4, 3, 6]
         nu = [c / 100 for c in counts]
-        score = polarization_score(_active_everywhere(counts), _vol(nu), min_days=20)
+        score = polarization_score(_active_everywhere(counts), 0, _vol(nu), min_days=20)
         assert isinstance(score, PolarizationScore)
         assert score.rho_ov == pytest.approx(1.0, abs=1e-12)
         assert score.trading_days_used == len(counts)
@@ -33,18 +34,18 @@ class TestPolarizationScore:
     def test_constant_activity_excluded(self):
         counts = [1] * 25
         nu = np.linspace(0.01, 0.05, 25)
-        out = polarization_score(_active_everywhere(counts), _vol(nu), min_days=20)
+        out = polarization_score(_active_everywhere(counts), 0, _vol(nu), min_days=20)
         assert out == Exclusion("I1", EXCLUDE_CONST_OPS)
 
     def test_too_few_days_excluded(self):
-        out = polarization_score(_active_everywhere([1, 2, 3]), _vol([0.1] * 3),
+        out = polarization_score(_active_everywhere([1, 2, 3]), 0, _vol([0.1] * 3),
                                  min_days=20)
         assert out == Exclusion("I1", EXCLUDE_FEW_DAYS)
 
     def test_25_day_bruteforce_oracle(self, rng):
         counts = rng.integers(1, 9, size=25)
         nu = rng.lognormal(-3.5, 0.5, 25)
-        score = polarization_score(_active_everywhere(counts), _vol(nu), min_days=20)
+        score = polarization_score(_active_everywhere(counts), 0, _vol(nu), min_days=20)
         expected = bruteforce_activity_vol_correlation(
             [float(c) for c in counts], nu.tolist())
         assert score.rho_ov == pytest.approx(expected, abs=1e-12)
@@ -54,8 +55,8 @@ class TestPolarizationScore:
         counts = [3, 0, 5, 0, 2, 0, 4] * 5
         counts = counts[:-1] if counts[-1] == 0 else counts
         nu = rng.lognormal(-3.5, 0.3, len(counts))
-        series = series_from_counts(counts, investor="Z")
-        score = polarization_score(series, _vol(nu), min_days=5)
+        series = matrix([series_from_counts(counts, investor="Z")])
+        score = polarization_score(series, 0, _vol(nu), min_days=5)
         active = [i for i, c in enumerate(counts) if c > 0]
         expected = bruteforce_activity_vol_correlation(
             [float(counts[i]) for i in active], [nu[i] for i in active])
@@ -64,10 +65,10 @@ class TestPolarizationScore:
     def test_invariance_under_nu_scaling_and_ops_shift(self, rng):
         counts = rng.integers(1, 7, size=40)  # active every day, shift-safe
         nu = rng.lognormal(-3.5, 0.4, 40)
-        base = polarization_score(_active_everywhere(counts), _vol(nu), min_days=20)
-        scaled = polarization_score(_active_everywhere(counts), _vol(nu * 3.7),
+        base = polarization_score(_active_everywhere(counts), 0, _vol(nu), min_days=20)
+        scaled = polarization_score(_active_everywhere(counts), 0, _vol(nu * 3.7),
                                     min_days=20)
-        shifted = polarization_score(_active_everywhere(counts + 5), _vol(nu),
+        shifted = polarization_score(_active_everywhere(counts + 5), 0, _vol(nu),
                                      min_days=20)
         assert scaled.rho_ov == pytest.approx(base.rho_ov, abs=1e-12)
         assert shifted.rho_ov == pytest.approx(base.rho_ov, abs=1e-12)
@@ -75,9 +76,11 @@ class TestPolarizationScore:
     def test_global_moments_variant(self, rng):
         counts = rng.integers(1, 7, size=30)
         nu = rng.lognormal(-3.5, 0.4, 60)
-        series = series_from_counts(counts, investor="G", first_day=10)
-        trading = polarization_score(series, _vol(nu), min_days=20, nu_moments="trading")
-        global_ = polarization_score(series, _vol(nu), min_days=20, nu_moments="global")
+        series = matrix([series_from_counts(counts, investor="G", first_day=10)])
+        trading = polarization_score(series, 0, _vol(nu), min_days=20,
+                                     nu_moments="trading")
+        global_ = polarization_score(series, 0, _vol(nu), min_days=20,
+                                     nu_moments="global")
         assert isinstance(trading, PolarizationScore)
         assert isinstance(global_, PolarizationScore)
         assert trading.rho_ov != global_.rho_ov
@@ -176,7 +179,7 @@ class TestShuffledBaseline:
         for perm in perms.astype(int):
             shuffled = nu.copy()
             shuffled[days] = nu[days][perm]
-            score = polarization_score(series["I1"], _vol(shuffled),
+            score = polarization_score(series, 0, _vol(shuffled),
                                        nu_moments=nu_moments)
             expected.append(score.rho_ov)
         assert np.allclose(baseline.replica_means, expected, rtol=0, atol=1e-12)
@@ -186,7 +189,7 @@ class TestShuffledBaseline:
     def test_eligibility_invariants(self, rng):
         series, vol = _population(rng, 120, 150)
         series = matrix([
-            *series.values(), series_from_counts([1, 2, 1], investor="LONELY")])
+            *matrix_rows(series), series_from_counts([1, 2, 1], investor="LONELY")])
         scores, exclusions = score_population(series, vol, min_days=20)
         assert all(s.trading_days_used >= 20 for s in scores)
         reasons = set(exclusions)

@@ -136,6 +136,15 @@ def test_replicas_below_one_rejected(replicas):
         PipelineParams(replicas=replicas)
 
 
+@pytest.mark.parametrize("name,message", [
+    ("ma_mode", "ma_mode must be one of trailing, centered, got 'foo'"),
+    ("nu_moments", "nu_moments must be one of trading, global, got 'foo'"),
+])
+def test_unknown_mode_rejected(name, message):
+    with pytest.raises(ConfigError, match=message):
+        PipelineParams(**{name: "foo"})
+
+
 def test_report_json_refuses_non_finite_numbers():
     with pytest.raises(ValueError):
         dump_report({"variance_ratio": float("nan")}, io.StringIO())

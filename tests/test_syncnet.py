@@ -4,50 +4,56 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import matrix, series_from_counts
+from conftest import matrix, series_from_counts, window
 from oracles import bruteforce_pair_correlation
 from tradesync import syncnet
 from tradesync.errors import DegenerateInputError
 from tradesync.parallel import task_rng
-from tradesync.syncnet import (build_sync_network, cross_correlation,
-                               overlap_window, permutation_pvalue, write_edges)
+from tradesync.syncnet import build_sync_network, permutation_pvalue, write_edges
 from tradesync.volatility import population_correlation
 
 
-def _series_pair(counts_a, counts_b, first_a=0, first_b=0):
-    a = series_from_counts(counts_a, investor="A", first_day=first_a)
-    b = series_from_counts(counts_b, investor="B", first_day=first_b)
-    return a, b
+def _pair_network(counts_a, counts_b, first_a=0, first_b=0, **kwargs):
+    """build_sync_network on investors A and B, both of them nodes."""
+    return build_sync_network(
+        matrix([series_from_counts(counts_a, investor="A", first_day=first_a),
+                series_from_counts(counts_b, investor="B", first_day=first_b)]),
+        min_ops=1, workers=1, **kwargs)
 
 
 class TestOverlap:
+    """A pair's window is the overlap of the two investors' active spans."""
+
     def test_interval_intersection(self):
-        a, b = _series_pair([1] * 11, [1] * 16, first_a=0, first_b=5)
-        w = overlap_window(a, b)
-        assert (w.start, w.end, w.length) == (5, 10, 6)
+        # spans [0, 10] and [5, 20]: both make 1..6 operations on days 5..10
+        net = _pair_network([1] * 5 + [1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6] + [1] * 10,
+                            first_b=5, shuffles=199, level=0.05, seed=1)
+        assert [(e.i, e.j, e.rho, e.overlap) for e in net.edges] == [("A", "B", 1.0, 6)]
 
     def test_disjoint(self):
-        a, b = _series_pair([1] * 5, [1] * 5, first_a=0, first_b=5)
-        assert overlap_window(a, b) is None
+        # spans [0, 4] and [5, 9] touch but share no day
+        net = _pair_network([1] * 5, [1] * 5, first_b=5, shuffles=199, seed=1)
+        d = net.diagnostics
+        assert (d["pairs_total"], d["pairs_disjoint"], net.edges) == (1, 1, [])
 
     def test_identical_periods(self):
-        a, b = _series_pair([1] * 6, [1] * 6, first_a=3, first_b=3)
-        w = overlap_window(a, b)
-        assert (w.start, w.end, w.length) == (3, 8, 6)
+        counts = [1, 2, 3, 4, 5, 6]
+        net = _pair_network(counts, counts, first_a=3, first_b=3, shuffles=199,
+                            level=0.05, seed=1)
+        assert [e.overlap for e in net.edges] == [6]
 
 
 class TestCrossCorrelation:
     def test_identical_series_exactly_one(self):
-        a, b = _series_pair([3, 1, 4, 1, 5], [3, 1, 4, 1, 5])
-        w = overlap_window(a, b)
-        assert cross_correlation(a, b, w) == 1.0
+        counts = [3, 1, 4, 1, 5]
+        net = _pair_network(counts, counts, shuffles=199, level=0.05, seed=1)
+        assert [e.rho for e in net.edges] == [1.0]
 
     def test_exact_anticorrelation(self):
         counts = [1, 3, 2, 1, 3]
-        flipped = [4 - c for c in counts]
-        a, b = _series_pair(counts, flipped)
-        w = overlap_window(a, b)
-        assert cross_correlation(a, b, w) == pytest.approx(-1.0, abs=1e-12)
+        net = _pair_network(counts, [4 - c for c in counts], shuffles=199, seed=1)
+        d = net.diagnostics
+        assert (d["pairs_tested"], d["pairs_negative_rho"], net.edges) == (1, 1, [])
 
     def test_five_day_window_matches_bruteforce(self):
         x = np.array([0.0, 2.0, 0.0, 1.0, 0.0])
@@ -84,13 +90,9 @@ class TestCrossCorrelation:
 
 class TestPermutationFilter:
     def test_perfectly_synchronized_pair(self):
-        counts = list(np.random.default_rng(1).integers(1, 9, size=30))
-        a, b = _series_pair(counts, counts)
-        w = overlap_window(a, b)
-        rho = cross_correlation(a, b, w)
-        assert rho == 1.0
-        x = a.window(w.start, w.end).astype(float)
-        y = b.window(w.start, w.end).astype(float)
+        x = np.random.default_rng(1).integers(1, 9, size=30).astype(float)
+        y = x.copy()
+        assert population_correlation(x, y) == 1.0
         pvalue = permutation_pvalue(x, y, shuffles=999, rng=task_rng(7))
         assert pvalue < 0.01
         assert pvalue == pytest.approx(1 / 1000)
@@ -257,10 +259,12 @@ class TestTriangle:
             assert decoded == [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _windows(slist, i, j):
-    w = overlap_window(slist[i], slist[j])
-    return (slist[i].window(w.start, w.end).astype(float),
-            slist[j].window(w.start, w.end).astype(float))
+def _windows(m, i, j):
+    """Rows i and j of matrix m over the overlap of their active spans."""
+    start = max(m.first_day[i], m.first_day[j])
+    end = min(m.last_day[i], m.last_day[j])
+    return (window(m, i, start, end).astype(float),
+            window(m, j, start, end).astype(float))
 
 
 def _stop_point(flags, shuffles, level, block_rows):
@@ -294,10 +298,11 @@ class TestEarlyStopping:
         net = _network(slist, shuffles=shuffles, level=level, seed=seed)
         assert net.node_ids == [s.investor_id for s in slist]
         assert net.diagnostics["pairs_tested"] == 120
+        m = matrix(slist)
         full, stops = {}, []
         for i in range(16):
             for j in range(i + 1, 16):
-                x, y = _windows(slist, i, j)
+                x, y = _windows(m, i, j)
                 full_p = permutation_pvalue(x, y, shuffles, task_rng(seed, i, j))
                 if full_p < level:
                     full[(f"s{i:02d}", f"s{j:02d}")] = (population_correlation(x, y),
@@ -317,7 +322,7 @@ class TestEarlyStopping:
         y = data.poisson(1.0, 80) * gate + data.poisson(0.8, 80)
         x[0] = y[0] = 1
         slist = [series_from_counts(x, investor="a"), series_from_counts(y, investor="b")]
-        xw, yw = _windows(slist, 0, 1)
+        xw, yw = _windows(matrix(slist), 0, 1)
         flags = _replayed_exceedances(xw, yw, 600, task_rng(5, 0, 1))
         # the shuffle count ending at an exceedance, with at least 99 shuffles
         hits = np.flatnonzero(flags) + 1

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import rows_of, synth_columns
+from conftest import rows_of, synth_columns, window
 from tradesync.errors import GenerationError
 from tradesync.ingest import build_calendar, parse_quotes, parse_trades
 from tradesync.activity import build_activity
@@ -120,12 +120,11 @@ class TestGenerate:
         res = generate(cfg)
         cal = build_calendar(res.quotes)
         series = build_activity(synth_columns(res), cal)
-        a = series["A00000"]
-        b = series["A00001"]
-        start = max(a.first_day, b.first_day)
-        end = min(a.last_day, b.last_day)
-        xa = a.window(start, end) > 0
-        xb = b.window(start, end) > 0
+        a, b = series.rows_of(["A00000", "A00001"])
+        start = max(series.first_day[a], series.first_day[b])
+        end = min(series.last_day[a], series.last_day[b])
+        xa = window(series, a, start, end) > 0
+        xb = window(series, b, start, end) > 0
         agree = (xa == xb).mean()
         assert agree > 0.8  # both follow the same on/off gate
 

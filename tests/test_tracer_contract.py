@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import matrix, series_from_counts
-from tradesync.polarization import shuffled_baseline
+from tradesync.polarization import score_population, shuffled_baseline
 from tradesync.syncnet import build_sync_network
 from tradesync.volatility import VolatilitySeries
 
@@ -41,6 +41,19 @@ def _series(n_inv=6, n_days=60, seed=4):
 def test_every_target_is_a_function_of_its_module(tracer):
     for module, name, _ in tracer.TARGETS:
         assert callable(getattr(importlib.import_module(f"tradesync.{module}"), name))
+
+
+def test_activity_counts_read_its_length(tracer):
+    series = _series()
+    assert len(series) == 6
+    assert tracer._counts("activity.build", (), {}, series) == {"investors": 6}
+
+
+def test_score_counts_read_its_scores(tracer):
+    vol = VolatilitySeries("TST", np.random.default_rng(1).lognormal(size=60))
+    result = score_population(_series(), vol)
+    assert len(result[0]) == 6
+    assert tracer._counts("polarization.score", (), {}, result) == {"scored": 6}
 
 
 def test_baseline_counts_read_its_replica_variances(tracer):

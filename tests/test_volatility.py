@@ -51,7 +51,7 @@ class TestMesoSeries:
         }
         meso = meso_series(matrix(series.values()), calendar20)
         assert list(meso.ops[:4]) == [1, 3, 3, 0]
-        assert meso.ops.sum() == sum(s.total_ops for s in series.values())
+        assert meso.ops.sum() == sum(int(s.count.sum()) for s in series.values())
         assert len(meso) == 20
 
 
