@@ -15,6 +15,7 @@ import sys
 from dataclasses import fields
 
 from . import activity as act
+from . import parallel
 from . import volatility as vola
 from .errors import TradesyncError
 from .ingest import parse_quotes, parse_trades, select_ticker
@@ -335,6 +336,10 @@ def main(argv=None) -> int:
     except (TradesyncError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        # join the pool's workers: none outlives the command, and their CPU
+        # time is counted with this process's
+        parallel.shutdown()
 
 
 if __name__ == "__main__":

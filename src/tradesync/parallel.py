@@ -1,5 +1,5 @@
-"""Worker-count resolution, the process-pool runner and deterministic
-per-task RNG streams.
+"""Worker-count resolution, the process pool that every parallel stage shares
+and deterministic per-task RNG streams.
 
 Every randomized step in the package derives its generator from a root seed
 plus integer task coordinates, never from execution order, so results are
@@ -7,7 +7,9 @@ identical for any worker count.
 """
 
 import functools
+import itertools
 import os
+import pickle
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 
@@ -50,29 +52,57 @@ def chunked(items: Sequence, n_chunks: int) -> list[Sequence]:
     return out
 
 
+# The pool of this process: (owner pid, worker count, executor). A forked
+# child inherits the parent's entry and must not use it, so it opens its own.
+_POOL: tuple[int, int, ProcessPoolExecutor] | None = None
+_CALLS = itertools.count()
+
+# Worker side: the token of the call whose payload this worker holds, and the
+# payload itself. Only the latest call's payload is kept.
+_PAYLOAD_TOKEN = None
 _PAYLOAD = None
 
 
-def _set_payload(payload) -> None:
-    global _PAYLOAD
-    _PAYLOAD = payload
-
-
-def _run_task(fn, task):
+def _run_task(fn, token, blob: bytes, task):
+    global _PAYLOAD_TOKEN, _PAYLOAD
+    if token != _PAYLOAD_TOKEN:
+        _PAYLOAD_TOKEN = _PAYLOAD = None  # drop the last call's payload first
+        _PAYLOAD = pickle.loads(blob)
+        _PAYLOAD_TOKEN = token
     return fn(_PAYLOAD, task)
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of `workers` processes, opened on first use and
+    reopened when the worker count changes."""
+    global _POOL
+    if _POOL is not None and _POOL[:2] != (os.getpid(), workers):
+        shutdown()
+    if _POOL is None:
+        _POOL = (os.getpid(), workers, ProcessPoolExecutor(max_workers=workers))
+    return _POOL[2]
+
+
+def shutdown() -> None:
+    """Close this process's pool, cancel the tasks it has not started and
+    join its workers. An entry inherited from a parent process is dropped
+    without touching the parent's pool."""
+    global _POOL
+    pool, _POOL = _POOL, None
+    if pool is not None and pool[0] == os.getpid():
+        pool[2].shutdown(cancel_futures=True)
 
 
 def map_tasks(fn, payload, tasks: list, workers: int) -> list:
     """[fn(payload, task) for task in tasks], in task order.
 
     With one worker or fewer than two tasks this runs in the calling process.
-    Otherwise it runs on a process pool of at most `workers` processes; the
-    payload reaches each worker once through the pool initializer (inherited
-    on fork), so only the tasks and their results are pickled. `fn` must be a
-    module-level function.
+    Otherwise it runs on the process's long-lived pool of `workers`
+    processes. The payload is pickled once per call and sent with every task,
+    tagged with the call's token; a worker unpickles it on its first task of
+    the call. `fn` must be a module-level function.
     """
     if workers <= 1 or len(tasks) < 2:
         return [fn(payload, task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
-                             initializer=_set_payload, initargs=(payload,)) as pool:
-        return list(pool.map(functools.partial(_run_task, fn), tasks))
+    run = functools.partial(_run_task, fn, next(_CALLS), pickle.dumps(payload, -1))
+    return list(_pool(workers).map(run, tasks))

@@ -8,6 +8,7 @@ seed produce byte-identical output for any worker count.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -15,7 +16,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from jsonschema import validate as _validate_schema
 
 from . import activity as act
 from . import netmetrics as nm
@@ -26,7 +26,8 @@ from .ingest import (AutoFilterPolicy, QuoteSeries, TradeColumns, build_calendar
                      filter_automatic, split_off_calendar)
 from .syncnet import SyncNetwork, build_sync_network, write_edges
 
-REPORT_VERSION = "4"
+REPORT_VERSION = "5"
+MAX_BINS = 10_000
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,13 @@ class PipelineParams:
         if self.shuffles < 0 or 1 / (self.shuffles + 1) >= self.p_level:
             raise ConfigError(f"{self.shuffles} shuffles cannot give a p-value "
                               f"below p_level {self.p_level}")
-        for name in ("swap_factor", "bins", "opd_cap"):
+        for name in ("min_ops", "min_days", "swap_factor", "bins", "opd_cap",
+                     "hill_k"):
             value = getattr(self, name)
-            if value < 1:
+            if value is not None and value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value}")
+        if self.bins > MAX_BINS:
+            raise ConfigError(f"bins must be at most {MAX_BINS}, got {self.bins}")
         if self.ma_window < 2:
             raise ConfigError(f"ma_window must be at least 2, got {self.ma_window}")
         for name, choices in (("ma_mode", ("trailing", "centered")),
@@ -350,8 +354,17 @@ def build_report(sections: dict[str, dict], params: PipelineParams,
         },
         "assets": sections,
     })
-    _validate_schema(report, REPORT_SCHEMA)
+    _report_validator().validate(report)
     return report
+
+
+@functools.cache
+def _report_validator():
+    """A validator for REPORT_SCHEMA, built on first use: checking the schema
+    itself on every report would cost far more than validating the report,
+    and importing jsonschema is left to the commands that write one."""
+    from jsonschema import validators
+    return validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
 
 
 def dump_report(report: dict, stream) -> None:

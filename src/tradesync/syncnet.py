@@ -26,9 +26,9 @@ from .errors import DegenerateInputError
 from .parallel import chunked, map_tasks, resolve_workers, task_rng
 from .volatility import population_correlation
 
-# Shuffles are drawn in blocks of _BLOCK_ROWS (fewer for very long windows).
-# `rng.permuted` consumes the stream row by row, so the block size only sets
-# where a pair may stop, never which permutations it draws.
+# Shuffles are drawn in blocks of at most _BLOCK_ROWS (fewer for very long
+# windows). `rng.permuted` consumes the stream row by row, so the block size
+# only sets where a pair may stop, never which permutations it draws.
 _BLOCK_ROWS = 50
 _BLOCK_ELEMENTS = 2_000_000
 
@@ -75,12 +75,15 @@ def _shuffle_exceed_count(x: np.ndarray, y: np.ndarray, shuffles: int,
     unchanged, so comparing raw dot products is equivalent to comparing
     correlations. With a `level`, drawing stops after the first block where
     (1 + count) / (shuffles + 1) >= level: the pair can no longer be kept.
+    A block holds at least the exceedances still needed to stop, since no
+    smaller one can, and at least twice the previous block.
     """
     s0 = float(np.dot(x, y))
-    block = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // max(x.size, 1)))
-    count = done = 0
+    cap = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // max(x.size, 1)))
+    stop_count = shuffles if level is None else math.ceil(level * (shuffles + 1)) - 1
+    count = done = rows = 0
     while done < shuffles:
-        rows = min(block, shuffles - done)
+        rows = min(cap, max(stop_count - count, 2 * rows, 1), shuffles - done)
         xs = np.tile(x, (rows, 1))
         rng.permuted(xs, axis=1, out=xs)
         count += int(np.count_nonzero(xs @ y >= s0))
@@ -124,8 +127,17 @@ def _test_pairs(payload: dict, chunk: range) -> tuple[list[SyncEdge], dict]:
     """Test the pairs at a contiguous range of flat triangle indices: the kept
     edges in index order, and the count of each pair outcome. A pair's window
     is the overlap of the two nodes' active spans."""
-    spans, first, last = payload["spans"], payload["first"], payload["last"]
+    first, last = payload["first"], payload["last"]
     node_ids, cum = payload["node_ids"], payload["cum"]
+    if "spans" not in payload:
+        # each node's counts on every day of its active span, as floats; made
+        # once per call in each process and kept with the payload
+        payload["spans"] = []
+        for (day, count), start, end in zip(payload["rows"], first, last):
+            span = np.zeros(end - start + 1)
+            span[day - start] = count
+            payload["spans"].append(span)
+    spans = payload["spans"]
     seed, shuffles, level = payload["seed"], payload["shuffles"], payload["level"]
     counts = dict.fromkeys(("disjoint", "short", "degenerate", "tested",
                             "negative_rho", "shuffles_used"), 0)
@@ -173,17 +185,13 @@ def build_sync_network(series: ActivityMatrix, min_ops: int = 20,
     rows = np.flatnonzero(series.total_ops >= min_ops)
     node_ids = [series.ids[k] for k in rows.tolist()]
     first, last = series.first_day[rows].tolist(), series.last_day[rows].tolist()
-    # each node's counts on every day of its active span, as floats
-    spans = []
-    for k, start, end in zip(rows.tolist(), first, last):
-        day, count = series.active(k)
-        span = np.zeros(end - start + 1)
-        span[day - start] = count
-        spans.append(span)
     n = len(node_ids)
     n_pairs = n * (n - 1) // 2
     workers = resolve_workers(workers)
-    payload = {"spans": spans, "first": first, "last": last, "node_ids": node_ids,
+    # the nodes' sparse rows travel to the workers: dense spans would make
+    # each message about 100 MB at paper size
+    payload = {"rows": [series.active(k) for k in rows.tolist()],
+               "first": first, "last": last, "node_ids": node_ids,
                "cum": _row_offsets(n), "seed": seed, "shuffles": shuffles,
                "level": level}
     edges: list[SyncEdge] = []

@@ -5,6 +5,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from tradesync import parallel
 from tradesync.activity import ActivityMatrix
 from tradesync.ingest import (QuoteSeries, TradeColumns, build_calendar, parse_trades,
                               write_trades)
@@ -124,6 +125,14 @@ def two_cliques(k: int = 5) -> SyncNetwork:
 def complete_bipartite(k: int = 4) -> SyncNetwork:
     edges = [(a, k + b) for a in range(k) for b in range(k)]
     return fixture_network(2 * k, edges)
+
+
+@pytest.fixture(autouse=True)
+def _close_pool():
+    """Close the process pool after every test, so no test forks while one
+    is open."""
+    yield
+    parallel.shutdown()
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import re
 
@@ -164,7 +165,7 @@ def test_report_end_to_end_and_determinism(synth_data, tmp_path):
     r2 = (out2 / "report.json").read_bytes()
     assert r1 == r2
     report = json.loads(r1)
-    assert report["version"] == "4"
+    assert report["version"] == "5"
     assert report["run"]["seed"] == 5
     assert report["run"]["trade_rejects"] == 0
     assert "permute" not in report["run"]["defaults"]
@@ -193,6 +194,9 @@ def test_report_rejects_zero_replicas(synth_data, tmp_path, capsys, shuffles):
     ("--p-level", "0", "p_level must lie in (0, 1), got 0.0"),
     ("--swap-factor", "-3", "swap_factor must be at least 1, got -3"),
     ("--bins", "0", "bins must be at least 1, got 0"),
+    ("--min-ops", "0", "min_ops must be at least 1, got 0"),
+    ("--min-days", "-1", "min_days must be at least 1, got -1"),
+    ("--hill-k", "0", "hill_k must be at least 1, got 0"),
     ("--opd-cap", "-1", "opd_cap must be at least 1, got -1"),
     ("--ma-window", "0", "ma_window must be at least 2, got 0"),
     ("--ma-window", "1", "ma_window must be at least 2, got 1"),
@@ -284,6 +288,18 @@ def test_metrics_nulls_follow_the_worker_count(synth_data, tmp_path, monkeypatch
     assert seen == [2, 2, 2, 2]
     assert (tmp_path / "w2" / "metrics.json").read_bytes() == \
         (tmp_path / "w1" / "metrics.json").read_bytes()
+
+
+def test_report_leaves_no_worker_running(synth_data, tmp_path, monkeypatch):
+    opened = []
+    pool = parallel._pool
+    monkeypatch.setattr(parallel, "_pool", lambda workers: opened.append(workers)
+                        or pool(workers))
+    monkeypatch.setenv("TRADESYNC_WORKERS", "2")
+    assert main(["report"] + _common(synth_data, tmp_path / "r")) == 0
+    # every parallel stage ran on the pool, which report closed on its way out
+    assert opened and set(opened) == {2}
+    assert multiprocessing.active_children() == []
 
 
 def test_global_nu_moments_reach_the_baseline(synth_data, tmp_path):

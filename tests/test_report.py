@@ -1,12 +1,13 @@
 import io
 
 import pytest
+from jsonschema.validators import validator_for
 
 from conftest import synth_columns
 from tradesync import netmetrics
 from tradesync.errors import ConfigError, DegenerateInputError
 from tradesync.ingest import select_ticker
-from tradesync.report import (PipelineParams, analyze_asset, assortativity_stage,
+from tradesync.report import (REPORT_SCHEMA, PipelineParams, analyze_asset, assortativity_stage,
                               build_report, derive_seeds, dump_report, front_stage,
                               network_stage, score_stage)
 from tradesync.synth import CommunitySpec, SynthConfig, generate
@@ -143,6 +144,20 @@ def test_replicas_below_one_rejected(replicas):
 def test_unknown_mode_rejected(name, message):
     with pytest.raises(ConfigError, match=message):
         PipelineParams(**{name: "foo"})
+
+
+def test_bins_above_the_limit_rejected():
+    assert PipelineParams(bins=10_000).bins == 10_000
+    with pytest.raises(ConfigError, match="bins must be at most 10000, got 10001"):
+        PipelineParams(bins=10_001)
+
+
+def test_report_schema_is_a_valid_schema_and_is_enforced():
+    validator_for(REPORT_SCHEMA).check_schema(REPORT_SCHEMA)
+    params = PipelineParams()
+    assert build_report({}, params, 1, 0)["assets"] == {}
+    with pytest.raises(Exception, match="'nodes' is a required property"):
+        build_report({"X": {"network": {}}}, params, 1, 0)
 
 
 def test_report_json_refuses_non_finite_numbers():

@@ -1,4 +1,5 @@
 import io
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -269,8 +270,14 @@ def _windows(m, i, j):
 
 def _stop_point(flags, shuffles, level, block_rows):
     """Shuffles an early-stopped pair draws: the first block end where
-    (1 + count) / (shuffles + 1) reaches level, else all of them."""
-    for done in [*range(block_rows, shuffles, block_rows), shuffles]:
+    (1 + count) / (shuffles + 1) reaches level, else all of them. A block
+    holds min(block_rows, max(exceedances still needed to stop, twice the
+    previous block, 1)) shuffles."""
+    stop_count = math.ceil(level * (shuffles + 1)) - 1
+    done = block = 0
+    while done < shuffles:
+        block = min(block_rows, max(stop_count - flags[:done].sum(), 2 * block, 1))
+        done = min(done + block, shuffles)
         if (1 + flags[:done].sum()) / (shuffles + 1) >= level:
             return done
     return shuffles
@@ -312,6 +319,15 @@ class TestEarlyStopping:
         assert {(e.i, e.j): (e.rho, e.pvalue) for e in net.edges} == full
         assert len(full) >= 5 and sum(s < shuffles for s in stops) >= len(stops) // 2
         assert net.diagnostics["shuffles_used"] == sum(stops)
+
+    def test_first_block_holds_the_exceedances_needed_to_stop(self):
+        # the two never trade on the same day, so x.y = 0 and every shuffle
+        # reaches it: at 999 shuffles and level 0.01 the pair stops at its
+        # 9th exceedance, which is the end of its first block
+        net = _pair_network([1, 0] * 40, [0, 1] * 40, shuffles=999, level=0.01,
+                            seed=2)
+        assert net.diagnostics["pairs_tested"] == 1
+        assert (net.edges, net.diagnostics["shuffles_used"]) == ([], 9)
 
     @pytest.mark.parametrize("block_rows", [1, 50])
     def test_stopping_exceedance_on_last_shuffle(self, monkeypatch, block_rows):
