@@ -17,7 +17,7 @@ from dataclasses import fields
 from . import activity as act
 from . import parallel
 from . import volatility as vola
-from .errors import TradesyncError
+from .errors import ConfigError, TradesyncError
 from .ingest import parse_quotes, parse_trades, select_ticker
 from .report import (PipelineParams, analyze_asset, assortativity_stage,
                      build_report, derive_seeds, dump_report, front_stage,
@@ -111,7 +111,7 @@ def _single_asset(args) -> tuple[str, str]:
 def _read_trades(args):
     if not args.trades:
         raise TradesyncError("--trades is required")
-    with open(args.trades) as f:
+    with open(args.trades, encoding="utf-8-sig") as f:
         return parse_trades(f, args.delimiter)
 
 
@@ -121,7 +121,7 @@ def _print_rejects(parsed, stream) -> None:
 
 
 def _read_quotes(path: str, ticker: str, args):
-    with open(path) as f:
+    with open(path, encoding="utf-8-sig") as f:
         return parse_quotes(f, ticker, args.delimiter)
 
 
@@ -316,7 +316,7 @@ def cmd_report(args) -> int:
             sections[ticker] = {"error": str(err)}
             failed.append(ticker)
             print(f"{ticker}: FAILED ({err})", file=sys.stderr)
-    report = build_report(sections, params, args.seed, len(parsed.rejects))
+    report = build_report(sections, params, args.seed, parsed.rejects)
     _write_json(os.path.join(out, "report.json"), report)
     if failed:
         print(f"{len(failed)} asset(s) failed: {', '.join(failed)}", file=sys.stderr)
@@ -329,9 +329,18 @@ _HANDLERS = {f.__name__.removeprefix("cmd_"): f for f in (
     cmd_metrics, cmd_polarization, cmd_synth, cmd_report)}
 
 
+def _check_delimiter(args) -> None:
+    """A delimiter csv can split on: one character that is no quote or line end."""
+    d = getattr(args, "delimiter", ",")
+    if len(d) != 1 or d in '"\n\r':
+        raise ConfigError(f"--delimiter must be one character other than a quote, "
+                          f"CR or LF, got {d!r}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_delimiter(args)
         return _HANDLERS[args.command](args)
     except (TradesyncError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

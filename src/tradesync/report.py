@@ -22,11 +22,11 @@ from . import netmetrics as nm
 from . import polarization as pol
 from . import volatility as vola
 from .errors import ConfigError, DegenerateInputError, TradesyncError
-from .ingest import (AutoFilterPolicy, QuoteSeries, TradeColumns, build_calendar,
-                     filter_automatic, split_off_calendar)
+from .ingest import (AutoFilterPolicy, QuoteSeries, Reject, TradeColumns,
+                     build_calendar, filter_automatic, split_off_calendar)
 from .syncnet import SyncNetwork, build_sync_network, write_edges
 
-REPORT_VERSION = "5"
+REPORT_VERSION = "6"
 MAX_BINS = 10_000
 
 
@@ -343,14 +343,16 @@ def write_polarization_tables(a: AssetAnalysis, out: str) -> None:
 
 
 def build_report(sections: dict[str, dict], params: PipelineParams,
-                 root_seed: int, trade_rejects: int) -> dict:
+                 root_seed: int, trade_rejects: list[Reject]) -> dict:
     report = _plain({
         "version": REPORT_VERSION,
         "run": {
             "seed": int(root_seed),
             "config_digest": params.digest(),
             "defaults": asdict(params),
-            "trade_rejects": int(trade_rejects),
+            "trade_rejects": len(trade_rejects),
+            "trade_rejects_by_reason": dict(sorted(
+                Counter(r.reason for r in trade_rejects).items())),
         },
         "assets": sections,
     })
@@ -468,8 +470,11 @@ REPORT_SCHEMA = {
                 "config_digest": {"type": "string"},
                 "defaults": {"type": "object"},
                 "trade_rejects": {"type": "integer"},
+                "trade_rejects_by_reason": {"type": "object",
+                                            "additionalProperties": {"type": "integer"}},
             },
-            "required": ["seed", "config_digest", "defaults", "trade_rejects"],
+            "required": ["seed", "config_digest", "defaults", "trade_rejects",
+                         "trade_rejects_by_reason"],
         },
         "assets": {
             "type": "object",

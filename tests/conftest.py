@@ -4,6 +4,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tradesync import parallel
 from tradesync.activity import ActivityMatrix
@@ -11,6 +12,10 @@ from tradesync.ingest import (QuoteSeries, TradeColumns, build_calendar, parse_t
                               write_trades)
 from tradesync.syncnet import SyncEdge, SyncNetwork
 from tradesync.synth import agent_id
+
+# `--hypothesis-profile=ci` draws the same examples on every run, so a CI
+# failure replays locally
+settings.register_profile("ci", derandomize=True)
 
 
 def make_quotes(n_days: int, ticker: str = "TST", start=dt.date(2003, 1, 6),

@@ -4,10 +4,17 @@ Everything here is written as plain loops over the defining formulas, kept
 deliberately separate from the library's vectorized implementations.
 """
 
+import csv
+import datetime as dt
+import io
 import math
+from array import array
 
 import numpy as np
 
+from tradesync.errors import ConfigError
+from tradesync.ingest import (_AUTO_TOKENS, TRADE_FIELDS, ParseResult, Reject,
+                              TradeColumns, _header_positions)
 
 
 def bruteforce_pair_correlation(x, y):
@@ -151,3 +158,79 @@ def reference_double_edge_swap(edges: list[tuple[int, int]], n_steps: int,
         edges[e2] = (c, b)
         accepted += 1
     return edges, accepted
+
+
+def reference_parse_trades(source, delimiter: str = ",") -> ParseResult:
+    """The trades reader as one `csv` loop, one row at a time: the reference
+    `ingest.parse_trades` must match exactly (same columns, id order and
+    rejects) on any input."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    reader = csv.reader(source, delimiter=delimiter)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError("trades file is empty") from None
+    pos = _header_positions(header, TRADE_FIELDS, TRADE_FIELDS[:6], "trades")
+    p_inv, p_date, p_tick, p_shares, p_price, p_side = (pos[f] for f in TRADE_FIELDS[:6])
+    p_auto = pos.get("is_auto")
+
+    investor, ticker, day, is_auto = array("i"), array("i"), array("i"), array("b")
+    investor_ids: dict[str, int] = {}  # id -> code, in code order
+    tickers: dict[str, int] = {}
+    dates: dict[str, int] = {}  # raw field -> date.toordinal(), 0 if invalid
+    rejects: list[Reject] = []
+    needed = max(pos.values()) + 1
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) < needed:
+            rejects.append(Reject(lineno, "wrong field count"))
+            continue
+        text = row[p_date]
+        ordinal = dates.get(text)
+        if ordinal is None:
+            try:
+                ordinal = dt.date.fromisoformat(text.strip()).toordinal()
+            except ValueError:
+                ordinal = 0
+            dates[text] = ordinal
+        if not ordinal:
+            rejects.append(Reject(lineno, "bad date"))
+            continue
+        try:
+            shares = int(row[p_shares])
+        except ValueError:
+            rejects.append(Reject(lineno, "bad shares"))
+            continue
+        if shares <= 0:
+            rejects.append(Reject(lineno, "non-positive shares"))
+            continue
+        try:
+            price = float(row[p_price])
+        except ValueError:
+            price = math.nan
+        if not 0.0 < price < math.inf:  # false for NaN too
+            reason = "non-positive price" if -math.inf < price <= 0.0 else "bad price"
+            rejects.append(Reject(lineno, reason))
+            continue
+        if row[p_side].strip().lower() not in ("buy", "sell"):
+            rejects.append(Reject(lineno, "bad side"))
+            continue
+        auto = -1
+        if p_auto is not None:
+            auto = _AUTO_TOKENS.get(row[p_auto].strip().lower())
+            if auto is None:
+                rejects.append(Reject(lineno, "bad is_auto"))
+                continue
+        investor.append(investor_ids.setdefault(row[p_inv].strip(), len(investor_ids)))
+        ticker.append(tickers.setdefault(row[p_tick].strip(), len(tickers)))
+        day.append(ordinal)
+        is_auto.append(auto)
+    records = TradeColumns(  # array "i" holds C ints, as np.intc does
+        investor=np.frombuffer(investor, dtype=np.intc),
+        ticker=np.frombuffer(ticker, dtype=np.intc),
+        day=np.frombuffer(day, dtype=np.intc),
+        is_auto=np.frombuffer(is_auto, dtype=np.int8),
+        investor_ids=list(investor_ids), tickers=list(tickers))
+    return ParseResult(records, rejects)

@@ -165,9 +165,10 @@ def test_report_end_to_end_and_determinism(synth_data, tmp_path):
     r2 = (out2 / "report.json").read_bytes()
     assert r1 == r2
     report = json.loads(r1)
-    assert report["version"] == "5"
+    assert report["version"] == "6"
     assert report["run"]["seed"] == 5
     assert report["run"]["trade_rejects"] == 0
+    assert report["run"]["trade_rejects_by_reason"] == {}
     assert "permute" not in report["run"]["defaults"]
     section = report["assets"]["SYN"]
     assert section["network"]["nodes"] >= 8
@@ -336,6 +337,8 @@ def test_report_lists_rejects(synth_data, tmp_path, capsys):
     assert "line 4: bad date" in err and "line 8: non-positive shares" in err
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["run"]["trade_rejects"] == 2
+    assert report["run"]["trade_rejects_by_reason"] == {"bad date": 1,
+                                                        "non-positive shares": 1}
 
 
 def test_subcommand_checks_parameters_before_reading_trades(synth_data, tmp_path,
@@ -346,3 +349,30 @@ def test_subcommand_checks_parameters_before_reading_trades(synth_data, tmp_path
     err = capsys.readouterr().err
     assert "ma_window must be at least 2, got 0" in err
     assert not re.search(r"line \d+:", err)
+
+
+@pytest.mark.parametrize("delimiter", [";;", "", '"', "\n", "\r"])
+def test_unusable_delimiter_is_a_config_error(tmp_path, capsys, delimiter):
+    # the trades path does not exist: the delimiter is checked before any read
+    rc = main(["validate", "--trades", str(tmp_path / "nope.csv"),
+               "--quotes", str(tmp_path / "nope.csv"), "--ticker", "X",
+               "--delimiter", delimiter])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --delimiter must be one character")
+    assert "Traceback" not in err
+
+
+def test_byte_order_mark_is_ignored(synth_data, tmp_path, capsys):
+    bom = tmp_path / "bom"
+    bom.mkdir()
+    for name in ("trades.csv", "quotes.csv"):
+        (bom / name).write_bytes(b"\xef\xbb\xbf" + (synth_data / name).read_bytes())
+    outputs = []
+    for data, out in ((synth_data, "plain"), (bom, "bom")):
+        assert main(["validate"] + _common(data, tmp_path / out)) == 0
+        assert main(["report"] + _common(data, tmp_path / out)) == 0
+        outputs.append((capsys.readouterr().out,
+                        (tmp_path / out / "report.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert "0 rejects" in outputs[0][0]

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import columns, make_quotes, make_trade, rows_of
+from oracles import reference_parse_trades
+from tradesync import ingest
 from tradesync.errors import ConfigError, DataError
-from tradesync.ingest import (AutoFilterPolicy, QuoteSeries, build_calendar,
-                              filter_automatic, parse_quotes, parse_trades,
-                              split_off_calendar, write_trades)
+from tradesync.ingest import (TRADE_FIELDS, AutoFilterPolicy, QuoteSeries,
+                              build_calendar, filter_automatic, parse_quotes,
+                              parse_trades, split_off_calendar, write_trades)
+from tradesync.synth import SynthConfig, generate, write_synth
 
 TRADES_HEADER = "investor_id,date,ticker,shares,price,side\n"
 
@@ -147,6 +150,141 @@ def test_population_malformations_keep_lines_and_reasons():
     assert [(r.line, r.reason) for r in result.rejects] == \
         [(line, reason) for line, _, reason in injected]
     assert len(result.records) == 40
+
+
+def _outcome(parse, source, delimiter=","):
+    """Everything a parse returns (columns with their dtypes, id tables,
+    rejects), or the type and message of what it raised."""
+    try:
+        result = parse(source, delimiter)
+    except Exception as err:  # the two readers must fail alike
+        return type(err), str(err)
+    r = result.records
+    arrays = (r.investor, r.ticker, r.day, r.is_auto)
+    return ([(a.dtype.str, a.tolist()) for a in arrays], r.investor_ids, r.tickers,
+            result.rejects)
+
+
+def _same_as_reference(text, delimiter=",", newline="\n"):
+    """parse_trades and the reference loop agree on a str and on a text
+    stream that reads `text` with the given newline mode."""
+    assert _outcome(parse_trades, text, delimiter) == \
+        _outcome(reference_parse_trades, text, delimiter)
+    streams = [io.StringIO(text, newline=newline) for _ in range(2)]
+    assert _outcome(parse_trades, streams[0], delimiter) == \
+        _outcome(reference_parse_trades, streams[1], delimiter)
+
+
+_ODD_FIELDS = {
+    # fields longer than 32 bytes and fields with a NUL take the reader's
+    # slower paths
+    "investor_id": ["A1", " A1", "A1 ", "B2", "é", "идент", "　C3", "x y", "", "\x85",
+                    "A1\0", "L" * 40, "L" * 40 + " ", "é" * 20, "\udc80x"],
+    "date": ["2003-05-12", " 2003-05-13 ", "2003-13-01", "2003-02-30", "20030512",
+             "2003-W01-1", "", "x", "12/05/2003", "٢٠٠٣-٠٥-١٢", " " * 30 + "2003-05-12",
+             "2003-05-1\ud800"],
+    "ticker": ["REP", " REP", "TEF", "ñ", "", "T" * 33, "REP\0"],
+    "shares": ["1", "100", "1_000", " 7 ", "+5", "-3", "0", "1e3", "٣", "ten", "", "1.5",
+               "00", "9" * 30, " " * 40 + "7"],
+    "price": ["1.5", "10", "0", "-0.0", "inf", "nan", "-inf", "1e3", "+5", " 7 ", "٣",
+              ".5", "5.", ".", "0.000", "00.010", "1_000", "1" * 400, "0." + "0" * 40 + "1",
+              "1" * 33, "1.2.3", "abc", "", "-1.5", "1e400", "1e-400", "0x10"],
+    "side": ["buy", "sell", " BUY ", "Sell", "hold", "", "b", " " * 40 + "sell"],
+    "is_auto": ["true", "1", "yes", "false", "0", "no", "", " TRUE ", "maybe", "2"],
+    "note": ["", "n", "free text"],
+}
+
+
+@st.composite
+def _trades_file(draw):
+    """A trades file as text, drawn to exercise the reader's splitting and
+    checks: odd values in every column, quoted fields holding the delimiter,
+    a quote or a newline, blank lines, rows with too few or too many fields,
+    CRLF or LF line ends and an optional missing last newline."""
+    delimiter = draw(st.sampled_from([",", ",", ";", "\t", "§"]))
+    header = list(TRADE_FIELDS[:6]) + draw(st.sampled_from(
+        [[], ["is_auto"], ["note"], ["is_auto", "note"]]))
+    header = draw(st.permutations(header))
+    quote = draw(st.sampled_from([0.0, 0.0, 0.05]))  # chance a field is quoted
+    lines = [delimiter.join(header)]
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "short", "long"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        cells = [draw(st.sampled_from(_ODD_FIELDS[h])) if draw(st.booleans()) else
+                 _ODD_FIELDS[h][0] for h in header]
+        if kind == "short":
+            cells = cells[:draw(st.integers(1, len(cells) - 1))]
+        elif kind == "long":
+            cells += ["extra"]
+        for k, cell in enumerate(cells):
+            if draw(st.floats(0, 1)) < quote:
+                inner = cell + draw(st.sampled_from([delimiter, '"', "\n", ""]))
+                cells[k] = '"' + inner.replace('"', '""') + '"'
+        lines.append(delimiter.join(cells))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = end.join(lines)
+    return (text + end if draw(st.booleans()) else text), delimiter
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trades_file(), st.integers(1, 300), st.integers(1, 5))
+def test_reader_equals_the_reference(file, block_chars, csv_rows):
+    text, delimiter = file
+    with pytest.MonkeyPatch.context() as mp:  # one file spans many blocks
+        mp.setattr(ingest, "_BLOCK_CHARS", block_chars)
+        mp.setattr(ingest, "_CSV_ROWS", csv_rows)
+        _same_as_reference(text, delimiter)
+        _same_as_reference(text, delimiter, newline=None)
+
+
+def test_reader_equals_the_reference_past_a_late_quote(monkeypatch):
+    rows = [f"A{i % 7},2003-05-{1 + i % 28:02d},REP,{1 + i},1.{i},buy" for i in range(300)]
+    rows[250] = '"A,250",2003-05-12,REP,5,"1.5",sell'
+    rows[260] = '"A\n260",2003-05-12,"REP",0,1.5,sell'
+    rows[270] = "A9,2003-05-12,REP,5,1.5"
+    text = TRADES_HEADER + "\n".join(rows) + "\n"
+    for block_chars in (1, 64, 1000, 1 << 22):
+        monkeypatch.setattr(ingest, "_BLOCK_CHARS", block_chars)
+        _same_as_reference(text)
+    result = parse_trades(text)
+    assert [(r.line, r.reason) for r in result.rejects] == \
+        [(262, "non-positive shares"), (272, "wrong field count")]
+    assert result.records.investor_ids == [f"A{i}" for i in range(7)] + ["A,250"]
+
+
+# the malformed rows of the benchmark's population market, at their lines
+_POPULATION_REJECTS = (
+    (2, "A00001,2000-13-45,AAA,100,10.0,buy", "bad date"),
+    (1001, "A00002,2000-01-04,AAA,100,10.0,hold", "bad side"),
+    (10001, "A00003,2000-01-04,AAA,0,10.0,sell", "non-positive shares"),
+    (50001, "A00004,2000-01-04,AAA,100,abc,buy", "bad price"),
+    (75001, "A00005,2000-01-04,BBB", "wrong field count"),
+    (100001, "A00006,2000-01-04,BBB,100,-1.5,sell", "non-positive price"),
+)
+
+
+def test_population_fixture_equals_the_reference(tmp_path):
+    """The population market at seed 1: two 30,000-agent assets merged under
+    one header (about 126,000 rows, two blocks) with six malformed rows."""
+    lines = []
+    for ticker, seed in (("AAA", 2), ("BBB", 3)):
+        res = generate(SynthConfig(n_agents=30_000, n_days=250, activity_tail_alpha=1.5,
+                                   beta_mean=0.4, base_rate_scale=0.0029, ticker=ticker,
+                                   seed=seed))
+        paths = write_synth(res, str(tmp_path / ticker))
+        with open(paths["trades"]) as f:
+            lines += f.readlines()[1 if lines else 0:]
+    for line, row, _ in _POPULATION_REJECTS:
+        lines.insert(line - 1, row + "\n")
+    text = "".join(lines)
+    assert len(text) > ingest._BLOCK_CHARS
+    result = parse_trades(text)
+    assert [(r.line, r.reason) for r in result.rejects] == \
+        [(line, reason) for line, _, reason in _POPULATION_REJECTS]
+    assert len(result.records) == len(lines) - 7
+    assert _outcome(parse_trades, text) == _outcome(reference_parse_trades, text)
 
 
 def test_parsed_trades_are_fixed_width_columns():

@@ -71,7 +71,7 @@ def test_a_failing_shuffle_null_keeps_r_and_the_rewire_null(monkeypatch):
     assert analysis.notes["assortativity_opd_null_shuffle"] == "every replica undefined"
     assert "assortativity_opd" not in analysis.notes
     assert analysis.assortativity["rho_ov"].null_shuffle.undefined == 0
-    section = build_report({"SYN": analysis.to_section()}, params, 5, 0)["assets"]["SYN"]
+    section = build_report({"SYN": analysis.to_section()}, params, 5, [])["assets"]["SYN"]
     assert section["assortativity"]["opd"]["null_shuffle"] is None
     assert section["assortativity"]["opd"]["r"] == opd.r
 
@@ -155,9 +155,9 @@ def test_bins_above_the_limit_rejected():
 def test_report_schema_is_a_valid_schema_and_is_enforced():
     validator_for(REPORT_SCHEMA).check_schema(REPORT_SCHEMA)
     params = PipelineParams()
-    assert build_report({}, params, 1, 0)["assets"] == {}
+    assert build_report({}, params, 1, [])["assets"] == {}
     with pytest.raises(Exception, match="'nodes' is a required property"):
-        build_report({"X": {"network": {}}}, params, 1, 0)
+        build_report({"X": {"network": {}}}, params, 1, [])
 
 
 def test_report_json_refuses_non_finite_numbers():
