@@ -309,6 +309,24 @@ def test_parsed_trades_are_fixed_width_columns():
     assert kept <= 40 * n
 
 
+def test_parse_holds_one_block_at_a_time(monkeypatch):
+    block = 1 << 16
+    monkeypatch.setattr(ingest, "_BLOCK_CHARS", block)
+    rows = [f"C{i % 500:04d},2003-{1 + i % 12:02d}-{1 + i % 28:02d},REP,{1 + i % 97},"
+            f"{1.5 + i % 13},buy" for i in range(200_000)]
+    source = io.StringIO(TRADES_HEADER + "\n".join(rows) + "\n")  # about 8 MB
+    tracemalloc.start()
+    try:
+        result = parse_trades(source)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) == 200_000
+    # beyond the columns it keeps, the parse holds one block's text, bytes
+    # and split arrays at a time (about 8 blocks' worth), never the file
+    assert peak - kept <= 16 * block
+
+
 def test_filter_none_is_identity():
     trades = columns([make_trade("A", dt.date(2003, 1, 6)) for _ in range(7)])
     out = filter_automatic(trades, AutoFilterPolicy("none"))
