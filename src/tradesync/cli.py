@@ -98,6 +98,9 @@ def _assets(args) -> list[tuple[str, str]]:
         raise TradesyncError("--ticker is required")
     if len(tickers) != len(args.quotes):
         raise TradesyncError("--ticker and --quotes must be paired")
+    repeated = sorted({t for t in tickers if tickers.count(t) > 1})
+    if repeated:
+        raise TradesyncError(f"--ticker given more than once: {', '.join(repeated)}")
     return list(zip(tickers, args.quotes))
 
 
@@ -298,12 +301,13 @@ def cmd_synth(args) -> int:
 
 def cmd_report(args) -> int:
     params = _params(args)
+    assets = _assets(args)
     parsed = _read_trades(args)
     _print_rejects(parsed, sys.stderr)
     out = _outdir(args)
     sections: dict[str, dict] = {}
     failed = []
-    for idx, (ticker, qpath) in enumerate(_assets(args)):
+    for idx, (ticker, qpath) in enumerate(assets):
         try:
             quotes = _read_quotes(qpath, ticker, args)
             trades = select_ticker(parsed.records, ticker)

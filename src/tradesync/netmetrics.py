@@ -102,15 +102,6 @@ def _modularity_indexed(adj: list[dict[int, float]], comm: list[int]) -> float:
     return q
 
 
-def modularity_of(net: SyncNetwork, communities: dict[str, int]) -> float:
-    """Weighted modularity of an arbitrary partition covering every node."""
-    missing = [n for n in net.node_ids if n not in communities]
-    if missing:
-        raise ValueError(f"partition misses nodes: {missing[:5]}")
-    node_ids, adj = _index_graph(net)
-    return _modularity_indexed(adj, [communities[n] for n in node_ids])
-
-
 def _louvain_level(adj: list[dict[int, float]], rng: np.random.Generator
                    ) -> tuple[list[int], bool]:
     """One local-move phase; returns (community per node, any node moved)."""

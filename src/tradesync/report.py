@@ -8,7 +8,6 @@ seed produce byte-identical output for any worker count.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
@@ -344,7 +343,7 @@ def write_polarization_tables(a: AssetAnalysis, out: str) -> None:
 
 def build_report(sections: dict[str, dict], params: PipelineParams,
                  root_seed: int, trade_rejects: list[Reject]) -> dict:
-    report = _plain({
+    return _plain({
         "version": REPORT_VERSION,
         "run": {
             "seed": int(root_seed),
@@ -356,130 +355,8 @@ def build_report(sections: dict[str, dict], params: PipelineParams,
         },
         "assets": sections,
     })
-    _report_validator().validate(report)
-    return report
-
-
-@functools.cache
-def _report_validator():
-    """A validator for REPORT_SCHEMA, built on first use: checking the schema
-    itself on every report would cost far more than validating the report,
-    and importing jsonschema is left to the commands that write one."""
-    from jsonschema import validators
-    return validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
 
 
 def dump_report(report: dict, stream) -> None:
     json.dump(_plain(report), stream, sort_keys=True, indent=2, allow_nan=False)
     stream.write("\n")
-
-
-_number_or_null = {"type": ["number", "null"]}
-
-_tail_fit_schema = {
-    "type": ["object", "null"],
-    "properties": {
-        "alpha": {"type": "number"},
-        "stderr": {"type": "number"},
-        "k": {"type": "integer"},
-        "n": {"type": "integer"},
-    },
-    "required": ["alpha", "stderr", "k", "n"],
-}
-
-def _null_stats_schema(nullable: bool = False, **counters: dict) -> dict:
-    return {
-        "type": ["object", "null"] if nullable else "object",
-        "properties": {
-            "mean": {"type": "number"},
-            "ci95_low": {"type": "number"},
-            "ci95_high": {"type": "number"},
-            "replicas": {"type": "integer"},
-            **counters,
-        },
-        "required": ["mean", "ci95_low", "ci95_high", "replicas", *counters],
-    }
-
-
-_assort_schema = {
-    "type": ["object", "null"],
-    "properties": {
-        "attribute": {"type": "string"},
-        "r": {"type": "number"},
-        "null_rewire": _null_stats_schema(acceptance={"type": "number"},
-                                          lag1=_number_or_null),
-        "null_shuffle": _null_stats_schema(nullable=True,
-                                           undefined={"type": "integer"}),
-    },
-    "required": ["attribute", "r", "null_rewire", "null_shuffle"],
-}
-
-_asset_schema = {
-    "type": "object",
-    "properties": {
-        "error": {"type": "string"},
-        "tail_fit": _tail_fit_schema,
-        "opd_tail_fit": _tail_fit_schema,
-        "meso": {
-            "type": "object",
-            "properties": {"long": _number_or_null, "short": _number_or_null},
-            "required": ["long", "short"],
-        },
-        "network": {
-            "type": "object",
-            "properties": {
-                "nodes": {"type": "integer"},
-                "edges": {"type": "integer"},
-                "isolated": {"type": "integer"},
-                "modularity": _number_or_null,
-                "diagnostics": {"type": "object"},
-            },
-            "required": ["nodes", "edges", "isolated", "modularity"],
-        },
-        "assortativity": {
-            "type": "object",
-            "properties": {"rho_ov": _assort_schema, "opd": _assort_schema},
-            "required": ["rho_ov", "opd"],
-        },
-        "polarization": {
-            "type": ["object", "null"],
-            "properties": {
-                "mean": {"type": "number"},
-                "variance": {"type": "number"},
-                "mode_bin": {"type": "number"},
-                "shuffled_variance": {"type": "number"},
-                "variance_ratio": {"type": "number"},
-                "scored": {"type": "integer"},
-                "excluded": {"type": "integer"},
-            },
-            "required": ["mean", "variance", "variance_ratio"],
-        },
-        "population": {"type": "object"},
-        "notes": {"type": "object"},
-    },
-}
-
-REPORT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "version": {"type": "string"},
-        "run": {
-            "type": "object",
-            "properties": {
-                "seed": {"type": "integer"},
-                "config_digest": {"type": "string"},
-                "defaults": {"type": "object"},
-                "trade_rejects": {"type": "integer"},
-                "trade_rejects_by_reason": {"type": "object",
-                                            "additionalProperties": {"type": "integer"}},
-            },
-            "required": ["seed", "config_digest", "defaults", "trade_rejects",
-                         "trade_rejects_by_reason"],
-        },
-        "assets": {
-            "type": "object",
-            "additionalProperties": _asset_schema,
-        },
-    },
-    "required": ["version", "run", "assets"],
-}

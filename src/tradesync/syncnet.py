@@ -93,20 +93,6 @@ def _shuffle_exceed_count(x: np.ndarray, y: np.ndarray, shuffles: int,
     return count, done
 
 
-def permutation_pvalue(x: np.ndarray, y: np.ndarray, shuffles: int,
-                       rng: np.random.Generator) -> float:
-    """One-sided permutation p-value for the correlation of two windows.
-
-    Each replica re-permutes the day sequence of x, and all shuffles are
-    drawn; p = (1 + #{rho_shuffled >= rho}) / (shuffles + 1).
-    """
-    if shuffles < 99:
-        raise ValueError("need at least 99 shuffles for a meaningful p-value")
-    count, _ = _shuffle_exceed_count(np.asarray(x, float), np.asarray(y, float),
-                                     shuffles, rng)
-    return (1 + count) / (shuffles + 1)
-
-
 # ---------------------------------------------------------------------------
 # parallel pair test
 

@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, GenerationError
+from .errors import GenerationError
 from .ingest import QuoteSeries, write_quotes, write_trades
-from .netmetrics import _endpoint_r
-from .syncnet import SyncEdge, SyncNetwork
 
 
 @dataclass(frozen=True)
@@ -219,93 +217,3 @@ def write_synth(result: SynthResult, out_dir: str) -> dict[str, str]:
         # dumps runs the C encoder; dump would encode in Python
         f.write(json.dumps(result.truth.as_dict(), sort_keys=True) + "\n")
     return paths
-
-
-# ---------------------------------------------------------------------------
-# planted-assortativity fixture
-
-def _fixture_network(n_nodes: int, edges: list[tuple[int, int]]) -> SyncNetwork:
-    ids = [f"P{i:04d}" for i in range(n_nodes)]
-    edge_list = [SyncEdge(i=ids[a], j=ids[b], rho=1.0, overlap=1, pvalue=0.001)
-                 for a, b in sorted(edges)]
-    return SyncNetwork(ticker="FIXTURE", node_ids=ids, edges=edge_list)
-
-
-def _edge_r(edges: list[tuple[int, int]], scores: np.ndarray) -> float | None:
-    """Assortativity of an edge list, or None while it is undefined (all edge
-    endpoints carrying one value, as can happen in a random start)."""
-    try:
-        return _endpoint_r(edges, scores)
-    except DegenerateInputError:
-        return None
-
-
-def plant_assortative_network(n_nodes: int, target_r: float, attributes,
-                              seed: int = 0, tolerance: float = 0.02,
-                              mean_degree: float = 6.0,
-                              max_steps: int = 40000) -> SyncNetwork:
-    """Wire a network whose attribute assortativity lands within `tolerance`
-    of target_r, by greedy edge rewiring from a random start.
-
-    Targets of exactly +-1 are unreachable this way (use disjoint monochrome
-    cliques or a complete bipartite fixture for those); raises when the
-    target cannot be reached within max_steps."""
-    scores = np.asarray(list(attributes), dtype=np.int64)
-    if scores.size != n_nodes:
-        raise GenerationError("need one attribute value per node")
-    if np.unique(scores).size < 2:
-        raise GenerationError("need at least 2 distinct attribute values")
-    if not -1.0 < target_r < 1.0:
-        raise GenerationError("target_r must lie strictly inside (-1, 1)")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    m = max(2, int(round(mean_degree * n_nodes / 2)))
-
-    edge_list: list[tuple[int, int]] = []
-    edge_set: set[tuple[int, int]] = set()
-    while len(edge_list) < m:
-        a, b = rng.integers(0, n_nodes, size=2)
-        if a == b:
-            continue
-        e = (min(int(a), int(b)), max(int(a), int(b)))
-        if e not in edge_set:
-            edge_set.add(e)
-            edge_list.append(e)
-
-    by_value: dict[int, np.ndarray] = {
-        int(v): np.flatnonzero(scores == v) for v in np.unique(scores)
-    }
-    values = sorted(by_value)
-    r = _edge_r(edge_list, scores)
-    for _ in range(max_steps):
-        if r is not None and abs(r - target_r) <= tolerance:
-            return _fixture_network(n_nodes, edge_list)
-        drop_idx = int(rng.integers(0, m))
-        drop = edge_list[drop_idx]
-        if r is None or r < target_r:
-            # push upward: connect two nodes sharing an attribute value
-            v = values[int(rng.integers(0, len(values)))]
-            group = by_value[v]
-            if group.size < 2:
-                continue
-            a, b = group[rng.integers(0, group.size, size=2)]
-        else:
-            a, b = rng.integers(0, n_nodes, size=2)
-        a, b = int(a), int(b)
-        if a == b:
-            continue
-        add = (min(a, b), max(a, b))
-        if add in edge_set:
-            continue
-        edge_list[drop_idx] = add
-        r_new = _edge_r(edge_list, scores)
-        accept = r_new is not None and (
-            r is None or abs(r_new - target_r) < abs(r - target_r))
-        if accept:
-            edge_set.discard(drop)
-            edge_set.add(add)
-            r = r_new
-        else:
-            edge_list[drop_idx] = drop
-    raise GenerationError(
-        f"could not reach assortativity {target_r} within {max_steps} steps "
-        f"(last r = {r})")

@@ -1,12 +1,15 @@
 import datetime as dt
+import functools
 import io
+import sys
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from tradesync import parallel
+from report_schema import validate_report
+from tradesync import parallel, report
 from tradesync.activity import ActivityMatrix
 from tradesync.ingest import (QuoteSeries, TradeColumns, build_calendar, parse_trades,
                               write_trades)
@@ -130,6 +133,28 @@ def two_cliques(k: int = 5) -> SyncNetwork:
 def complete_bipartite(k: int = 4) -> SyncNetwork:
     edges = [(a, k + b) for a in range(k) for b in range(k)]
     return fixture_network(2 * k, edges)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _validated_reports():
+    """Check every report the tests build against the report schema, since
+    the program does not validate its own output. `build_report` is replaced
+    wherever a loaded module binds it: in `tradesync.report`, in the CLI and
+    in the test modules."""
+    original = report.build_report
+
+    @functools.wraps(original)
+    def checked(*args, **kwargs):
+        result = original(*args, **kwargs)
+        validate_report(result)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in list(sys.modules.values()):
+            for name, value in list(getattr(module, "__dict__", {}).items()):
+                if value is original:
+                    mp.setattr(module, name, checked)
+        yield
 
 
 @pytest.fixture(autouse=True)

@@ -1,7 +1,11 @@
-"""Independent brute-force evaluators used as oracles by the test suite.
+"""Independent brute-force evaluators used as oracles by the test suite,
+and the test-only helpers built on the library's kernels.
 
-Everything here is written as plain loops over the defining formulas, kept
-deliberately separate from the library's vectorized implementations.
+The evaluators are written as plain loops over the defining formulas, kept
+deliberately separate from the library's vectorized implementations. The
+helpers at the end (a full-length permutation p-value, the modularity of a
+given partition, a planted-assortativity network) have no caller in the
+program.
 """
 
 import csv
@@ -12,9 +16,12 @@ from array import array
 
 import numpy as np
 
-from tradesync.errors import ConfigError
+from conftest import fixture_network
+from tradesync.errors import ConfigError, DegenerateInputError, GenerationError
 from tradesync.ingest import (_AUTO_TOKENS, TRADE_FIELDS, ParseResult, Reject,
                               TradeColumns, _header_positions)
+from tradesync.netmetrics import _endpoint_r, _index_graph, _modularity_indexed
+from tradesync.syncnet import SyncNetwork, _shuffle_exceed_count
 
 
 def bruteforce_pair_correlation(x, y):
@@ -234,3 +241,108 @@ def reference_parse_trades(source, delimiter: str = ",") -> ParseResult:
         is_auto=np.frombuffer(is_auto, dtype=np.int8),
         investor_ids=list(investor_ids), tickers=list(tickers))
     return ParseResult(records, rejects)
+
+
+def permutation_pvalue(x: np.ndarray, y: np.ndarray, shuffles: int,
+                       rng: np.random.Generator) -> float:
+    """One-sided permutation p-value for the correlation of two windows.
+
+    Each replica re-permutes the day sequence of x, and all shuffles are
+    drawn (the pair test's kernel without its early stop);
+    p = (1 + #{rho_shuffled >= rho}) / (shuffles + 1).
+    """
+    if shuffles < 99:
+        raise ValueError("need at least 99 shuffles for a meaningful p-value")
+    count, _ = _shuffle_exceed_count(np.asarray(x, float), np.asarray(y, float),
+                                     shuffles, rng)
+    return (1 + count) / (shuffles + 1)
+
+
+def modularity_of(net: SyncNetwork, communities: dict[str, int]) -> float:
+    """Weighted modularity of an arbitrary partition covering every node,
+    by the kernel that scores Louvain's partitions."""
+    missing = [n for n in net.node_ids if n not in communities]
+    if missing:
+        raise ValueError(f"partition misses nodes: {missing[:5]}")
+    node_ids, adj = _index_graph(net)
+    return _modularity_indexed(adj, [communities[n] for n in node_ids])
+
+
+def _edge_r(edges: list[tuple[int, int]], scores: np.ndarray) -> float | None:
+    """Assortativity of an edge list, or None while it is undefined (all edge
+    endpoints carrying one value, as can happen in a random start)."""
+    try:
+        return _endpoint_r(edges, scores)
+    except DegenerateInputError:
+        return None
+
+
+def plant_assortative_network(n_nodes: int, target_r: float, attributes,
+                              seed: int = 0, tolerance: float = 0.02,
+                              mean_degree: float = 6.0,
+                              max_steps: int = 40000) -> SyncNetwork:
+    """Wire a network whose attribute assortativity lands within `tolerance`
+    of target_r, by greedy edge rewiring from a random start.
+
+    Targets of exactly +-1 are unreachable this way (use disjoint monochrome
+    cliques or a complete bipartite fixture for those); raises when the
+    target cannot be reached within max_steps."""
+    scores = np.asarray(list(attributes), dtype=np.int64)
+    if scores.size != n_nodes:
+        raise GenerationError("need one attribute value per node")
+    if np.unique(scores).size < 2:
+        raise GenerationError("need at least 2 distinct attribute values")
+    if not -1.0 < target_r < 1.0:
+        raise GenerationError("target_r must lie strictly inside (-1, 1)")
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    m = max(2, int(round(mean_degree * n_nodes / 2)))
+
+    edge_list: list[tuple[int, int]] = []
+    edge_set: set[tuple[int, int]] = set()
+    while len(edge_list) < m:
+        a, b = rng.integers(0, n_nodes, size=2)
+        if a == b:
+            continue
+        e = (min(int(a), int(b)), max(int(a), int(b)))
+        if e not in edge_set:
+            edge_set.add(e)
+            edge_list.append(e)
+
+    by_value: dict[int, np.ndarray] = {
+        int(v): np.flatnonzero(scores == v) for v in np.unique(scores)
+    }
+    values = sorted(by_value)
+    r = _edge_r(edge_list, scores)
+    for _ in range(max_steps):
+        if r is not None and abs(r - target_r) <= tolerance:
+            return fixture_network(n_nodes, edge_list)
+        drop_idx = int(rng.integers(0, m))
+        drop = edge_list[drop_idx]
+        if r is None or r < target_r:
+            # push upward: connect two nodes sharing an attribute value
+            v = values[int(rng.integers(0, len(values)))]
+            group = by_value[v]
+            if group.size < 2:
+                continue
+            a, b = group[rng.integers(0, group.size, size=2)]
+        else:
+            a, b = rng.integers(0, n_nodes, size=2)
+        a, b = int(a), int(b)
+        if a == b:
+            continue
+        add = (min(a, b), max(a, b))
+        if add in edge_set:
+            continue
+        edge_list[drop_idx] = add
+        r_new = _edge_r(edge_list, scores)
+        accept = r_new is not None and (
+            r is None or abs(r_new - target_r) < abs(r - target_r))
+        if accept:
+            edge_set.discard(drop)
+            edge_set.add(add)
+            r = r_new
+        else:
+            edge_list[drop_idx] = drop
+    raise GenerationError(
+        f"could not reach assortativity {target_r} within {max_steps} steps "
+        f"(last r = {r})")

@@ -17,18 +17,17 @@ import numpy as np
 from conftest import (complete_bipartite, matrix, series_from_counts, synth_columns,
                       two_cliques)
 from oracles import (bruteforce_activity_vol_correlation,
-                     bruteforce_pair_correlation, endpoint_assortativity)
+                     bruteforce_pair_correlation, endpoint_assortativity,
+                     modularity_of, plant_assortative_network)
 from tradesync.activity import build_activity, hill_fit
 from tradesync.cli import main as cli_main
 from tradesync.ingest import build_calendar
-from tradesync.netmetrics import (assortativity, louvain, modularity_of,
-                                  null_rewire, null_shuffle)
+from tradesync.netmetrics import assortativity, louvain, null_rewire, null_shuffle
 from tradesync.polarization import (polarization_score, population_distribution,
                                     score_population, shuffled_baseline,
                                     summarize)
 from tradesync.syncnet import build_sync_network
-from tradesync.synth import (CommunitySpec, SynthConfig, generate,
-                             plant_assortative_network)
+from tradesync.synth import CommunitySpec, SynthConfig, generate
 from tradesync.volatility import (VolatilitySeries, high_low_volatility,
                                   population_correlation)
 

@@ -245,6 +245,18 @@ def test_report_partial_failure(synth_data, tmp_path, capsys):
     assert report["assets"]["SYN"]["network"]["nodes"] > 0
 
 
+def test_report_rejects_a_repeated_ticker(synth_data, tmp_path, capsys):
+    # analysed twice, the ticker would get two seeds and keep only the second
+    out = tmp_path / "twice"
+    quotes = str(synth_data / "quotes.csv")
+    args = _common(synth_data, out, ("--ticker", "SYN", "--quotes", quotes))
+    assert main(["report"] + args) == 2
+    captured = capsys.readouterr()
+    assert "--ticker given more than once: SYN" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_subcommands_seed_like_report(synth_data, tmp_path):
     assert main(["report"] + _common(synth_data, tmp_path / "r")) == 0
     for cmd in ("activity", "meso", "syncnet", "metrics", "polarization"):

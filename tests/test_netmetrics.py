@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import complete_bipartite, fixture_network, two_cliques
-from oracles import (endpoint_assortativity, reference_double_edge_swap,
-                     two_clique_modularity)
+from oracles import (endpoint_assortativity, modularity_of,
+                     reference_double_edge_swap, two_clique_modularity)
 from tradesync import netmetrics
 from tradesync.errors import DegenerateInputError
 from tradesync.netmetrics import (SAMPLE_GAP, assortativity, discretize_attribute,
                                   discretize_opd, double_edge_swap, louvain,
-                                  modularity_of, null_rewire, null_shuffle)
+                                  null_rewire, null_shuffle)
 from tradesync.parallel import task_rng
 
 

@@ -1,13 +1,15 @@
 import io
 
 import pytest
+from jsonschema import ValidationError
 from jsonschema.validators import validator_for
 
 from conftest import synth_columns
-from tradesync import netmetrics
+from report_schema import REPORT_SCHEMA, validate_report
+from tradesync import cli, netmetrics, report
 from tradesync.errors import ConfigError, DegenerateInputError
 from tradesync.ingest import select_ticker
-from tradesync.report import (REPORT_SCHEMA, PipelineParams, analyze_asset, assortativity_stage,
+from tradesync.report import (PipelineParams, analyze_asset, assortativity_stage,
                               build_report, derive_seeds, dump_report, front_stage,
                               network_stage, score_stage)
 from tradesync.synth import CommunitySpec, SynthConfig, generate
@@ -156,8 +158,14 @@ def test_report_schema_is_a_valid_schema_and_is_enforced():
     validator_for(REPORT_SCHEMA).check_schema(REPORT_SCHEMA)
     params = PipelineParams()
     assert build_report({}, params, 1, [])["assets"] == {}
-    with pytest.raises(Exception, match="'nodes' is a required property"):
-        build_report({"X": {"network": {}}}, params, 1, [])
+    # the program builds the report unchecked; the tests check it wherever
+    # it is built, the CLI included
+    unchecked = build_report.__wrapped__({"X": {"network": {}}}, params, 1, [])
+    with pytest.raises(ValidationError, match="'nodes' is a required property"):
+        validate_report(unchecked)
+    for bound in (build_report, report.build_report, cli.build_report):
+        with pytest.raises(ValidationError, match="'nodes' is a required property"):
+            bound({"X": {"network": {}}}, params, 1, [])
 
 
 def test_report_json_refuses_non_finite_numbers():

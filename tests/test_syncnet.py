@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,11 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import matrix, series_from_counts, window
-from oracles import bruteforce_pair_correlation
+from oracles import bruteforce_pair_correlation, permutation_pvalue
 from tradesync import syncnet
 from tradesync.errors import DegenerateInputError
 from tradesync.parallel import task_rng
-from tradesync.syncnet import build_sync_network, permutation_pvalue, write_edges
+from tradesync.syncnet import build_sync_network, write_edges
 from tradesync.volatility import population_correlation
 
 
@@ -125,6 +126,32 @@ class TestPermutationFilter:
     def test_min_shuffles_enforced(self):
         with pytest.raises(ValueError):
             permutation_pvalue(np.arange(5.0), np.arange(5.0), 10, task_rng(0, 0))
+
+
+def _exact_exceed_probability(x, y) -> Fraction:
+    """P(sigma(x).y >= x.y) over all len(x)! orderings of x, in integers; tied
+    values count once per position, as a uniform permutation draws them."""
+    s0 = sum(a * b for a, b in zip(x, y))
+    perms = list(itertools.permutations(x))
+    hits = sum(sum(a * b for a, b in zip(p, y)) >= s0 for p in perms)
+    return Fraction(hits, len(perms))
+
+
+@pytest.mark.parametrize("x,y,exact", [
+    ([3, 0, 5, 1, 4, 2, 6], [1, 4, 6, 0, 3, 2, 5], Fraction(1, 10)),
+    # tied values, zeros among them, as in activity windows
+    ([0, 2, 1, 0, 0, 3, 1], [1, 0, 2, 0, 1, 3, 0], Fraction(73, 420)),
+])
+def test_shuffle_null_matches_every_permutation(x, y, exact):
+    # 7 days: the pair null is enumerated over all 5,040 permutations, and
+    # any sampler of it must land within 4 standard errors of that
+    shuffles = 20_000
+    assert _exact_exceed_probability(x, y) == exact
+    count, done = syncnet._shuffle_exceed_count(
+        np.array(x, float), np.array(y, float), shuffles, task_rng(17, 0))
+    assert done == shuffles
+    p = float(exact)
+    assert abs(count / shuffles - p) <= 4 * math.sqrt(p * (1 - p) / shuffles)
 
 
 def _replayed_exceedances(x, y, shuffles, rng):

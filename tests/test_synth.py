@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import rows_of, synth_columns, window
+from oracles import plant_assortative_network
 from tradesync.errors import GenerationError
 from tradesync.ingest import build_calendar, parse_quotes, parse_trades
 from tradesync.activity import build_activity
 from tradesync.netmetrics import assortativity
 from tradesync.polarization import score_population
 from tradesync.synth import (Ar1Config, CommunitySpec, SynthConfig, generate,
-                             plant_assortative_network, write_synth)
+                             write_synth)
 from tradesync.volatility import high_low_volatility
 
 
