@@ -4,6 +4,8 @@ Subcommands read declared inputs and write plot-ready tab-separated tables
 plus JSON summaries under --out-dir. `report` runs every stage of the chain
 (report.analyze_asset) for each asset into one report.json; the analysis
 subcommands run the stages they need, seeded like `report`'s first asset.
+Each pipeline flag is the PipelineParams field of the same name, and an unset
+`synth` flag takes the SynthConfig or Ar1Config default.
 Worker count comes from TRADESYNC_WORKERS (all cores when unset).
 """
 
@@ -22,9 +24,13 @@ from .ingest import parse_quotes, parse_trades, select_ticker
 from .report import (PipelineParams, analyze_asset, assortativity_stage,
                      build_report, derive_seeds, dump_report, front_stage,
                      network_stage, polarization_stage, score_stage,
-                     write_activity_tables, write_network_tables,
-                     write_partition_table, write_polarization_tables)
+                     write_activity_tables, write_file, write_network_tables,
+                     write_pairs, write_partition_table, write_polarization_tables)
 from .synth import Ar1Config, CommunitySpec, SynthConfig, generate, write_synth
+
+
+# a PipelineParams annotation (a string: annotations are postponed) -> flag type
+_FLAG_TYPES = {"int": int, "int | None": int, "float": float, "str": str}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -34,20 +40,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ticker", action="append", default=[],
                    help="asset symbol matching a --quotes file")
     p.add_argument("--delimiter", default=",")
-    p.add_argument("--auto-filter", default="none",
-                   help="automatic-operation policy: none | flag | threshold:K")
-    p.add_argument("--min-ops", type=int, default=20)
-    p.add_argument("--min-days", type=int, default=20)
-    p.add_argument("--shuffles", type=int, default=999)
-    p.add_argument("--p-level", type=float, default=0.01)
-    p.add_argument("--replicas", type=int, default=1000)
-    p.add_argument("--ma-window", type=int, default=5)
-    p.add_argument("--ma-mode", default="trailing", choices=("trailing", "centered"))
-    p.add_argument("--nu-moments", default="trading", choices=("trading", "global"))
-    p.add_argument("--hill-k", type=int, default=None)
-    p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--swap-factor", type=int, default=10)
-    p.add_argument("--opd-cap", type=int, default=100)
+    for f in fields(PipelineParams):
+        p.add_argument("--" + f.name.replace("_", "-"), type=_FLAG_TYPES[f.type],
+                       default=f.default, **f.metadata)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="out")
 
@@ -59,29 +54,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "volatility-polarization analysis")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _HANDLERS:
-        if name == "synth":
-            p = sub.add_parser(name, help="generate a synthetic market dataset")
-            p.add_argument("--agents", type=int, required=True)
-            p.add_argument("--days", type=int, required=True)
-            p.add_argument("--alpha", type=float, default=1.0,
-                           help="planted activity tail index")
-            p.add_argument("--beta-mean", type=float, default=0.0)
-            p.add_argument("--beta-sd", type=float, default=0.2)
-            p.add_argument("--vol-mean-log", type=float, default=None,
-                           help="mean of log volatility (default ln 0.02)")
-            p.add_argument("--vol-phi", type=float, default=0.7)
-            p.add_argument("--vol-sigma", type=float, default=0.3)
-            p.add_argument("--community", action="append", default=[],
-                           metavar="SIZE:COUPLING",
-                           help="plant a community, e.g. 20:1.0 (repeatable)")
-            p.add_argument("--base-rate-scale", type=float, default=0.02)
-            p.add_argument("--rate-cap", type=float, default=50.0)
-            p.add_argument("--ticker", default="SYN")
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--out-dir", default="out")
-        else:
-            p = sub.add_parser(name)
-            _add_common(p)
+        if name != "synth":
+            _add_common(sub.add_parser(name))
+            continue
+        # a flag's dest is the SynthConfig field it sets, or "vol_" plus the
+        # Ar1Config field; an unset flag keeps that field's default
+        p = sub.add_parser(name, help="generate a synthetic market dataset",
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("--agents", dest="n_agents", metavar="AGENTS", type=int,
+                       required=True)
+        p.add_argument("--days", dest="n_days", metavar="DAYS", type=int,
+                       required=True)
+        p.add_argument("--alpha", dest="activity_tail_alpha", metavar="ALPHA",
+                       type=float, help="planted activity tail index")
+        p.add_argument("--beta-mean", type=float)
+        p.add_argument("--beta-sd", type=float)
+        p.add_argument("--vol-mean-log", dest="vol_mean", metavar="VOL_MEAN_LOG",
+                       type=float, help="mean of log volatility (default ln 0.02)")
+        p.add_argument("--vol-phi", type=float)
+        p.add_argument("--vol-sigma", type=float)
+        p.add_argument("--community", action="append", default=[],
+                       metavar="SIZE:COUPLING",
+                       help="plant a community, e.g. 20:1.0 (repeatable)")
+        p.add_argument("--base-rate-scale", type=float)
+        p.add_argument("--rate-cap", type=float)
+        p.add_argument("--ticker")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out-dir", default="out")
     return parser
 
 
@@ -128,6 +127,12 @@ def _read_quotes(path: str, ticker: str, args):
         return parse_quotes(f, ticker, args.delimiter)
 
 
+def _print_off_calendar(analysis) -> None:
+    off = analysis.population["off_calendar_trades"]
+    if off:
+        print(f"{analysis.ticker}: {off} off-calendar trades excluded", file=sys.stderr)
+
+
 def _front(args):
     """`report`'s front stage on the one --ticker/--quotes pair, plus the
     params and the seeds `report` gives its first asset. Trade rejects and
@@ -138,9 +143,7 @@ def _front(args):
     _print_rejects(parsed, sys.stderr)
     quotes = _read_quotes(qpath, ticker, args)
     analysis = front_stage(select_ticker(parsed.records, ticker), quotes, params)
-    off = analysis.population["off_calendar_trades"]
-    if off:
-        print(f"{off} off-calendar trades excluded", file=sys.stderr)
+    _print_off_calendar(analysis)
     return analysis, params, derive_seeds(args.seed, 0)
 
 
@@ -155,11 +158,6 @@ def _required(analysis, key: str):
     if value is None:
         raise TradesyncError(analysis.notes[key])
     return value
-
-
-def _write_json(path: str, obj) -> None:
-    with open(path, "w") as f:
-        dump_report(obj, f)
 
 
 def _write_asset_tables(analysis, out: str) -> None:
@@ -204,7 +202,7 @@ def cmd_activity(args) -> int:
         fits[name] = {"fit": fit.as_dict(), "sweep": [f.as_dict() for f in sweep]}
         print(f"{name} tail index: {fit.alpha:.4f} +- {fit.stderr:.4f} "
               f"(k={fit.k}, n={fit.n})")
-    _write_json(os.path.join(out, "tail_fits.json"), fits)
+    write_file(os.path.join(out, "tail_fits.json"), dump_report, fits)
     return 0
 
 
@@ -212,11 +210,8 @@ def cmd_volatility(args) -> int:
     ticker, qpath = _single_asset(args)
     quotes = _read_quotes(qpath, ticker, args)
     vol = vola.high_low_volatility(quotes)
-    out = _outdir(args)
-    with open(os.path.join(out, "volatility.tsv"), "w") as f:
-        f.write("date\tnu\n")
-        for day, nu in zip(quotes.days, vol.nu):
-            f.write(f"{day.isoformat()}\t{float(nu)!r}\n")
+    write_pairs(os.path.join(_outdir(args), "volatility.tsv"), "date\tnu",
+                zip(quotes.days, vol.nu.tolist()))
     return 0
 
 
@@ -225,7 +220,7 @@ def cmd_meso(args) -> int:
     result = {"ticker": analysis.ticker, "long": _required(analysis, "meso_long"),
               "short": _required(analysis, "meso_short"),
               "ma_window": params.ma_window, "ma_mode": params.ma_mode}
-    _write_json(os.path.join(_outdir(args), "meso.json"), result)
+    write_file(os.path.join(_outdir(args), "meso.json"), dump_report, result)
     print(f"meso correlation {analysis.ticker}: long={result['long']:.4f} "
           f"short={result['short']:.4f}")
     return 0
@@ -237,7 +232,7 @@ def cmd_syncnet(args) -> int:
     out = _outdir(args)
     write_network_tables(analysis, out)
     d = analysis.net.diagnostics
-    _write_json(os.path.join(out, "syncnet_diagnostics.json"), d)
+    write_file(os.path.join(out, "syncnet_diagnostics.json"), dump_report, d)
     print(f"network {analysis.ticker}: {d['nodes']} nodes, {d['edges_retained']} "
           f"edges ({d['pairs_tested']} pairs tested)")
     return 0
@@ -258,7 +253,7 @@ def cmd_metrics(args) -> int:
         metrics["modularity"] = analysis.partition.q
         write_partition_table(analysis.partition, out)
         print(f"modularity {analysis.ticker}: {analysis.partition.q:.4f}")
-    _write_json(os.path.join(out, "metrics.json"), metrics)
+    write_file(os.path.join(out, "metrics.json"), dump_report, metrics)
     return 0
 
 
@@ -268,33 +263,28 @@ def cmd_polarization(args) -> int:
     polarization_stage(analysis, params, seeds)
     section = _required(analysis, "polarization")
     write_polarization_tables(analysis, _outdir(args))
-    _write_json(os.path.join(args.out_dir, "polarization.json"),
-                {"ticker": analysis.ticker, **section})
+    write_file(os.path.join(args.out_dir, "polarization.json"), dump_report,
+               {"ticker": analysis.ticker, **section})
     print(f"polarization {analysis.ticker}: mean={section['mean']:.4f} "
           f"variance_ratio={section['variance_ratio']:.3f}")
     return 0
 
 
 def cmd_synth(args) -> int:
+    given = vars(args)
     communities = []
     for spec in args.community:
         size, _, coupling = spec.partition(":")
-        communities.append(CommunitySpec(size=int(size),
-                                         coupling=float(coupling or 1.0)))
-    vol_kwargs = {"phi": args.vol_phi, "sigma": args.vol_sigma}
-    if args.vol_mean_log is not None:
-        vol_kwargs["mean"] = args.vol_mean_log
-    vol = Ar1Config(**vol_kwargs)
-    config = SynthConfig(
-        n_agents=args.agents, n_days=args.days,
-        activity_tail_alpha=args.alpha, beta_mean=args.beta_mean,
-        beta_sd=args.beta_sd, vol=vol, communities=tuple(communities),
-        seed=args.seed, ticker=args.ticker,
-        base_rate_scale=args.base_rate_scale, rate_cap=args.rate_cap,
-    )
+        kwargs = {"coupling": float(coupling)} if coupling else {}
+        communities.append(CommunitySpec(size=int(size), **kwargs))
+    vol = Ar1Config(**{k.removeprefix("vol_"): v for k, v in given.items()
+                       if k.startswith("vol_")})
+    config = SynthConfig(vol=vol, communities=tuple(communities),
+                         **{f.name: given[f.name] for f in fields(SynthConfig)
+                            if f.name in given})
     result = generate(config)
     paths = write_synth(result, args.out_dir)
-    print(f"synth: {result.agent.size} trades over {args.days} days "
+    print(f"synth: {result.agent.size} trades over {config.n_days} days "
           f"-> {paths['trades']}")
     return 0
 
@@ -313,6 +303,7 @@ def cmd_report(args) -> int:
             trades = select_ticker(parsed.records, ticker)
             analysis = analyze_asset(trades, quotes, params,
                                      root_seed=args.seed, asset_index=idx)
+            _print_off_calendar(analysis)
             sections[ticker] = analysis.to_section()
             _write_asset_tables(analysis, os.path.join(out, ticker))
             print(f"{ticker}: ok ({sections[ticker]['network']['edges']} edges)")
@@ -321,7 +312,7 @@ def cmd_report(args) -> int:
             failed.append(ticker)
             print(f"{ticker}: FAILED ({err})", file=sys.stderr)
     report = build_report(sections, params, args.seed, parsed.rejects)
-    _write_json(os.path.join(out, "report.json"), report)
+    write_file(os.path.join(out, "report.json"), dump_report, report)
     if failed:
         print(f"{len(failed)} asset(s) failed: {', '.join(failed)}", file=sys.stderr)
         return 1

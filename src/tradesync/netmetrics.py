@@ -173,7 +173,7 @@ def louvain(net: SyncNetwork, seed: int = 0) -> Partition:
     node_ids, adj = _index_graph(net)
     if not any(a for a in adj):
         raise DegenerateInputError("community detection needs at least one edge")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    rng = task_rng(seed)
 
     assignment = list(range(len(node_ids)))  # original node -> current super-node
     level_adj = adj

@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -31,45 +31,47 @@ MAX_BINS = 10_000
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """All tunable defaults of the analysis chain; serialized into the report."""
+    """All tunable defaults of the analysis chain; serialized into the report.
+    Each field is a CLI flag, with its `help` and `choices` in its metadata."""
 
+    auto_filter: str = field(default="none", metadata={
+        "help": "automatic-operation policy: none | flag | threshold:K"})
     min_ops: int = 20
     min_days: int = 20
     shuffles: int = 999
     p_level: float = 0.01
     replicas: int = 1000
     ma_window: int = 5
-    ma_mode: str = "trailing"
-    nu_moments: str = "trading"
+    ma_mode: str = field(default="trailing",
+                         metadata={"choices": ("trailing", "centered")})
+    nu_moments: str = field(default="trading",
+                            metadata={"choices": ("trading", "global")})
     hill_k: int | None = None
     bins: int = 50
     swap_factor: int = 10
     opd_cap: int = 100
-    auto_filter: str = "none"
 
     def __post_init__(self):
-        if self.replicas < 1:
-            raise ConfigError(f"replicas must be at least 1, got {self.replicas}")
+        for name in ("replicas", "min_ops", "min_days", "swap_factor", "bins", "opd_cap",
+                     "hill_k"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
         if not 0.0 < self.p_level < 1.0:
             raise ConfigError(f"p_level must lie in (0, 1), got {self.p_level}")
         # the smallest p-value a pair can get is 1 / (shuffles + 1)
         if self.shuffles < 0 or 1 / (self.shuffles + 1) >= self.p_level:
             raise ConfigError(f"{self.shuffles} shuffles cannot give a p-value "
                               f"below p_level {self.p_level}")
-        for name in ("min_ops", "min_days", "swap_factor", "bins", "opd_cap",
-                     "hill_k"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be at least 1, got {value}")
         if self.bins > MAX_BINS:
             raise ConfigError(f"bins must be at most {MAX_BINS}, got {self.bins}")
         if self.ma_window < 2:
             raise ConfigError(f"ma_window must be at least 2, got {self.ma_window}")
-        for name, choices in (("ma_mode", ("trailing", "centered")),
-                              ("nu_moments", ("trading", "global"))):
-            value = getattr(self, name)
-            if value not in choices:
-                raise ConfigError(f"{name} must be one of {', '.join(choices)}, "
+        for f in fields(self):
+            choices = f.metadata.get("choices")
+            value = getattr(self, f.name)
+            if choices and value not in choices:
+                raise ConfigError(f"{f.name} must be one of {', '.join(choices)}, "
                                   f"got {value!r}")
         AutoFilterPolicy.parse(self.auto_filter)
         if self.ma_mode == "centered" and self.ma_window % 2 == 0:
@@ -303,41 +305,41 @@ def analyze_asset(trades: TradeColumns, quotes: QuoteSeries,
 
 # Per-asset tables, written by `report` and by the subcommands alike.
 
-def _write_table(path: str, writer, obj) -> None:
+def write_file(path: str, writer, obj) -> None:
     with open(path, "w") as f:
         writer(obj, f)
 
 
-def _write_pairs(path: str, header: str, rows) -> None:
+def write_pairs(path: str, header: str, rows) -> None:
     with open(path, "w") as f:
         f.write(header + "\n")
         f.writelines(f"{a}\t{b}\n" for a, b in rows)
 
 
 def write_activity_tables(series: act.ActivityMatrix, out: str) -> None:
-    _write_pairs(os.path.join(out, "activity_ccdf.tsv"), "value\tfraction",
+    write_pairs(os.path.join(out, "activity_ccdf.tsv"), "value\tfraction",
                  act.ccdf(series.total_ops))
-    _write_pairs(os.path.join(out, "opd_ccdf.tsv"), "value\tfraction",
+    write_pairs(os.path.join(out, "opd_ccdf.tsv"), "value\tfraction",
                  act.ccdf(series.opd))
-    _write_pairs(os.path.join(out, "ops_vs_days.tsv"), "trading_days\ttotal_ops",
+    write_pairs(os.path.join(out, "ops_vs_days.tsv"), "trading_days\ttotal_ops",
                  act.ops_vs_days(series))
 
 
 def write_network_tables(a: AssetAnalysis, out: str) -> None:
-    _write_table(os.path.join(out, "edges.tsv"), write_edges, a.net)
+    write_file(os.path.join(out, "edges.tsv"), write_edges, a.net)
     with open(os.path.join(out, "nodes.tsv"), "w") as f:
         act.write_nodes(a.series, a.net.node_ids, f)
 
 
 def write_partition_table(partition: nm.Partition | None, out: str) -> None:
     if partition is not None:
-        _write_table(os.path.join(out, "partition.tsv"), nm.write_partition, partition)
+        write_file(os.path.join(out, "partition.tsv"), nm.write_partition, partition)
 
 
 def write_polarization_tables(a: AssetAnalysis, out: str) -> None:
-    _write_table(os.path.join(out, "scores.tsv"), pol.write_scores, a.scores)
+    write_file(os.path.join(out, "scores.tsv"), pol.write_scores, a.scores)
     if a.histogram is not None:
-        _write_table(os.path.join(out, "rho_histogram.tsv"), pol.write_histogram,
+        write_file(os.path.join(out, "rho_histogram.tsv"), pol.write_histogram,
                      a.histogram)
 
 

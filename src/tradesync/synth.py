@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -56,6 +56,11 @@ class SynthConfig:
     start_price: float = 100.0
 
     def __post_init__(self):
+        for prefix, config in (("", self), ("vol.", self.vol)):
+            for f in fields(config):
+                value = getattr(config, f.name)
+                if isinstance(value, float) and math.isnan(value):
+                    raise GenerationError(f"{prefix}{f.name} must not be NaN")
         if self.n_agents < 2:
             raise GenerationError("need at least 2 agents")
         if self.n_days < 30:

@@ -5,8 +5,12 @@ import re
 
 import pytest
 
-from tradesync import netmetrics, parallel
-from tradesync.cli import main
+from dataclasses import fields
+
+from tradesync import cli, netmetrics, parallel, synth
+from tradesync.cli import _params, build_parser, main
+from tradesync.report import PipelineParams
+from tradesync.synth import Ar1Config, CommunitySpec, SynthConfig
 
 
 @pytest.fixture(autouse=True)
@@ -388,3 +392,83 @@ def test_byte_order_mark_is_ignored(synth_data, tmp_path, capsys):
                         (tmp_path / out / "report.json").read_bytes()))
     assert outputs[0] == outputs[1]
     assert "0 rejects" in outputs[0][0]
+
+
+_ANALYSIS_COMMANDS = ("validate", "activity", "volatility", "meso", "syncnet",
+                      "metrics", "polarization", "report")
+
+
+@pytest.mark.parametrize("command", _ANALYSIS_COMMANDS)
+def test_cli_defaults_are_the_pipeline_defaults(command):
+    assert _params(build_parser().parse_args([command])) == PipelineParams()
+
+
+@pytest.mark.parametrize("command", _ANALYSIS_COMMANDS)
+def test_every_pipeline_field_has_its_flag(command):
+    parser = build_parser()
+    for f in fields(PipelineParams):
+        flag = "--" + f.name.replace("_", "-")
+        value = f.metadata.get("choices", ("7",))[-1]
+        assert getattr(parser.parse_args([command, flag, value]), f.name) != f.default
+
+
+def _synth_configs(monkeypatch, tmp_path, *flags):
+    """The SynthConfig that `synth` with these flags generates from."""
+    seen = []
+    monkeypatch.setattr(cli, "generate",
+                        lambda config: seen.append(config) or synth.generate(config))
+    assert main(["synth", "--out-dir", str(tmp_path / "syn"), *flags]) == 0
+    return seen
+
+
+def test_unset_synth_flags_take_the_config_defaults(monkeypatch, tmp_path):
+    assert _synth_configs(monkeypatch, tmp_path, "--agents", "40", "--days", "60") == [
+        SynthConfig(n_agents=40, n_days=60)]
+
+
+def test_every_synth_flag_reaches_its_field(monkeypatch, tmp_path):
+    flags = ("--agents", "40", "--days", "60", "--alpha", "1.5", "--beta-mean", "0.1",
+             "--beta-sd", "0.3", "--vol-mean-log", "-3.5", "--vol-phi", "0.5",
+             "--vol-sigma", "0.2", "--community", "6", "--community", "5:0.5",
+             "--base-rate-scale", "0.05", "--rate-cap", "20", "--ticker", "XYZ",
+             "--seed", "9")
+    assert _synth_configs(monkeypatch, tmp_path, *flags) == [SynthConfig(
+        n_agents=40, n_days=60, activity_tail_alpha=1.5, beta_mean=0.1, beta_sd=0.3,
+        vol=Ar1Config(mean=-3.5, phi=0.5, sigma=0.2),
+        communities=(CommunitySpec(6), CommunitySpec(5, 0.5)),
+        base_rate_scale=0.05, rate_cap=20.0, ticker="XYZ", seed=9)]
+
+
+@pytest.mark.parametrize("flag,field", [
+    ("--alpha", "activity_tail_alpha"), ("--beta-mean", "beta_mean"),
+    ("--beta-sd", "beta_sd"), ("--vol-mean-log", "vol.mean"), ("--vol-phi", "vol.phi"),
+    ("--vol-sigma", "vol.sigma"), ("--base-rate-scale", "base_rate_scale"),
+    ("--rate-cap", "rate_cap"),
+])
+def test_synth_rejects_nan_naming_the_field(tmp_path, capsys, flag, field):
+    out = tmp_path / "syn"
+    assert main(["synth", "--agents", "40", "--days", "60", flag, "nan",
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {field} must not be NaN\n"
+    assert not out.exists()
+
+
+def test_synth_allows_an_infinite_rate_cap(tmp_path):
+    assert main(["synth", "--agents", "40", "--days", "60", "--rate-cap", "inf",
+                 "--out-dir", str(tmp_path / "syn")]) == 0
+
+
+def test_report_lists_off_calendar_trades(synth_data, tmp_path, capsys):
+    lines = (synth_data / "quotes.csv").read_text().splitlines(keepends=True)
+    dropped = lines.pop(10).split(",")[0]
+    quotes = tmp_path / "quotes.csv"
+    quotes.write_text("".join(lines))
+    trades = (synth_data / "trades.csv").read_text().splitlines()[1:]
+    off = sum(row.split(",")[1] == dropped for row in trades)
+    assert off > 0
+    args = _common(synth_data, tmp_path / "out")
+    args[args.index("--quotes") + 1] = str(quotes)
+    assert main(["report"] + args) == 0
+    assert f"SYN: {off} off-calendar trades excluded" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["assets"]["SYN"]["population"]["off_calendar_trades"] == off

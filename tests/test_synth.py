@@ -1,4 +1,7 @@
 import hashlib
+import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -35,6 +38,20 @@ class TestConfigValidation:
     def test_invalid_configs(self, kw):
         with pytest.raises(GenerationError):
             _cfg(**kw)
+
+    @pytest.mark.parametrize("name", [
+        f.name for f in fields(SynthConfig) if f.type == "float"] + [
+        f"vol.{f.name}" for f in fields(Ar1Config)])
+    def test_nan_is_rejected_by_name(self, name):
+        if name.startswith("vol."):
+            kw = {"vol": Ar1Config(**{name.removeprefix("vol."): math.nan})}
+        else:
+            kw = {name: math.nan}
+        with pytest.raises(GenerationError, match=rf"^{re.escape(name)} must not be NaN$"):
+            _cfg(**kw)
+
+    def test_infinite_rate_cap_means_no_cap(self):
+        assert _cfg(rate_cap=math.inf).rate_cap == math.inf
 
 
 def _files(res, out) -> dict[str, bytes]:
