@@ -2,8 +2,9 @@
 
 Subcommands read declared inputs and write plot-ready tab-separated tables
 plus JSON summaries under --out-dir. `report` runs every stage of the chain
-(report.analyze_asset) for each asset into one report.json; the analysis
-subcommands run the stages they need, seeded like `report`'s first asset.
+(report.analyze_asset) for each asset into one report.json; each analysis view
+runs the stages it needs, seeded like `report`'s first asset, and writes its
+keys of that report section to <view>.json.
 Each pipeline flag is the PipelineParams field of the same name, and an unset
 `synth` flag takes the SynthConfig or Ar1Config default.
 Worker count comes from TRADESYNC_WORKERS (all cores when unset).
@@ -22,10 +23,10 @@ from . import volatility as vola
 from .errors import ConfigError, TradesyncError
 from .ingest import parse_quotes, parse_trades, select_ticker
 from .report import (PipelineParams, analyze_asset, assortativity_stage,
-                     build_report, derive_seeds, dump_report, front_stage,
-                     network_stage, polarization_stage, score_stage,
-                     write_activity_tables, write_file, write_network_tables,
-                     write_pairs, write_partition_table, write_polarization_tables)
+                     build_report, dump_report, network_stage, polarization_stage,
+                     score_stage, write_activity_tables, write_file,
+                     write_network_tables, write_pairs, write_partition_table,
+                     write_polarization_tables)
 from .synth import Ar1Config, CommunitySpec, SynthConfig, generate, write_synth
 
 
@@ -133,38 +134,19 @@ def _print_off_calendar(analysis) -> None:
         print(f"{analysis.ticker}: {off} off-calendar trades excluded", file=sys.stderr)
 
 
-def _front(args):
-    """`report`'s front stage on the one --ticker/--quotes pair, plus the
-    params and the seeds `report` gives its first asset. Trade rejects and
-    off-calendar trades are listed on stderr."""
-    params = _params(args)
-    ticker, qpath = _single_asset(args)
-    parsed = _read_trades(args)
-    _print_rejects(parsed, sys.stderr)
-    quotes = _read_quotes(qpath, ticker, args)
-    analysis = front_stage(select_ticker(parsed.records, ticker), quotes, params)
-    _print_off_calendar(analysis)
-    return analysis, params, derive_seeds(args.seed, 0)
-
-
 def _outdir(args) -> str:
     os.makedirs(args.out_dir, exist_ok=True)
     return args.out_dir
 
 
-def _required(analysis, key: str):
-    """A stage output, or its note raised as the error when it is missing."""
-    value = getattr(analysis, key)
-    if value is None:
-        raise TradesyncError(analysis.notes[key])
-    return value
-
-
 def _write_asset_tables(analysis, out: str) -> None:
+    """The per-asset tables of the stages that ran."""
     os.makedirs(out, exist_ok=True)
-    write_network_tables(analysis, out)
+    if analysis.net is not None:
+        write_network_tables(analysis, out)
     write_partition_table(analysis.partition, out)
-    write_polarization_tables(analysis, out)
+    if analysis.scores is not None:
+        write_polarization_tables(analysis, out)
     write_activity_tables(analysis.series, out)
 
 
@@ -187,25 +169,6 @@ def cmd_validate(args) -> int:
     return status
 
 
-def cmd_activity(args) -> int:
-    analysis, _, _ = _front(args)
-    series = analysis.series
-    tails = [(name, _required(analysis, key), attr) for name, key, attr in
-             (("activity", "tail_fit", "total_ops"), ("opd", "opd_tail_fit", "opd"))]
-    out = _outdir(args)
-    with open(os.path.join(out, "activity_nodes.tsv"), "w") as f:
-        act.write_nodes(series, series.ids, f)
-    write_activity_tables(series, out)
-    fits = {}
-    for name, fit, attr in tails:
-        sweep = act.hill_sweep(getattr(series, attr))
-        fits[name] = {"fit": fit.as_dict(), "sweep": [f.as_dict() for f in sweep]}
-        print(f"{name} tail index: {fit.alpha:.4f} +- {fit.stderr:.4f} "
-              f"(k={fit.k}, n={fit.n})")
-    write_file(os.path.join(out, "tail_fits.json"), dump_report, fits)
-    return 0
-
-
 def cmd_volatility(args) -> int:
     ticker, qpath = _single_asset(args)
     quotes = _read_quotes(qpath, ticker, args)
@@ -215,58 +178,48 @@ def cmd_volatility(args) -> int:
     return 0
 
 
-def cmd_meso(args) -> int:
-    analysis, params, _ = _front(args)
-    result = {"ticker": analysis.ticker, "long": _required(analysis, "meso_long"),
-              "short": _required(analysis, "meso_short"),
-              "ma_window": params.ma_window, "ma_mode": params.ma_mode}
-    write_file(os.path.join(_outdir(args), "meso.json"), dump_report, result)
-    print(f"meso correlation {analysis.ticker}: long={result['long']:.4f} "
-          f"short={result['short']:.4f}")
-    return 0
+# view -> (the stages it runs after the front, the report-section keys it reports)
+_VIEWS = {
+    "activity": ((), ("tail_fit", "opd_tail_fit")),
+    "meso": ((), ("meso",)),
+    "syncnet": ((network_stage,), ("network",)),
+    "metrics": ((network_stage, score_stage, assortativity_stage),
+                ("network", "assortativity")),
+    "polarization": ((score_stage, polarization_stage), ("polarization",)),
+}
 
 
-def cmd_syncnet(args) -> int:
-    analysis, params, seeds = _front(args)
-    network_stage(analysis, params, seeds)
+def cmd_view(args) -> int:
+    """An analysis view: `report`'s chain on the one --ticker/--quotes pair,
+    seeded like `report`'s first asset. Trade rejects and off-calendar trades
+    are listed on stderr; a reported key that is null exits with its note."""
+    stages, keys = _VIEWS[args.command]
+    params = _params(args)
+    ticker, qpath = _single_asset(args)
+    parsed = _read_trades(args)
+    _print_rejects(parsed, sys.stderr)
+    quotes = _read_quotes(qpath, ticker, args)
+    analysis = analyze_asset(select_ticker(parsed.records, ticker), quotes, params,
+                             root_seed=args.seed, stages=stages)
+    _print_off_calendar(analysis)
+    section = analysis.to_section()
+    for key in keys:
+        if section[key] is None:
+            raise TradesyncError(section["notes"][key])
+    view = {"ticker": ticker, **{key: section[key] for key in keys},
+            "notes": section["notes"]}
     out = _outdir(args)
-    write_network_tables(analysis, out)
-    d = analysis.net.diagnostics
-    write_file(os.path.join(out, "syncnet_diagnostics.json"), dump_report, d)
-    print(f"network {analysis.ticker}: {d['nodes']} nodes, {d['edges_retained']} "
-          f"edges ({d['pairs_tested']} pairs tested)")
-    return 0
-
-
-def cmd_metrics(args) -> int:
-    analysis, params, seeds = _front(args)
-    network_stage(analysis, params, seeds)
-    score_stage(analysis, params)
-    assortativity_stage(analysis, params, seeds)
-    out = _outdir(args)
-    metrics: dict = {"ticker": analysis.ticker, "modularity": None, "assortativity": {
-        name: {"error": analysis.notes[f"assortativity_{name}"]} if res is None
-        else res.as_dict() for name, res in analysis.assortativity.items()}}
-    if analysis.partition is None:
-        metrics["modularity_error"] = analysis.notes["modularity"]
-    else:
-        metrics["modularity"] = analysis.partition.q
-        write_partition_table(analysis.partition, out)
-        print(f"modularity {analysis.ticker}: {analysis.partition.q:.4f}")
-    write_file(os.path.join(out, "metrics.json"), dump_report, metrics)
-    return 0
-
-
-def cmd_polarization(args) -> int:
-    analysis, params, seeds = _front(args)
-    score_stage(analysis, params)
-    polarization_stage(analysis, params, seeds)
-    section = _required(analysis, "polarization")
-    write_polarization_tables(analysis, _outdir(args))
-    write_file(os.path.join(args.out_dir, "polarization.json"), dump_report,
-               {"ticker": analysis.ticker, **section})
-    print(f"polarization {analysis.ticker}: mean={section['mean']:.4f} "
-          f"variance_ratio={section['variance_ratio']:.3f}")
+    _write_asset_tables(analysis, out)
+    if args.command == "activity":
+        series = analysis.series
+        with open(os.path.join(out, "activity_nodes.tsv"), "w") as f:
+            act.write_nodes(series, series.ids, f)
+        view["hill_sweep"] = {name: [fit.as_dict() for fit in act.hill_sweep(values)]
+                              for name, values in (("activity", series.total_ops),
+                                                   ("opd", series.opd))}
+    path = os.path.join(out, f"{args.command}.json")
+    write_file(path, dump_report, view)
+    print(f"{ticker}: ok -> {path}")
     return 0
 
 
@@ -319,9 +272,10 @@ def cmd_report(args) -> int:
     return 0
 
 
-_HANDLERS = {f.__name__.removeprefix("cmd_"): f for f in (
-    cmd_validate, cmd_activity, cmd_volatility, cmd_meso, cmd_syncnet,
-    cmd_metrics, cmd_polarization, cmd_synth, cmd_report)}
+_HANDLERS = {"validate": cmd_validate, "activity": cmd_view,
+             "volatility": cmd_volatility, "meso": cmd_view, "syncnet": cmd_view,
+             "metrics": cmd_view, "polarization": cmd_view, "synth": cmd_synth,
+             "report": cmd_report}
 
 
 def _check_delimiter(args) -> None:

@@ -97,7 +97,7 @@ def derive_seeds(root_seed: int, asset_index: int) -> dict[str, int]:
 class AssetAnalysis:
     """All artifacts produced for one asset. `front_stage` creates it and each
     later stage fills its own fields; to_section() flattens the numbers that
-    belong in the JSON report once every stage has run."""
+    belong in the JSON report, null (or empty) for a stage that did not run."""
 
     ticker: str
     series: act.ActivityMatrix
@@ -111,7 +111,7 @@ class AssetAnalysis:
     notes: dict
     net: SyncNetwork | None = None
     partition: nm.Partition | None = None
-    scores: list[pol.PolarizationScore] = field(default_factory=list)
+    scores: list[pol.PolarizationScore] | None = None
     exclusions: Counter = field(default_factory=Counter)  # reason -> investors
     histogram: pol.Histogram | None = None
     summary: pol.PolarizationSummary | None = None
@@ -119,26 +119,16 @@ class AssetAnalysis:
     assortativity: dict[str, nm.AssortativityResult | None] = field(
         default_factory=dict)
 
-    @property
-    def polarization(self) -> dict | None:
-        """The report's polarization section; None when the stage noted why not."""
-        s = self.summary
-        if s is None:
-            return None
-        return {"mean": s.mean, "variance": s.variance, "mode_bin": s.mode_bin,
-                "shuffled_variance": s.shuffled_variance,
-                "variance_ratio": s.variance_ratio,
-                "scored": len(self.scores), "excluded": self.exclusions.total()}
-
     def to_section(self) -> dict:
         def tail(f):
             return f.as_dict() if f is not None else None
 
+        s = self.summary
         return {
             "tail_fit": tail(self.tail_fit),
             "opd_tail_fit": tail(self.opd_tail_fit),
             "meso": {"long": self.meso_long, "short": self.meso_short},
-            "network": {
+            "network": None if self.net is None else {
                 "nodes": len(self.net.node_ids),
                 "edges": len(self.net.edges),
                 "isolated": self.net.diagnostics["isolated_nodes"],
@@ -148,7 +138,11 @@ class AssetAnalysis:
             "assortativity": {
                 name: None if res is None else {"attribute": name, **res.as_dict()}
                 for name, res in self.assortativity.items()},
-            "polarization": self.polarization,
+            "polarization": None if s is None else {
+                "mean": s.mean, "variance": s.variance, "mode_bin": s.mode_bin,
+                "shuffled_variance": s.shuffled_variance,
+                "variance_ratio": s.variance_ratio,
+                "scored": len(self.scores), "excluded": self.exclusions.total()},
             "population": _plain(self.population),
             "notes": _plain(self.notes),
         }
@@ -176,10 +170,11 @@ def _noted(notes: dict, key: str, errors, fn, *args, **kwargs):
         return None
 
 
-# The stages of the per-asset chain. `analyze_asset` runs them all, in order;
-# each single-asset subcommand runs the front and the stages it reports on.
-# Degenerate sub-steps (no scores, constant series, too few edges) are
-# recorded under `notes` instead of aborting the asset.
+# The stages of the per-asset chain: the front, then the four in STAGES, which
+# share one signature. `analyze_asset` runs the front and the stages it is
+# given; each analysis subcommand runs the ones it reports on. Degenerate
+# sub-steps (no scores, constant series, too few edges) are recorded under
+# `notes` instead of aborting the asset.
 
 def front_stage(trades: TradeColumns, quotes: QuoteSeries,
                 params: PipelineParams) -> AssetAnalysis:
@@ -231,14 +226,15 @@ def network_stage(a: AssetAnalysis, params: PipelineParams, seeds: dict[str, int
     })
 
 
-def score_stage(a: AssetAnalysis, params: PipelineParams) -> None:
+def score_stage(a: AssetAnalysis, params: PipelineParams, seeds: dict[str, int],
+                workers: int | None = None) -> None:
     """Per-investor volatility-polarization scores."""
     a.scores, a.exclusions = pol.score_population(a.series, a.vol, params.min_days,
                                                   params.nu_moments)
 
 
 def polarization_stage(a: AssetAnalysis, params: PipelineParams,
-                       seeds: dict[str, int]) -> None:
+                       seeds: dict[str, int], workers: int | None = None) -> None:
     """Score histogram, shuffled baseline and their summary (after scores)."""
     try:
         a.histogram = pol.population_distribution(a.scores, params.bins)
@@ -289,17 +285,18 @@ def assortativity_stage(a: AssetAnalysis, params: PipelineParams,
                                 seed=seeds[f"{name}_shuffle"], workers=workers))
 
 
+STAGES = (network_stage, score_stage, polarization_stage, assortativity_stage)
+
+
 def analyze_asset(trades: TradeColumns, quotes: QuoteSeries,
                   params: PipelineParams, root_seed: int = 0,
-                  asset_index: int = 0, workers: int | None = None
-                  ) -> AssetAnalysis:
-    """Run every stage of the chain for one asset."""
+                  asset_index: int = 0, workers: int | None = None,
+                  stages=STAGES) -> AssetAnalysis:
+    """Run the front and then `stages`, in order, for one asset."""
     seeds = derive_seeds(root_seed, asset_index)
     a = front_stage(trades, quotes, params)
-    network_stage(a, params, seeds, workers)
-    score_stage(a, params)
-    polarization_stage(a, params, seeds)
-    assortativity_stage(a, params, seeds, workers)
+    for stage in stages:
+        stage(a, params, seeds, workers)
     return a
 
 

@@ -73,6 +73,12 @@ class SynthConfig:
             raise GenerationError("activity_tail_alpha must be positive")
         if self.base_rate_scale <= 0:
             raise GenerationError("base_rate_scale must be positive")
+        if self.beta_sd < 0:
+            raise GenerationError("beta_sd must not be negative")
+        if self.rate_cap <= 0:  # inf means no cap
+            raise GenerationError("rate_cap must be positive")
+        if self.start_price <= 0:
+            raise GenerationError("start_price must be positive")
         if not 0.0 < self.gate_on_prob < 1.0:
             raise GenerationError("gate_on_prob must lie in (0, 1)")
         if sum(c.size for c in self.communities) > self.n_agents:

@@ -7,6 +7,9 @@ import pytest
 
 from dataclasses import fields
 
+from jsonschema.validators import validator_for
+
+from report_schema import _asset_schema
 from tradesync import cli, netmetrics, parallel, synth
 from tradesync.cli import _params, build_parser, main
 from tradesync.report import PipelineParams
@@ -80,11 +83,13 @@ def test_activity_outputs(synth_data, tmp_path):
     rc = main(["activity"] + _common(synth_data, out))
     assert rc == 0
     for name in ("activity_nodes.tsv", "activity_ccdf.tsv", "opd_ccdf.tsv",
-                 "ops_vs_days.tsv", "tail_fits.json"):
+                 "ops_vs_days.tsv", "activity.json"):
         assert (out / name).exists()
-    fits = json.loads((out / "tail_fits.json").read_text())
-    assert set(fits) == {"activity", "opd"}
-    assert fits["activity"]["fit"]["alpha"] > 0
+    view = json.loads((out / "activity.json").read_text())
+    assert set(view) == {"ticker", "tail_fit", "opd_tail_fit", "hill_sweep", "notes"}
+    assert view["tail_fit"]["alpha"] > 0
+    assert set(view["hill_sweep"]) == {"activity", "opd"}
+    assert all(fit["alpha"] > 0 for fit in view["hill_sweep"]["activity"])
 
 
 def test_volatility_output(synth_data, tmp_path):
@@ -100,9 +105,25 @@ def test_meso_output(synth_data, tmp_path):
     out = tmp_path / "meso"
     rc = main(["meso"] + _common(synth_data, out))
     assert rc == 0
-    meso = json.loads((out / "meso.json").read_text())
-    assert set(meso) >= {"ticker", "long", "short"}
-    assert -1 <= meso["long"] <= 1
+    view = json.loads((out / "meso.json").read_text())
+    assert set(view) == {"ticker", "meso", "notes"}
+    assert -1 <= view["meso"]["long"] <= 1
+
+
+def test_meso_notes_an_undefined_correlation(synth_data, tmp_path):
+    # constant volatility: both correlations are undefined, and the view
+    # records them as report does, null with a note, instead of failing
+    lines = (synth_data / "quotes.csv").read_text().splitlines()
+    quotes = tmp_path / "flat.csv"
+    quotes.write_text("\n".join([lines[0]] + [row.split(",")[0] + ",100,101,99"
+                                              for row in lines[1:]]) + "\n")
+    args = _common(synth_data, tmp_path / "meso")
+    args[args.index("--quotes") + 1] = str(quotes)
+    assert main(["meso"] + args) == 0
+    view = json.loads((tmp_path / "meso" / "meso.json").read_text())
+    assert view["meso"] == {"long": None, "short": None}
+    assert view["notes"]["meso_long"] == "correlation undefined for a constant series"
+    assert "meso_short" in view["notes"]
 
 
 def test_syncnet_outputs(synth_data, tmp_path):
@@ -111,8 +132,8 @@ def test_syncnet_outputs(synth_data, tmp_path):
     assert rc == 0
     edges = (out / "edges.tsv").read_text().splitlines()
     assert edges[0] == "i\tj\trho\toverlap\tpvalue"
-    diag = json.loads((out / "syncnet_diagnostics.json").read_text())
-    assert diag["edges_retained"] == len(edges) - 1
+    network = json.loads((out / "syncnet.json").read_text())["network"]
+    assert network["diagnostics"]["edges_retained"] == network["edges"] == len(edges) - 1
     assert (out / "nodes.tsv").exists()
 
 
@@ -121,10 +142,10 @@ def test_nodes_table_is_the_network_rows_of_the_activity_table(synth_data, tmp_p
     assert main(["syncnet"] + _common(synth_data, tmp_path / "net")) == 0
     header, *rows = (tmp_path / "act" / "activity_nodes.tsv").read_text().splitlines()
     nodes = (tmp_path / "net" / "nodes.tsv").read_text().splitlines()
-    diag = json.loads((tmp_path / "net" / "syncnet_diagnostics.json").read_text())
+    network = json.loads((tmp_path / "net" / "syncnet.json").read_text())["network"]
     # network nodes are the investors with at least --min-ops (20) operations
     network_rows = [r for r in rows if int(r.split("\t")[1]) >= 20]
-    assert len(network_rows) == diag["nodes"] < len(rows)
+    assert len(network_rows) == network["nodes"] < len(rows)
     assert nodes == [header] + network_rows
 
 
@@ -132,17 +153,20 @@ def test_metrics_outputs(synth_data, tmp_path):
     out = tmp_path / "met"
     rc = main(["metrics"] + _common(synth_data, out))
     assert rc == 0
-    metrics = json.loads((out / "metrics.json").read_text())
-    assert "assortativity" in metrics
-    assert metrics["modularity"] is None or -1 <= metrics["modularity"] <= 1
+    view = json.loads((out / "metrics.json").read_text())
+    assert set(view) == {"ticker", "network", "assortativity", "notes"}
+    assert set(view["assortativity"]) == {"rho_ov", "opd"}
+    modularity = view["network"]["modularity"]
+    assert modularity is None or -1 <= modularity <= 1
 
 
 def test_polarization_outputs(synth_data, tmp_path):
     out = tmp_path / "pol"
     rc = main(["polarization"] + _common(synth_data, out))
     assert rc == 0
-    summary = json.loads((out / "polarization.json").read_text())
-    assert summary["variance_ratio"] > 0
+    view = json.loads((out / "polarization.json").read_text())
+    assert set(view) == {"ticker", "polarization", "notes"}
+    assert view["polarization"]["variance_ratio"] > 0
     assert (out / "scores.tsv").exists()
     assert (out / "rho_histogram.tsv").exists()
 
@@ -261,33 +285,37 @@ def test_report_rejects_a_repeated_ticker(synth_data, tmp_path, capsys):
     assert not out.exists()
 
 
+# view -> the report-section keys its <view>.json holds
+_VIEW_KEYS = {"activity": ("tail_fit", "opd_tail_fit"), "meso": ("meso",),
+              "syncnet": ("network",), "metrics": ("network", "assortativity"),
+              "polarization": ("polarization",)}
+
+
 def test_subcommands_seed_like_report(synth_data, tmp_path):
     assert main(["report"] + _common(synth_data, tmp_path / "r")) == 0
-    for cmd in ("activity", "meso", "syncnet", "metrics", "polarization"):
-        assert main([cmd] + _common(synth_data, tmp_path / cmd)) == 0
     section = json.loads((tmp_path / "r" / "report.json").read_text())["assets"]["SYN"]
-    for name in ("activity_ccdf.tsv", "opd_ccdf.tsv", "ops_vs_days.tsv"):
-        table = (tmp_path / "activity" / name).read_text()
-        assert table.count("\n") > 1
-        assert table == (tmp_path / "r" / "SYN" / name).read_text()
-    meso = json.loads((tmp_path / "meso" / "meso.json").read_text())
+    for view, keys in _VIEW_KEYS.items():
+        out = tmp_path / view
+        assert main([view] + _common(synth_data, out)) == 0
+        got = json.loads((out / f"{view}.json").read_text())
+        assert set(got) - {"hill_sweep"} == {"ticker", "notes", *keys}
+        assert got["ticker"] == "SYN"
+        assert got["notes"].items() <= section["notes"].items()
+        for key in keys:
+            assert got[key] is not None and got[key] == section[key]
+            schema = _asset_schema["properties"][key]
+            validator_for(schema)(schema).validate(got[key])
+        tables = {p.name for p in out.glob("*.tsv")} - {"activity_nodes.tsv"}
+        assert {"activity_ccdf.tsv", "opd_ccdf.tsv", "ops_vs_days.tsv"} <= tables
+        for name in tables:
+            table = (out / name).read_text()
+            assert table.count("\n") > 1
+            assert table == (tmp_path / "r" / "SYN" / name).read_text()
     assert section["meso"]["long"] is not None and section["meso"]["short"] is not None
-    assert {k: meso[k] for k in ("long", "short")} == section["meso"]
-    edges = (tmp_path / "syncnet" / "edges.tsv").read_text()
-    assert edges.count("\n") > 1
-    assert edges == (tmp_path / "r" / "SYN" / "edges.tsv").read_text()
-    metrics = json.loads((tmp_path / "metrics" / "metrics.json").read_text())
-    assert metrics["modularity"] == section["network"]["modularity"]
-    for name in ("rho_ov", "opd"):
-        got = metrics["assortativity"][name]
-        want = section["assortativity"][name]
-        if want is None:
-            assert "error" in got
-        else:
-            assert {k: got[k] for k in ("r", "null_rewire", "null_shuffle")} == \
-                {k: want[k] for k in ("r", "null_rewire", "null_shuffle")}
-    polar = json.loads((tmp_path / "polarization" / "polarization.json").read_text())
-    assert polar["variance_ratio"] == section["polarization"]["variance_ratio"]
+    assert {"edges.tsv", "nodes.tsv", "partition.tsv"} <= {
+        p.name for p in (tmp_path / "syncnet").glob("*.tsv")}
+    assert {"scores.tsv", "rho_histogram.tsv"} <= {
+        p.name for p in (tmp_path / "polarization").glob("*.tsv")}
 
 
 def test_metrics_nulls_follow_the_worker_count(synth_data, tmp_path, monkeypatch):
@@ -327,6 +355,7 @@ def test_global_nu_moments_reach_the_baseline(synth_data, tmp_path):
     section = json.loads((tmp_path / "r" / "report.json").read_text())["assets"]["SYN"]
     polar = {name: json.loads((tmp_path / name / "polarization.json").read_text())
              for name in ("global", "trading")}
+    polar = {name: view["polarization"] for name, view in polar.items()}
     assert polar["global"]["shuffled_variance"] == \
         section["polarization"]["shuffled_variance"]
     assert polar["global"]["shuffled_variance"] != polar["trading"]["shuffled_variance"]
@@ -450,6 +479,19 @@ def test_synth_rejects_nan_naming_the_field(tmp_path, capsys, flag, field):
     assert main(["synth", "--agents", "40", "--days", "60", flag, "nan",
                  "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {field} must not be NaN\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--rate-cap", "0", "rate_cap must be positive"),
+    ("--beta-sd", "-1", "beta_sd must not be negative"),
+])
+def test_synth_rejects_out_of_range_naming_the_field(tmp_path, capsys, flag, value,
+                                                     message):
+    out = tmp_path / "syn"
+    assert main(["synth", "--agents", "40", "--days", "60", flag, value,
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -98,7 +98,7 @@ def _scored_network(params):
     trades = select_ticker(synth_columns(res), res.quotes.ticker)
     analysis = front_stage(trades, res.quotes, params)
     network_stage(analysis, params, seeds, workers=1)
-    score_stage(analysis, params)
+    score_stage(analysis, params, seeds)
     return analysis, seeds
 
 

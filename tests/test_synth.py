@@ -50,6 +50,17 @@ class TestConfigValidation:
         with pytest.raises(GenerationError, match=rf"^{re.escape(name)} must not be NaN$"):
             _cfg(**kw)
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("rate_cap", 0.0, "rate_cap must be positive"),
+        ("rate_cap", -5.0, "rate_cap must be positive"),
+        ("beta_sd", -1.0, "beta_sd must not be negative"),
+        ("start_price", 0.0, "start_price must be positive"),
+        ("start_price", -1.0, "start_price must be positive"),
+    ])
+    def test_out_of_range_is_rejected_by_name(self, name, value, message):
+        with pytest.raises(GenerationError, match=rf"^{message}$"):
+            _cfg(**{name: value})
+
     def test_infinite_rate_cap_means_no_cap(self):
         assert _cfg(rate_cap=math.inf).rate_cap == math.inf
 
