@@ -195,12 +195,13 @@ def cmd_view(args) -> int:
     are listed on stderr; a reported key that is null exits with its note."""
     stages, keys = _VIEWS[args.command]
     params = _params(args)
+    workers = parallel.resolve_workers()
     ticker, qpath = _single_asset(args)
     parsed = _read_trades(args)
     _print_rejects(parsed, sys.stderr)
     quotes = _read_quotes(qpath, ticker, args)
     analysis = analyze_asset(select_ticker(parsed.records, ticker), quotes, params,
-                             root_seed=args.seed, stages=stages)
+                             root_seed=args.seed, workers=workers, stages=stages)
     _print_off_calendar(analysis)
     section = analysis.to_section()
     for key in keys:
@@ -228,8 +229,12 @@ def cmd_synth(args) -> int:
     communities = []
     for spec in args.community:
         size, _, coupling = spec.partition(":")
-        kwargs = {"coupling": float(coupling)} if coupling else {}
-        communities.append(CommunitySpec(size=int(size), **kwargs))
+        try:
+            kwargs = {"coupling": float(coupling)} if coupling else {}
+            communities.append(CommunitySpec(size=int(size), **kwargs))
+        except ValueError:
+            raise ConfigError(f"--community must be SIZE or SIZE:COUPLING, "
+                              f"got {spec!r}") from None
     vol = Ar1Config(**{k.removeprefix("vol_"): v for k, v in given.items()
                        if k.startswith("vol_")})
     config = SynthConfig(vol=vol, communities=tuple(communities),
@@ -244,6 +249,7 @@ def cmd_synth(args) -> int:
 
 def cmd_report(args) -> int:
     params = _params(args)
+    workers = parallel.resolve_workers()
     assets = _assets(args)
     parsed = _read_trades(args)
     _print_rejects(parsed, sys.stderr)
@@ -254,8 +260,8 @@ def cmd_report(args) -> int:
         try:
             quotes = _read_quotes(qpath, ticker, args)
             trades = select_ticker(parsed.records, ticker)
-            analysis = analyze_asset(trades, quotes, params,
-                                     root_seed=args.seed, asset_index=idx)
+            analysis = analyze_asset(trades, quotes, params, root_seed=args.seed,
+                                     asset_index=idx, workers=workers)
             _print_off_calendar(analysis)
             sections[ticker] = analysis.to_section()
             _write_asset_tables(analysis, os.path.join(out, ticker))

@@ -346,8 +346,10 @@ def double_edge_swap(edges: list[tuple[int, int]], schedule: Iterable[int],
         yield src, dst, accepted
 
 
-# rewire chains per null, and proposals per scored edge between two samples
+# rewire chains per null, and proposals per scored edge before the first
+# sample and between two samples
 REWIRE_CHAINS = 4
+BURN_IN = 10
 SAMPLE_GAP = 2
 
 
@@ -392,13 +394,12 @@ def _shuffle_replicas(payload: dict, reps: list[int]) -> list[float | None]:
 
 
 def null_rewire(net: SyncNetwork, attribute: dict[str, int], replicas: int = 1000,
-                seed: int = 0, swap_factor: int = 10,
-                workers: int | None = None) -> NullStats:
+                seed: int = 0, workers: int | None = None) -> NullStats:
     """Assortativity under degree-preserving rewiring (attributes fixed).
 
     min(REWIRE_CHAINS, replicas) double-edge-swap chains start from the
     observed graph, chain c on task_rng(seed, c); each burns in for
-    swap_factor*|E| proposals, then re-scores every SAMPLE_GAP*|E|
+    BURN_IN*|E| proposals, then re-scores every SAMPLE_GAP*|E|
     proposals, and the replicas are split over the chains. Reports the mean
     and 2.5/97.5 percentiles over the samples, the share of proposed swaps
     accepted (burn-in included) and the lag-1 autocorrelation of r. A swap
@@ -406,7 +407,7 @@ def null_rewire(net: SyncNetwork, attribute: dict[str, int], replicas: int = 100
     graph that admits no swap gets a point mass at r.
     """
     pairs, scores = _edge_pairs_with_scores(net, attribute)
-    burn_in, gap = swap_factor * len(pairs), SAMPLE_GAP * len(pairs)
+    burn_in, gap = BURN_IN * len(pairs), SAMPLE_GAP * len(pairs)
     payload = {"pairs": pairs, "scores": scores, "seed": seed,
                "burn_in": burn_in, "gap": gap}
     tasks = list(enumerate(map(len, chunked(range(replicas), REWIRE_CHAINS))))

@@ -15,6 +15,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from .errors import ConfigError
+
 WORKERS_ENV = "TRADESYNC_WORKERS"
 
 
@@ -26,9 +28,12 @@ def resolve_workers(workers: int | None = None) -> int:
         return workers
     env = os.environ.get(WORKERS_ENV)
     if env:
-        n = int(env)
+        try:
+            n = int(env)
+        except ValueError:
+            n = 0
         if n < 1:
-            raise ValueError(f"{WORKERS_ENV} must be >= 1, got {env}")
+            raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1, got {env!r}")
         return n
     return os.cpu_count() or 1
 

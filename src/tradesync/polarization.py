@@ -5,7 +5,6 @@ population distribution and a shuffled decorrelation baseline.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -64,20 +63,14 @@ class PolarizationSummary:
     variance_ratio: float
 
 
-def _moments(series: ActivityMatrix, k: int, vol: VolatilitySeries, min_days: int,
-             nu_moments: str) -> tuple[np.ndarray, np.ndarray, tuple, float] | str:
-    """(centered activity, centered volatility, sigma factors, bound) over the
-    trading days of row k, or the reason the investor is excluded.
+def _moments(series: ActivityMatrix, k: int, vol: VolatilitySeries, min_days: int
+             ) -> tuple[np.ndarray, np.ndarray, float] | str:
+    """(centered activity, centered volatility, sigma) over the trading days
+    of row k, or the reason the investor is excluded.
 
-    rho_ov = mean(oc * nc) / prod(factors), clipped to [-bound, bound]. With
-    'trading', means and population sigmas of both series are taken over
-    exactly those days: one factor, sqrt(var_O * var_nu), and bound 1.
-    'global' instead uses whole-calendar volatility moments; that variant is
-    not bounded by [-1, 1] and exists for sensitivity checks. Its factors
-    sigma_O and sigma_nu stay apart so every product of them rounds the same.
+    Means and population sigmas of both series are taken over exactly those
+    days, so rho_ov = mean(oc * nc) / sigma with sigma = sqrt(var_O * var_nu).
     """
-    if nu_moments not in ("trading", "global"):
-        raise ValueError(f"unknown nu_moments mode {nu_moments!r}")
     day, count = series.active(k)
     if day[-1] >= len(vol.nu):
         raise ValueError("activity span extends past the volatility series")
@@ -89,41 +82,33 @@ def _moments(series: ActivityMatrix, k: int, vol: VolatilitySeries, min_days: in
     if vo == 0.0:
         return EXCLUDE_CONST_OPS
     nu = vol.nu[day]
-    if nu_moments == "trading":
-        nc = nu - nu.mean()
-        spread = float(np.mean(nc * nc))
-        factors, bound = (float(np.sqrt(vo * spread)),), 1.0
-    else:
-        nc = nu - vol.nu.mean()
-        spread = float(vol.nu.std())
-        factors, bound = (float(np.sqrt(vo)), spread), math.inf
+    nc = nu - nu.mean()
+    spread = float(np.mean(nc * nc))
     if spread == 0.0:
         return EXCLUDE_CONST_NU
-    return oc, nc, factors, bound
+    return oc, nc, float(np.sqrt(vo * spread))
 
 
 def polarization_score(series: ActivityMatrix, k: int, vol: VolatilitySeries,
-                       min_days: int = 20, nu_moments: str = "trading"
-                       ) -> PolarizationScore | Exclusion:
-    """Correlation of O(t) with nu(t) over row k's trading days only, with
-    the volatility moments `nu_moments` names (see `_moments`)."""
-    m = _moments(series, k, vol, min_days, nu_moments)
+                       min_days: int = 20) -> PolarizationScore | Exclusion:
+    """Correlation of O(t) with nu(t) over row k's trading days only,
+    clipped to [-1, 1] against ulp-level overshoot."""
+    m = _moments(series, k, vol, min_days)
     if isinstance(m, str):
         return Exclusion(series.ids[k], m)
-    oc, nc, factors, bound = m
-    rho = float(np.mean(oc * nc)) / math.prod(factors)
-    return PolarizationScore(series.ids[k], min(bound, max(-bound, rho)), oc.size)
+    oc, nc, sigma = m
+    rho = float(np.mean(oc * nc)) / sigma
+    return PolarizationScore(series.ids[k], min(1.0, max(-1.0, rho)), oc.size)
 
 
 def score_population(series: ActivityMatrix, vol: VolatilitySeries,
-                     min_days: int = 20, nu_moments: str = "trading"
-                     ) -> tuple[list[PolarizationScore], Counter]:
+                     min_days: int = 20) -> tuple[list[PolarizationScore], Counter]:
     """Scores in investor-id order, and the number of exclusions by reason."""
     rows = np.flatnonzero(series.n_active >= min_days)
     scores: list[PolarizationScore] = []
     excluded = Counter({EXCLUDE_FEW_DAYS: len(series) - rows.size})
     for k in rows.tolist():
-        out = polarization_score(series, k, vol, min_days, nu_moments)
+        out = polarization_score(series, k, vol, min_days)
         if isinstance(out, PolarizationScore):
             scores.append(out)
         else:
@@ -148,30 +133,29 @@ def population_distribution(scores: list[PolarizationScore], bins: int = 50) -> 
 
 
 def shuffled_baseline(series: ActivityMatrix, vol: VolatilitySeries,
-                      replicas: int = 100, seed: int = 0, min_days: int = 20,
-                      nu_moments: str = "trading") -> ShuffledBaseline:
+                      replicas: int = 1000, seed: int = 0, min_days: int = 20
+                      ) -> ShuffledBaseline:
     """Decorrelation baseline: permute nu over each investor's trading days,
     recompute every score, and record the population variance per replica.
 
-    Scores use the same volatility moments as `polarization_score` with the
-    same `nu_moments`, so a 'global' baseline is not clipped to [-1, 1].
+    Scores use the moments of `polarization_score` and its clip to [-1, 1].
     Each eligible investor consumes an RNG stream derived from (seed, its
     index in sorted id order), so results do not depend on evaluation order.
     """
-    eligible: list[tuple[np.ndarray, np.ndarray, float]] = []
+    eligible: list[tuple[np.ndarray, np.ndarray]] = []
     for k in np.flatnonzero(series.n_active >= min_days).tolist():
-        m = _moments(series, k, vol, min_days, nu_moments)
+        m = _moments(series, k, vol, min_days)
         if isinstance(m, str):
             continue
-        oc, nc, factors, bound = m
+        oc, nc, sigma = m
         # correlation with permuted nu reduces to a dot product because
         # permutation leaves both sets of moments unchanged
-        eligible.append((oc / math.prod(factors, start=oc.size), nc, bound))
+        eligible.append((oc / (oc.size * sigma), nc))
     if not eligible:
         raise DegenerateInputError("no eligible investors for the shuffled baseline")
 
     shuf = np.empty((replicas, len(eligible)))
-    for idx, (weight, nc, bound) in enumerate(eligible):
+    for idx, (weight, nc) in enumerate(eligible):
         rng = task_rng(seed, idx)
         n = nc.size
         block = max(1, min(replicas, _BLOCK_ELEMENTS // max(n, 1)))
@@ -180,7 +164,7 @@ def shuffled_baseline(series: ActivityMatrix, vol: VolatilitySeries,
             rows = min(block, replicas - done)
             mat = np.tile(nc, (rows, 1))
             rng.permuted(mat, axis=1, out=mat)
-            shuf[done:done + rows, idx] = np.clip(mat @ weight, -bound, bound)
+            shuf[done:done + rows, idx] = np.clip(mat @ weight, -1.0, 1.0)
             done += rows
     replica_vars = shuf.var(axis=1)
     return ShuffledBaseline(

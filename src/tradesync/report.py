@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,14 +25,14 @@ from .ingest import (AutoFilterPolicy, QuoteSeries, Reject, TradeColumns,
                      build_calendar, filter_automatic, split_off_calendar)
 from .syncnet import SyncNetwork, build_sync_network, write_edges
 
-REPORT_VERSION = "6"
+REPORT_VERSION = "7"
 MAX_BINS = 10_000
 
 
 @dataclass(frozen=True)
 class PipelineParams:
     """All tunable defaults of the analysis chain; serialized into the report.
-    Each field is a CLI flag, with its `help` and `choices` in its metadata."""
+    Each field is a CLI flag, with its `help` in its metadata."""
 
     auto_filter: str = field(default="none", metadata={
         "help": "automatic-operation policy: none | flag | threshold:K"})
@@ -42,18 +42,12 @@ class PipelineParams:
     p_level: float = 0.01
     replicas: int = 1000
     ma_window: int = 5
-    ma_mode: str = field(default="trailing",
-                         metadata={"choices": ("trailing", "centered")})
-    nu_moments: str = field(default="trading",
-                            metadata={"choices": ("trading", "global")})
     hill_k: int | None = None
     bins: int = 50
-    swap_factor: int = 10
     opd_cap: int = 100
 
     def __post_init__(self):
-        for name in ("replicas", "min_ops", "min_days", "swap_factor", "bins", "opd_cap",
-                     "hill_k"):
+        for name in ("replicas", "min_ops", "min_days", "bins", "opd_cap", "hill_k"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value}")
@@ -67,16 +61,7 @@ class PipelineParams:
             raise ConfigError(f"bins must be at most {MAX_BINS}, got {self.bins}")
         if self.ma_window < 2:
             raise ConfigError(f"ma_window must be at least 2, got {self.ma_window}")
-        for f in fields(self):
-            choices = f.metadata.get("choices")
-            value = getattr(self, f.name)
-            if choices and value not in choices:
-                raise ConfigError(f"{f.name} must be one of {', '.join(choices)}, "
-                                  f"got {value!r}")
         AutoFilterPolicy.parse(self.auto_filter)
-        if self.ma_mode == "centered" and self.ma_window % 2 == 0:
-            raise ConfigError(f"centered moving average needs an odd ma_window, "
-                              f"got {self.ma_window}")
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
@@ -204,8 +189,7 @@ def front_stage(trades: TradeColumns, quotes: QuoteSeries,
         meso_long=_noted(notes, "meso_long", DegenerateInputError,
                          vola.meso_long_correlation, meso, vol),
         meso_short=_noted(notes, "meso_short", DegenerateInputError,
-                          vola.meso_short_correlation, meso, vol,
-                          params.ma_window, params.ma_mode),
+                          vola.meso_short_correlation, meso, vol, params.ma_window),
         population=population, notes=notes,
     )
 
@@ -229,8 +213,7 @@ def network_stage(a: AssetAnalysis, params: PipelineParams, seeds: dict[str, int
 def score_stage(a: AssetAnalysis, params: PipelineParams, seeds: dict[str, int],
                 workers: int | None = None) -> None:
     """Per-investor volatility-polarization scores."""
-    a.scores, a.exclusions = pol.score_population(a.series, a.vol, params.min_days,
-                                                  params.nu_moments)
+    a.scores, a.exclusions = pol.score_population(a.series, a.vol, params.min_days)
 
 
 def polarization_stage(a: AssetAnalysis, params: PipelineParams,
@@ -240,8 +223,7 @@ def polarization_stage(a: AssetAnalysis, params: PipelineParams,
         a.histogram = pol.population_distribution(a.scores, params.bins)
         baseline = pol.shuffled_baseline(a.series, a.vol, replicas=params.replicas,
                                          seed=seeds["shuffle_baseline"],
-                                         min_days=params.min_days,
-                                         nu_moments=params.nu_moments)
+                                         min_days=params.min_days)
         a.summary = pol.summarize(a.histogram, baseline)
     except DegenerateInputError as err:
         a.notes["polarization"] = str(err)
@@ -277,7 +259,6 @@ def assortativity_stage(a: AssetAnalysis, params: PipelineParams,
             r=r,
             null_rewire=nm.null_rewire(a.net, scores, replicas=params.replicas,
                                        seed=seeds[f"{name}_rewire"],
-                                       swap_factor=params.swap_factor,
                                        workers=workers),
             null_shuffle=_noted(a.notes, f"{key}_null_shuffle", DegenerateInputError,
                                 nm.null_shuffle, a.net, scores,

@@ -70,31 +70,22 @@ def meso_long_correlation(meso: MesoSeries, vol: VolatilitySeries) -> float:
     return population_correlation(np.asarray(meso.ops, dtype=float), vol.nu)
 
 
-def moving_average_residual(x: np.ndarray, window: int, mode: str = "trailing") -> np.ndarray:
-    """x minus its `window`-day moving average, over the days where the
-    average is defined. mode='trailing' uses days t-window+1 .. t;
-    mode='centered' needs an odd window and uses t-h .. t+h."""
+def moving_average_residual(x: np.ndarray, window: int) -> np.ndarray:
+    """x minus its trailing `window`-day moving average (days t-window+1 .. t),
+    over the days where the average is defined."""
     x = np.asarray(x, dtype=float)
     if window < 2:
         raise ValueError("window must be >= 2")
     if window > x.size:
         raise DegenerateInputError("window longer than the series")
     kernel = np.full(window, 1.0 / window)
-    ma = np.convolve(x, kernel, mode="valid")
-    if mode == "trailing":
-        return x[window - 1:] - ma
-    if mode == "centered":
-        if window % 2 == 0:
-            raise ValueError("centered moving average needs an odd window")
-        h = window // 2
-        return x[h:x.size - h] - ma
-    raise ValueError(f"unknown moving-average mode {mode!r}")
+    return x[window - 1:] - np.convolve(x, kernel, mode="valid")
 
 
 def meso_short_correlation(meso: MesoSeries, vol: VolatilitySeries,
-                           window: int = 5, mode: str = "trailing") -> float:
+                           window: int = 5) -> float:
     """Correlation of the two series after removing each one's local mean,
     capturing the short-horizon co-movement."""
-    ro = moving_average_residual(np.asarray(meso.ops, dtype=float), window, mode)
-    rv = moving_average_residual(vol.nu, window, mode)
+    ro = moving_average_residual(np.asarray(meso.ops, dtype=float), window)
+    rv = moving_average_residual(vol.nu, window)
     return population_correlation(ro, rv)

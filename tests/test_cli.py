@@ -72,9 +72,13 @@ def test_unknown_flag_exits_nonzero(synth_data, tmp_path):
     assert exc.value.code != 0
 
 
-def test_permute_flag_removed(synth_data, tmp_path):
+@pytest.mark.parametrize("flag,value", [
+    ("--permute", "single"), ("--nu-moments", "global"), ("--ma-mode", "centered"),
+    ("--swap-factor", "3"),
+])
+def test_permute_flag_removed(synth_data, tmp_path, flag, value):
     with pytest.raises(SystemExit) as exc:
-        main(["syncnet", "--permute", "single"] + _common(synth_data, tmp_path / "p"))
+        main(["syncnet", flag, value] + _common(synth_data, tmp_path / "p"))
     assert exc.value.code != 0
 
 
@@ -193,11 +197,12 @@ def test_report_end_to_end_and_determinism(synth_data, tmp_path):
     r2 = (out2 / "report.json").read_bytes()
     assert r1 == r2
     report = json.loads(r1)
-    assert report["version"] == "6"
+    assert report["version"] == "7"
     assert report["run"]["seed"] == 5
     assert report["run"]["trade_rejects"] == 0
     assert report["run"]["trade_rejects_by_reason"] == {}
-    assert "permute" not in report["run"]["defaults"]
+    assert list(report["run"]["defaults"]) == sorted(
+        f.name for f in fields(PipelineParams))
     section = report["assets"]["SYN"]
     assert section["network"]["nodes"] >= 8
     assert section["meso"]["long"] is not None
@@ -221,7 +226,6 @@ def test_report_rejects_zero_replicas(synth_data, tmp_path, capsys, shuffles):
     ("--shuffles", "10", "10 shuffles cannot give a p-value below p_level 0.01"),
     ("--p-level", "2", "p_level must lie in (0, 1), got 2.0"),
     ("--p-level", "0", "p_level must lie in (0, 1), got 0.0"),
-    ("--swap-factor", "-3", "swap_factor must be at least 1, got -3"),
     ("--bins", "0", "bins must be at least 1, got 0"),
     ("--min-ops", "0", "min_ops must be at least 1, got 0"),
     ("--min-days", "-1", "min_days must be at least 1, got -1"),
@@ -229,8 +233,6 @@ def test_report_rejects_zero_replicas(synth_data, tmp_path, capsys, shuffles):
     ("--opd-cap", "-1", "opd_cap must be at least 1, got -1"),
     ("--ma-window", "0", "ma_window must be at least 2, got 0"),
     ("--ma-window", "1", "ma_window must be at least 2, got 1"),
-    ("--ma-mode", "centered --ma-window 4",
-     "centered moving average needs an odd ma_window, got 4"),
     ("--auto-filter", "bogus", "unknown auto-filter policy 'bogus'"),
     ("--auto-filter", "threshold:0", "threshold policy needs k >= 1"),
     ("--auto-filter", "threshold:x", "threshold policy needs an integer k, got 'x'"),
@@ -335,6 +337,18 @@ def test_metrics_nulls_follow_the_worker_count(synth_data, tmp_path, monkeypatch
         (tmp_path / "w1" / "metrics.json").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["report", "polarization"])
+@pytest.mark.parametrize("workers", ["abc", "0"])
+def test_bad_worker_count_is_rejected_before_any_read(synth_data, tmp_path, capsys,
+                                                      monkeypatch, command, workers):
+    monkeypatch.setenv("TRADESYNC_WORKERS", workers)
+    out = tmp_path / "w"
+    assert main([command] + _common(synth_data, out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: TRADESYNC_WORKERS must be an integer >= 1, got {workers!r}\n")
+    assert not out.exists()
+
+
 def test_report_leaves_no_worker_running(synth_data, tmp_path, monkeypatch):
     opened = []
     pool = parallel._pool
@@ -345,20 +359,6 @@ def test_report_leaves_no_worker_running(synth_data, tmp_path, monkeypatch):
     # every parallel stage ran on the pool, which report closed on its way out
     assert opened and set(opened) == {2}
     assert multiprocessing.active_children() == []
-
-
-def test_global_nu_moments_reach_the_baseline(synth_data, tmp_path):
-    glob = ("--nu-moments", "global")
-    assert main(["report"] + _common(synth_data, tmp_path / "r", glob)) == 0
-    for name, extra in (("global", glob), ("trading", ())):
-        assert main(["polarization"] + _common(synth_data, tmp_path / name, extra)) == 0
-    section = json.loads((tmp_path / "r" / "report.json").read_text())["assets"]["SYN"]
-    polar = {name: json.loads((tmp_path / name / "polarization.json").read_text())
-             for name in ("global", "trading")}
-    polar = {name: view["polarization"] for name, view in polar.items()}
-    assert polar["global"]["shuffled_variance"] == \
-        section["polarization"]["shuffled_variance"]
-    assert polar["global"]["shuffled_variance"] != polar["trading"]["shuffled_variance"]
 
 
 def _malformed_trades(synth_data, tmp_path):
@@ -437,8 +437,7 @@ def test_every_pipeline_field_has_its_flag(command):
     parser = build_parser()
     for f in fields(PipelineParams):
         flag = "--" + f.name.replace("_", "-")
-        value = f.metadata.get("choices", ("7",))[-1]
-        assert getattr(parser.parse_args([command, flag, value]), f.name) != f.default
+        assert getattr(parser.parse_args([command, flag, "7"]), f.name) != f.default
 
 
 def _synth_configs(monkeypatch, tmp_path, *flags):
@@ -492,6 +491,16 @@ def test_synth_rejects_out_of_range_naming_the_field(tmp_path, capsys, flag, val
     assert main(["synth", "--agents", "40", "--days", "60", flag, value,
                  "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["abc", "5:x", ":1.0"])
+def test_synth_rejects_a_malformed_community(tmp_path, capsys, spec):
+    out = tmp_path / "syn"
+    assert main(["synth", "--agents", "40", "--days", "60", "--community", spec,
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --community must be SIZE or SIZE:COUPLING, got {spec!r}\n")
     assert not out.exists()
 
 

@@ -354,7 +354,7 @@ class TestNullModels:
         lag1 = sum((c[t] - mu) * (c[t + 1] - mu) for c in chains
                    for t in range(len(c) - 1)) / sum((r - mu) ** 2 for r in flat)
 
-        stats = null_rewire(net, attr, replicas=10, seed=7, swap_factor=10, workers=1)
+        stats = null_rewire(net, attr, replicas=10, seed=7, workers=1)
         assert stats.replicas == 10
         assert stats.acceptance == accepted / proposals
         assert stats.mean == pytest.approx(mu, abs=1e-12)

@@ -73,18 +73,6 @@ class TestPolarizationScore:
         assert scaled.rho_ov == pytest.approx(base.rho_ov, abs=1e-12)
         assert shifted.rho_ov == pytest.approx(base.rho_ov, abs=1e-12)
 
-    def test_global_moments_variant(self, rng):
-        counts = rng.integers(1, 7, size=30)
-        nu = rng.lognormal(-3.5, 0.4, 60)
-        series = matrix([series_from_counts(counts, investor="G", first_day=10)])
-        trading = polarization_score(series, 0, _vol(nu), min_days=20,
-                                     nu_moments="trading")
-        global_ = polarization_score(series, 0, _vol(nu), min_days=20,
-                                     nu_moments="global")
-        assert isinstance(trading, PolarizationScore)
-        assert isinstance(global_, PolarizationScore)
-        assert trading.rho_ov != global_.rho_ov
-
 
 class TestPopulationDistribution:
     def test_single_value(self):
@@ -157,10 +145,9 @@ class TestShuffledBaseline:
         se = means.std(ddof=1) / np.sqrt(means.size)
         assert abs(means.mean()) <= 3 * se + 1e-12
 
-    @pytest.mark.parametrize("nu_moments", ["trading", "global"])
-    def test_replica_scores_follow_nu_moments(self, nu_moments):
+    def test_replica_scores_are_scores_of_permuted_nu(self):
         # one investor trading on 30 of 300 days, where volatility varies;
-        # elsewhere it is flat, so global-moment scores reach beyond [-1, 1]
+        # elsewhere it is flat
         r = np.random.default_rng(8)
         days = np.sort(r.choice(300, size=30, replace=False))
         days[0], days[-1] = 0, 299
@@ -170,8 +157,7 @@ class TestShuffledBaseline:
         counts[days] = r.integers(1, 9, size=30)
         series = matrix([series_from_counts(counts)])
         replicas = 50
-        baseline = shuffled_baseline(series, _vol(nu), replicas=replicas, seed=6,
-                                     nu_moments=nu_moments)
+        baseline = shuffled_baseline(series, _vol(nu), replicas=replicas, seed=6)
         # the same draws applied to day positions: row k permutes the days
         perms = np.tile(np.arange(30, dtype=float), (replicas, 1))
         task_rng(6, 0).permuted(perms, axis=1, out=perms)
@@ -179,12 +165,8 @@ class TestShuffledBaseline:
         for perm in perms.astype(int):
             shuffled = nu.copy()
             shuffled[days] = nu[days][perm]
-            score = polarization_score(series, 0, _vol(shuffled),
-                                       nu_moments=nu_moments)
-            expected.append(score.rho_ov)
+            expected.append(polarization_score(series, 0, _vol(shuffled)).rho_ov)
         assert np.allclose(baseline.replica_means, expected, rtol=0, atol=1e-12)
-        if nu_moments == "global":
-            assert max(abs(v) for v in expected) > 1.0  # so a clip would show
 
     def test_eligibility_invariants(self, rng):
         series, vol = _population(rng, 120, 150)

@@ -139,15 +139,6 @@ def test_replicas_below_one_rejected(replicas):
         PipelineParams(replicas=replicas)
 
 
-@pytest.mark.parametrize("name,message", [
-    ("ma_mode", "ma_mode must be one of trailing, centered, got 'foo'"),
-    ("nu_moments", "nu_moments must be one of trading, global, got 'foo'"),
-])
-def test_unknown_mode_rejected(name, message):
-    with pytest.raises(ConfigError, match=message):
-        PipelineParams(**{name: "foo"})
-
-
 def test_bins_above_the_limit_rejected():
     assert PipelineParams(bins=10_000).bins == 10_000
     with pytest.raises(ConfigError, match="bins must be at most 10000, got 10001"):

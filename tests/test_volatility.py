@@ -105,7 +105,7 @@ class TestLongCorrelation:
 class TestShortCorrelation:
     def test_residual_matches_bruteforce(self, rng):
         x = rng.random(40)
-        res = moving_average_residual(x, 5, "trailing")
+        res = moving_average_residual(x, 5)
         assert np.allclose(res, trailing_ma_residual(x.tolist(), 5), atol=1e-12)
         assert res.size == 36
 
@@ -140,10 +140,3 @@ class TestShortCorrelation:
             # one residual point at most: correlation undefined
             meso_short_correlation(MesoSeries("X", x), VolatilitySeries("X", x),
                                    window=10)
-
-    def test_centered_mode(self, rng):
-        x = rng.random(60)
-        res = moving_average_residual(x, 5, "centered")
-        assert res.size == 56
-        with pytest.raises(ValueError):
-            moving_average_residual(x, 4, "centered")
