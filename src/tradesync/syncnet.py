@@ -3,17 +3,21 @@ activity over overlapping active periods, with a shuffle-based significance
 filter.
 
 This is the O(N^2 * shuffles) hot path. A shuffle permutes one window only
-(permuting both gives the same null: sigma(x).tau(y) = x.(sigma^-1 tau)(y)),
-and a pair stops drawing shuffles once it can no longer be kept (Besag and
-Clifford 1991), so kept pairs still get exact p-values. Pairs run on a process
-pool; each draws from an RNG stream derived from (seed, i, j), so the network
-is identical for any worker count and any execution order.
+(permuting both gives the same null: sigma(x).tau(y) = x.(sigma^-1 tau)(y)).
+Pairs that permute the same node's window over the same days form a group,
+and each permutation of that window is scored against every partner of the
+group, so the p-values of pairs that share a permuted node are dependent.
+Each pair's exceedances are still i.i.d. over its own replicas, and a pair
+stops drawing once it can no longer be kept (Besag and Clifford 1991), by its
+own count only, so every kept pair gets an exact p-value and the bound on
+false edges (`expected_false_edges_max`) is unchanged. Groups run on a
+process pool; each draws from an RNG stream derived from (seed, node, window
+start, window end[, part]), so the network is identical for any worker count
+and any execution order.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -22,13 +26,13 @@ from fractions import Fraction
 import numpy as np
 
 from .activity import ActivityMatrix
-from .errors import DegenerateInputError
 from .parallel import chunked, map_tasks, resolve_workers, task_rng
 from .volatility import population_correlation
 
 # Shuffles are drawn in blocks of at most _BLOCK_ROWS (fewer for very long
 # windows). `rng.permuted` consumes the stream row by row, so the block size
-# only sets where a pair may stop, never which permutations it draws.
+# only sets where a pair may stop, never which permutations it draws. A group
+# holds at most _BLOCK_ELEMENTS // L partners of window length L.
 _BLOCK_ROWS = 50
 _BLOCK_ELEMENTS = 2_000_000
 
@@ -68,53 +72,104 @@ class SyncNetwork:
 
 def _shuffle_exceed_count(x: np.ndarray, y: np.ndarray, shuffles: int,
                           rng: np.random.Generator, level: float | None = None
-                          ) -> tuple[int, int]:
-    """(replicas whose correlation reaches the observed one, replicas drawn).
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Per partner: (replicas whose correlation reaches the observed one,
+    replicas drawn).
 
-    Each replica permutes x. Permutations leave window means and sigmas
-    unchanged, so comparing raw dot products is equivalent to comparing
-    correlations. With a `level`, drawing stops after the first block where
-    (1 + count) / (shuffles + 1) >= level: the pair can no longer be kept.
-    A block holds at least the exceedances still needed to stop, since no
-    smaller one can, and at least twice the previous block.
+    `y` holds one partner window per column; a single pair is one column.
+    Each replica permutes x once and scores every partner still drawing with
+    one matrix product. Permutations leave window means and sigmas unchanged,
+    so comparing raw dot products is equivalent to comparing correlations.
+    With a `level`, a partner stops drawing after the first block where its
+    own (1 + count) / (shuffles + 1) >= level: it can no longer be kept. A
+    block holds at least the exceedances the closest live partner still needs
+    to stop, since no smaller one can stop any, and at least twice the
+    previous block.
     """
-    s0 = float(np.dot(x, y))
+    s0 = x @ y
+    count = np.zeros(y.shape[1], dtype=np.int64)
+    used = np.zeros(y.shape[1], dtype=np.int64)
     cap = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // max(x.size, 1)))
     stop_count = shuffles if level is None else math.ceil(level * (shuffles + 1)) - 1
-    count = done = rows = 0
-    while done < shuffles:
-        rows = min(cap, max(stop_count - count, 2 * rows, 1), shuffles - done)
+    live = np.arange(y.shape[1])
+    y_live, s0_live = y, s0
+    done = rows = 0
+    while done < shuffles and live.size:
+        rows = min(cap, max(stop_count - int(count[live].max()), 2 * rows, 1),
+                   shuffles - done)
         xs = np.tile(x, (rows, 1))
         rng.permuted(xs, axis=1, out=xs)
-        count += int(np.count_nonzero(xs @ y >= s0))
+        count[live] += np.count_nonzero(xs @ y_live >= s0_live, axis=0)
         done += rows
-        if level is not None and (1 + count) / (shuffles + 1) >= level:
-            break
-    return count, done
+        used[live] = done
+        if level is not None:
+            stop = (1 + count[live]) / (shuffles + 1) >= level
+            if stop.any():
+                live = live[~stop]
+                y_live, s0_live = y[:, live], s0[live]
+    return count, used
 
 
 # ---------------------------------------------------------------------------
 # parallel pair test
 
-def _row_offsets(n: int) -> list[int]:
-    """Flat index of the first pair (i, i + 1) of each row of the (i < j)
-    triangle over n nodes."""
-    return [0, *itertools.accumulate(range(n - 1, 0, -1))]
+def _plan(first: list[int], last: list[int]) -> tuple[list[tuple], int, int]:
+    """The pairs to test, grouped by the window they permute, and the counts
+    of disjoint and short pairs.
+
+    A pair's window is the overlap of its two nodes' active spans. A pair
+    whose window holds at least 2 days joins the group (a, start, end) of one
+    of its nodes a: the node whose (node, window) serves more pairs, the lower
+    node index on a tie. A group holds at most _BLOCK_ELEMENTS // L partners
+    (L the window length); a longer partner list splits into consecutive
+    parts. Each entry is (a, start, end, part, partners), part None for an
+    unsplit group, partners an increasing index array.
+    """
+    n = len(first)
+    first = np.asarray(first, dtype=np.int64)
+    last = np.asarray(last, dtype=np.int64)
+    width = int(last.max()) + 1 if n else 1  # day indices are >= 0
+    index = np.arange(n, dtype=np.int32)
+
+    def windows(a):
+        start, end = np.maximum(first[a], first), np.minimum(last[a], last)
+        return start * width + end, (end > start) & (index != a)
+
+    # serves[a, b]: the pairs of node a whose window equals that of (a, b)
+    serves = np.zeros((n, n), dtype=np.min_scalar_type(n))
+    disjoint = short = 0
+    for a in range(n):
+        key, ok = windows(a)
+        _, inverse, count = np.unique(key[ok], return_inverse=True, return_counts=True)
+        serves[a, ok] = count[inverse]
+        start, end = divmod(key[a + 1:], width)
+        disjoint += int(np.count_nonzero(end < start))
+        short += int(np.count_nonzero(end == start))
+    groups = []
+    for a in range(n):
+        key, ok = windows(a)
+        mine, theirs = serves[a], serves[:, a]
+        owned = ok & ((mine > theirs) | ((mine == theirs) & (index > a)))
+        order = np.argsort(key[owned], kind="stable")
+        partners, key = index[owned][order], key[owned][order]
+        windows_owned, firsts = np.unique(key, return_index=True)
+        for window, lo, hi in zip(windows_owned.tolist(), firsts.tolist(),
+                                  [*firsts[1:].tolist(), key.size]):
+            start, end = divmod(window, width)
+            size = max(1, _BLOCK_ELEMENTS // (end - start + 1))
+            parts = range(lo, hi, size)
+            for part, p in enumerate(parts):
+                groups.append((a, start, end, part if len(parts) > 1 else None,
+                               partners[p:min(p + size, hi)]))
+    return groups, disjoint, short
 
 
-def _pair_at(p: int, cum: list[int]) -> tuple[int, int]:
-    """Decode flat pair index p into (i, j), i < j, using cumulative row sizes."""
-    i = bisect.bisect_right(cum, p) - 1
-    j = i + 1 + (p - cum[i])
-    return i, j
-
-
-def _test_pairs(payload: dict, chunk: range) -> tuple[list[SyncEdge], dict]:
-    """Test the pairs at a contiguous range of flat triangle indices: the kept
-    edges in index order, and the count of each pair outcome. A pair's window
-    is the overlap of the two nodes' active spans."""
+def _test_groups(payload: dict, groups: list[tuple]) -> tuple[list[tuple], dict]:
+    """Test the pairs of some groups of the plan: the kept edges as (i, j,
+    rho, overlap, pvalue) tuples with i < j node indices, and the count of
+    each pair outcome. Each group permutes its node's window on its own RNG
+    stream and shares every permutation among its partners."""
     first, last = payload["first"], payload["last"]
-    node_ids, cum = payload["node_ids"], payload["cum"]
     if "spans" not in payload:
         # each node's counts on every day of its active span, as floats; made
         # once per call in each process and kept with the payload
@@ -125,36 +180,30 @@ def _test_pairs(payload: dict, chunk: range) -> tuple[list[SyncEdge], dict]:
             payload["spans"].append(span)
     spans = payload["spans"]
     seed, shuffles, level = payload["seed"], payload["shuffles"], payload["level"]
-    counts = dict.fromkeys(("disjoint", "short", "degenerate", "tested",
-                            "negative_rho", "shuffles_used"), 0)
-    edges: list[SyncEdge] = []
-    for p in chunk:
-        ia, ib = _pair_at(p, cum)
-        start, end = max(first[ia], first[ib]), min(last[ia], last[ib])
-        if start > end:
-            counts["disjoint"] += 1
+    counts = dict.fromkeys(("degenerate", "tested", "negative_rho", "shuffles_used"), 0)
+    kept: list[tuple] = []
+    for a, start, end, part, partners in groups:
+        x = spans[a][start - first[a]:end - first[a] + 1]
+        ys = np.array([spans[b][start - first[b]:end - first[b] + 1]
+                       for b in partners.tolist()])
+        rho = population_correlation(x, ys)
+        tested = ~np.isnan(rho)
+        counts["degenerate"] += int(partners.size - np.count_nonzero(tested))
+        if not tested.any():
             continue
-        length = end - start + 1
-        if length < 2:
-            counts["short"] += 1
-            continue
-        x = spans[ia][start - first[ia]:end - first[ia] + 1]
-        y = spans[ib][start - first[ib]:end - first[ib] + 1]
-        try:
-            rho = population_correlation(x, y)
-        except DegenerateInputError:
-            counts["degenerate"] += 1
-            continue
-        count, used = _shuffle_exceed_count(x, y, shuffles, task_rng(seed, ia, ib),
-                                            level)
-        counts["tested"] += 1
-        counts["negative_rho"] += int(rho < 0)
-        counts["shuffles_used"] += used
+        partners, rho = partners[tested], rho[tested]
+        coords = (a, start, end) if part is None else (a, start, end, part)
+        count, used = _shuffle_exceed_count(x, ys[tested].T, shuffles,
+                                            task_rng(seed, *coords), level)
+        counts["tested"] += partners.size
+        counts["negative_rho"] += int(np.count_nonzero(rho < 0))
+        counts["shuffles_used"] += int(used.sum())
         pvalue = (1 + count) / (used + 1)
-        if pvalue < level:
-            edges.append(SyncEdge(i=node_ids[ia], j=node_ids[ib], rho=rho,
-                                  overlap=length, pvalue=pvalue))
-    return edges, counts
+        keep = pvalue < level
+        for b, r, p in zip(partners[keep].tolist(), rho[keep].tolist(),
+                           pvalue[keep].tolist()):
+            kept.append((min(a, b), max(a, b), r, end - start + 1, p))
+    return kept, counts
 
 
 def build_sync_network(series: ActivityMatrix, min_ops: int = 20,
@@ -177,16 +226,18 @@ def build_sync_network(series: ActivityMatrix, min_ops: int = 20,
     # the nodes' sparse rows travel to the workers: dense spans would make
     # each message about 100 MB at paper size
     payload = {"rows": [series.active(k) for k in rows.tolist()],
-               "first": first, "last": last, "node_ids": node_ids,
-               "cum": _row_offsets(n), "seed": seed, "shuffles": shuffles,
+               "first": first, "last": last, "seed": seed, "shuffles": shuffles,
                "level": level}
-    edges: list[SyncEdge] = []
-    counts: Counter = Counter()
-    # chunks are contiguous and come back in order, so edges are sorted
-    for chunk_edges, chunk_counts in map_tasks(
-            _test_pairs, payload, chunked(range(n_pairs), workers * 8), workers):
-        edges.extend(chunk_edges)
+    groups, disjoint, short = _plan(first, last)
+    kept: list[tuple] = []
+    counts = Counter(disjoint=disjoint, short=short)
+    for chunk_kept, chunk_counts in map_tasks(
+            _test_groups, payload, chunked(groups, workers * 8), workers):
+        kept.extend(chunk_kept)
         counts.update(chunk_counts)
+    # sorted by node indices, so the edges do not depend on the chunking
+    edges = [SyncEdge(i=node_ids[i], j=node_ids[j], rho=rho, overlap=overlap,
+                      pvalue=pvalue) for i, j, rho, overlap, pvalue in sorted(kept)]
 
     # kept pairs to expect if every tested pair were null: a null pair's rank
     # among the grid statistics is uniform and ties count against it, so at

@@ -46,22 +46,33 @@ def meso_series(series: ActivityMatrix, calendar: TradingCalendar) -> MesoSeries
     return MesoSeries(ticker=calendar.ticker, ops=ops)
 
 
-def population_correlation(x: np.ndarray, y: np.ndarray) -> float:
+def population_correlation(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     """Product-moment correlation with population (1/T) normalization: the
-    meso correlations here and each pair's rho in the synchronization network."""
-    if x.size != y.size:
+    meso correlations here and each pair's rho in the synchronization network.
+
+    `y` may also be a C-contiguous matrix with one partner series per row: the
+    result is then one correlation per row, NaN where x or that row is
+    constant. Every reduction runs along a row, so each value is bit-identical
+    to the 1-D call on that row.
+    """
+    if x.size != y.shape[-1]:
         raise ValueError("series lengths differ")
     if x.size < 2:
         raise DegenerateInputError("correlation needs at least 2 points")
     xc = x - x.mean()
-    yc = y - y.mean()
-    vx = float(np.mean(xc * xc))
-    vy = float(np.mean(yc * yc))
-    if vx == 0.0 or vy == 0.0:
-        raise DegenerateInputError("correlation undefined for a constant series")
-    r = float(np.mean(xc * yc)) / float(np.sqrt(vx * vy))
+    yc = y - y.mean(axis=-1, keepdims=True)
+    vx = np.mean(xc * xc)
+    vy = np.mean(yc * yc, axis=-1)
+    defined = (vx != 0.0) & (vy != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.mean(xc * yc, axis=-1) / np.sqrt(vx * vy)
     # guard against ulp-level overshoot so |r| <= 1 holds exactly
-    return min(1.0, max(-1.0, r))
+    r = np.where(defined, np.clip(r, -1.0, 1.0), np.nan)
+    if y.ndim > 1:
+        return r
+    if not defined:
+        raise DegenerateInputError("correlation undefined for a constant series")
+    return float(r)
 
 
 def meso_long_correlation(meso: MesoSeries, vol: VolatilitySeries) -> float:

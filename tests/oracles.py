@@ -248,14 +248,14 @@ def permutation_pvalue(x: np.ndarray, y: np.ndarray, shuffles: int,
     """One-sided permutation p-value for the correlation of two windows.
 
     Each replica re-permutes the day sequence of x, and all shuffles are
-    drawn (the pair test's kernel without its early stop);
-    p = (1 + #{rho_shuffled >= rho}) / (shuffles + 1).
+    drawn (the pair test's kernel on a one-partner group, without its early
+    stop); p = (1 + #{rho_shuffled >= rho}) / (shuffles + 1).
     """
     if shuffles < 99:
         raise ValueError("need at least 99 shuffles for a meaningful p-value")
-    count, _ = _shuffle_exceed_count(np.asarray(x, float), np.asarray(y, float),
-                                     shuffles, rng)
-    return (1 + count) / (shuffles + 1)
+    count, _ = _shuffle_exceed_count(np.asarray(x, float),
+                                     np.asarray(y, float)[:, np.newaxis], shuffles, rng)
+    return (1 + int(count[0])) / (shuffles + 1)
 
 
 def modularity_of(net: SyncNetwork, communities: dict[str, int]) -> float:

@@ -1,10 +1,14 @@
 import io
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import matrix, series_from_counts, window
 from oracles import bruteforce_pair_correlation, permutation_pvalue
@@ -89,6 +93,26 @@ class TestCrossCorrelation:
         with pytest.raises(DegenerateInputError):
             population_correlation(np.ones(10), np.arange(10.0))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 400), st.integers(1, 6), st.floats(0.05, 3.0),
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_partner_matrix_is_bit_identical_to_pairs(self, n, m, lam, seed,
+                                                      constant_row):
+        # activity windows: mostly zeros and tied counts, over lengths on
+        # both sides of numpy's 128-element pairwise-summation block
+        data = np.random.default_rng(seed)
+        x = data.poisson(lam, n).astype(float)
+        ys = data.poisson(lam, (m, n)).astype(float)
+        if constant_row:
+            ys[data.integers(m)] = data.integers(3)
+        rho = population_correlation(x, ys)
+        assert rho.shape == (m,)
+        for row, r in zip(ys, rho.tolist()):
+            try:
+                assert r == population_correlation(x, row)
+            except DegenerateInputError:
+                assert math.isnan(r)
+
 
 class TestPermutationFilter:
     def test_perfectly_synchronized_pair(self):
@@ -141,17 +165,23 @@ def _exact_exceed_probability(x, y) -> Fraction:
     ([3, 0, 5, 1, 4, 2, 6], [1, 4, 6, 0, 3, 2, 5], Fraction(1, 10)),
     # tied values, zeros among them, as in activity windows
     ([0, 2, 1, 0, 0, 3, 1], [1, 0, 2, 0, 1, 3, 0], Fraction(73, 420)),
+    # a group: each permutation of x scores both partners, one with tied zeros
+    ([3, 0, 5, 1, 4, 2, 6], [[1, 4, 6, 0, 3, 2, 5], [1, 0, 2, 0, 1, 3, 0]],
+     [Fraction(1, 10), Fraction(59, 140)]),
 ])
 def test_shuffle_null_matches_every_permutation(x, y, exact):
     # 7 days: the pair null is enumerated over all 5,040 permutations, and
-    # any sampler of it must land within 4 standard errors of that
+    # any sampler of it must land within 4 standard errors of that for every
+    # partner
     shuffles = 20_000
-    assert _exact_exceed_probability(x, y) == exact
+    ys = np.atleast_2d(np.array(y, float))
+    exact = exact if isinstance(exact, list) else [exact]
+    assert [_exact_exceed_probability(x, row) for row in ys.tolist()] == exact
     count, done = syncnet._shuffle_exceed_count(
-        np.array(x, float), np.array(y, float), shuffles, task_rng(17, 0))
-    assert done == shuffles
-    p = float(exact)
-    assert abs(count / shuffles - p) <= 4 * math.sqrt(p * (1 - p) / shuffles)
+        np.array(x, float), ys.T, shuffles, task_rng(17, 0))
+    assert done.tolist() == [shuffles] * len(exact)
+    for c, p in zip(count.tolist(), map(float, exact)):
+        assert abs(c / shuffles - p) <= 4 * math.sqrt(p * (1 - p) / shuffles)
 
 
 def _replayed_exceedances(x, y, shuffles, rng):
@@ -204,7 +234,9 @@ class TestBuildSyncNetwork:
         assert net.edges == []
 
     def test_identical_series_complete_graph(self):
-        counts = [3, 1, 2, 5, 1, 2, 4, 1, 2, 3]
+        # distinct counts: only the identity arrangement reaches x.x, so a
+        # group of partners drops them all with probability 199 / 12! ~ 4e-7
+        counts = [3, 1, 4, 12, 5, 9, 2, 6, 8, 7, 11, 10]
         series = {f"I{i}": series_from_counts(counts, investor=f"I{i}")
                   for i in range(6)}
         net = _build(series, min_ops=1, shuffles=199, level=0.01, seed=1, workers=1)
@@ -279,35 +311,95 @@ class TestBuildSyncNetwork:
                 d["pairs_short_overlap"], d["pairs_degenerate"]) == (6, 1, 3, 2, 0)
 
 
-class TestTriangle:
-    def test_every_pair_once_in_row_major_order(self):
-        for n in range(2, 41):
-            cum = syncnet._row_offsets(n)
-            decoded = [syncnet._pair_at(p, cum) for p in range(n * (n - 1) // 2)]
-            assert decoded == [(i, j) for i in range(n) for j in range(i + 1, n)]
+    def test_false_edges_do_not_cluster_on_the_permuted_node(self):
+        # a null market whose pairs all share one window: node a permutes its
+        # window for every partner b > a, so dependent p-values would show as
+        # an excess of false edges or as a wider spread of false degrees
+        n_nodes, n_days, shuffles, level = 60, 100, 199, 0.05
+        q = (math.ceil(level * (shuffles + 1)) - 1) / (shuffles + 1)  # 9 / 200
+        tested = edges = 0
+        variances = []
+        for seed in range(12):
+            data = np.random.default_rng(800 + seed)
+            slist = []
+            for i in range(n_nodes):
+                counts = data.poisson(1.0, n_days)
+                counts[0] = max(counts[0], 1)
+                counts[-1] = max(counts[-1], 1)
+                slist.append(series_from_counts(counts, investor=f"N{i:02d}"))
+            net = _network(slist, shuffles=shuffles, level=level, seed=seed)
+            tested += net.diagnostics["pairs_tested"]
+            edges += len(net.edges)
+            variances.append(np.var(list(net.degree().values())))
+        assert tested == 12 * n_nodes * (n_nodes - 1) // 2
+        assert edges / tested <= q + 3 * math.sqrt(q * (1 - q) / tested)
+        assert np.mean(variances) <= 1.3 * (n_nodes - 1) * q * (1 - q)
 
 
-def _windows(m, i, j):
-    """Rows i and j of matrix m over the overlap of their active spans."""
-    start = max(m.first_day[i], m.first_day[j])
-    end = min(m.last_day[i], m.last_day[j])
-    return (window(m, i, start, end).astype(float),
-            window(m, j, start, end).astype(float))
+def _pairs_by_brute_force(first, last):
+    """Each pair's window, and the pairs of each (node, window)."""
+    n = len(first)
+    window = {(a, b): (max(first[a], first[b]), min(last[a], last[b]))
+              for a in range(n) for b in range(n) if a != b}
+    serves = Counter((a, w) for (a, b), w in window.items() if w[1] > w[0])
+    return window, serves
 
 
-def _stop_point(flags, shuffles, level, block_rows):
-    """Shuffles an early-stopped pair draws: the first block end where
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=16),
+       st.integers(1, 60))
+def test_plan_puts_every_pair_in_one_group(spans, max_elements):
+    first, last = [min(s) for s in spans], [max(s) for s in spans]
+    with mock.patch.object(syncnet, "_BLOCK_ELEMENTS", max_elements):
+        groups, disjoint, short = syncnet._plan(first, last)
+    window, serves = _pairs_by_brute_force(first, last)
+    pairs = [(a, b) for a in range(len(spans)) for b in range(a + 1, len(spans))]
+    assert disjoint == sum(window[p][1] < window[p][0] for p in pairs)
+    assert short == sum(window[p][1] == window[p][0] for p in pairs)
+    seen: Counter = Counter()
+    parts: dict = {}
+    for a, start, end, part, partners in groups:
+        length = end - start + 1
+        assert 1 <= partners.size <= max(1, max_elements // length)
+        assert partners.tolist() == sorted(partners.tolist())
+        parts.setdefault((a, start, end), []).append(part)
+        for b in partners.tolist():
+            assert window[a, b] == (start, end) and length >= 2
+            # the side whose (node, window) serves more pairs, lower index on a tie
+            mine, theirs = serves[a, (start, end)], serves[b, (start, end)]
+            assert mine > theirs or (mine == theirs and a < b)
+            seen[min(a, b), max(a, b)] += 1
+    assert seen == Counter(p for p in pairs if window[p][1] > window[p][0])
+    for numbers in parts.values():
+        assert numbers in ([None], list(range(len(numbers))))
+        assert numbers == [None] or len(numbers) >= 2
+
+
+def _stop_points(flags, shuffles, level, block_rows):
+    """Shuffles each partner of a group draws (flags: one row of per-replica
+    exceedances per partner): the first block end where the partner's own
     (1 + count) / (shuffles + 1) reaches level, else all of them. A block
-    holds min(block_rows, max(exceedances still needed to stop, twice the
-    previous block, 1)) shuffles."""
+    holds min(block_rows, max(exceedances the closest live partner still
+    needs to stop, twice the previous block, 1)) shuffles."""
     stop_count = math.ceil(level * (shuffles + 1)) - 1
+    stops = [shuffles] * len(flags)
+    live = list(range(len(flags)))
     done = block = 0
-    while done < shuffles:
-        block = min(block_rows, max(stop_count - flags[:done].sum(), 2 * block, 1))
+    while done < shuffles and live:
+        need = stop_count - max(flags[k, :done].sum() for k in live)
+        block = min(block_rows, max(need, 2 * block, 1))
         done = min(done + block, shuffles)
-        if (1 + flags[:done].sum()) / (shuffles + 1) >= level:
-            return done
-    return shuffles
+        for k in list(live):
+            if (1 + flags[k, :done].sum()) / (shuffles + 1) >= level:
+                stops[k] = done
+                live.remove(k)
+    return stops
+
+
+def _groups(m):
+    """The pair test's groups over every row of matrix m."""
+    groups, _, _ = syncnet._plan(m.first_day.tolist(), m.last_day.tolist())
+    return groups
 
 
 def _network(slist, **kwargs):
@@ -316,9 +408,17 @@ def _network(slist, **kwargs):
 
 
 class TestEarlyStopping:
-    @pytest.mark.parametrize("block_rows", [1, 7, 50])
-    def test_stopped_run_matches_full_run(self, rng, monkeypatch, block_rows):
+    @pytest.mark.parametrize("block_rows,max_elements", [
+        pytest.param(1, syncnet._BLOCK_ELEMENTS, id="1"),
+        pytest.param(7, syncnet._BLOCK_ELEMENTS, id="7"),
+        pytest.param(50, syncnet._BLOCK_ELEMENTS, id="50"),
+        # groups split into parts of 3 to 5 partners, each on its own stream
+        pytest.param(50, 400, id="50-split"),
+    ])
+    def test_stopped_run_matches_full_run(self, rng, monkeypatch, block_rows,
+                                          max_elements):
         monkeypatch.setattr(syncnet, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(syncnet, "_BLOCK_ELEMENTS", max_elements)
         n_days, shuffles, level, seed = 120, 199, 0.05, 13
         gate = rng.random(n_days) < 0.4
         slist = []
@@ -328,21 +428,34 @@ class TestEarlyStopping:
                 counts = rng.poisson(2.0, n_days) * gate + rng.poisson(0.2, n_days)
             counts[0] = max(counts[0], 1)
             counts[-1] = max(counts[-1], 1)
+            if i % 4 == 3:  # later starts, so that groups differ in window
+                counts[:3 * i] = 0
+                counts[3 * i] = 1
             slist.append(series_from_counts(counts, investor=f"s{i:02d}"))
         net = _network(slist, shuffles=shuffles, level=level, seed=seed)
         assert net.node_ids == [s.investor_id for s in slist]
         assert net.diagnostics["pairs_tested"] == 120
         m = matrix(slist)
+        groups = _groups(m)
+        assert len({(start, end) for _, start, end, _, _ in groups}) >= 3
+        parts = [part for _, _, _, part, _ in groups]
+        assert (parts.count(None) < len(parts)) == (max_elements == 400)
         full, stops = {}, []
-        for i in range(16):
-            for j in range(i + 1, 16):
-                x, y = _windows(m, i, j)
-                full_p = permutation_pvalue(x, y, shuffles, task_rng(seed, i, j))
+        for a, start, end, part, partners in groups:
+            coords = (a, start, end) if part is None else (a, start, end, part)
+            x = window(m, a, start, end).astype(float)
+            flags = []
+            for b in partners.tolist():
+                y = window(m, b, start, end).astype(float)
+                # each partner alone replays the whole group stream
+                full_p = permutation_pvalue(x, y, shuffles, task_rng(seed, *coords))
                 if full_p < level:
-                    full[(f"s{i:02d}", f"s{j:02d}")] = (population_correlation(x, y),
-                                                        full_p)
-                flags = _replayed_exceedances(x, y, shuffles, task_rng(seed, i, j))
-                stops.append(_stop_point(flags, shuffles, level, block_rows))
+                    full[f"s{min(a, b):02d}", f"s{max(a, b):02d}"] = (
+                        population_correlation(x, y), full_p)
+                flags.append(_replayed_exceedances(x, y, shuffles,
+                                                   task_rng(seed, *coords)))
+            rows = max(1, min(block_rows, max_elements // x.size))
+            stops += _stop_points(np.array(flags), shuffles, level, rows)
         assert {(e.i, e.j): (e.rho, e.pvalue) for e in net.edges} == full
         assert len(full) >= 5 and sum(s < shuffles for s in stops) >= len(stops) // 2
         assert net.diagnostics["shuffles_used"] == sum(stops)
@@ -365,8 +478,12 @@ class TestEarlyStopping:
         y = data.poisson(1.0, 80) * gate + data.poisson(0.8, 80)
         x[0] = y[0] = 1
         slist = [series_from_counts(x, investor="a"), series_from_counts(y, investor="b")]
-        xw, yw = _windows(matrix(slist), 0, 1)
-        flags = _replayed_exceedances(xw, yw, 600, task_rng(5, 0, 1))
+        m = matrix(slist)
+        [(a, start, end, part, partners)] = _groups(m)
+        assert part is None and partners.tolist() == [1 - a]
+        xw, yw = window(m, a, start, end), window(m, 1 - a, start, end)
+        flags = _replayed_exceedances(xw.astype(float), yw.astype(float), 600,
+                                      task_rng(5, a, start, end))
         # the shuffle count ending at an exceedance, with at least 99 shuffles
         hits = np.flatnonzero(flags) + 1
         shuffles = int(hits[hits >= 99][0])
