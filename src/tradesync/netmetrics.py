@@ -248,9 +248,11 @@ def _endpoint_r(edges, scores: np.ndarray) -> float:
     return (2 * two_m * p - s * s) / den
 
 
-def _edge_pairs_with_scores(net: SyncNetwork, attribute: dict[str, int]
+def _edge_pairs_with_scores(net: SyncNetwork,
+                            attribute: dict[str, int | tuple[int, ...]]
                             ) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Restrict to edges whose both endpoints carry a score."""
+    """Restrict to edges whose both endpoints carry a score; the scores are
+    one row per scored node, in node order, of one int or a tuple of ints."""
     nodes = [n for n in net.node_ids if n in attribute]
     pos = {n: i for i, n in enumerate(nodes)}
     pairs = [(pos[e.i], pos[e.j]) for e in net.edges if e.i in pos and e.j in pos]
@@ -360,15 +362,18 @@ def _null_stats(values: list[float], replicas: int, **counter) -> NullStats:
                      replicas=replicas, **counter)
 
 
-def _rewire_chain(payload: dict, task: tuple[int, int]) -> tuple[list[float], int]:
-    """The r samples of chain `task[0]` and its accepted swaps: a sample
-    after the burn-in, then one after each further gap, `task[1]` in all."""
+def _rewire_chain(payload: dict, task: tuple[int, int]
+                  ) -> tuple[list[list[float]], int]:
+    """The r samples of chain `task[0]`, one list of every score column's r
+    per sample, and its accepted swaps: a sample after the burn-in, then one
+    after each further gap, `task[1]` in all."""
     chain, samples = task
     schedule = [payload["burn_in"]] + [payload["gap"]] * (samples - 1)
     values, accepted = [], 0
     for src, dst, accepted in double_edge_swap(payload["pairs"], schedule,
                                                task_rng(payload["seed"], chain)):
-        values.append(_endpoint_r(np.array([src, dst]).T, payload["scores"]))
+        edges = np.array([src, dst]).T
+        values.append([_endpoint_r(edges, column) for column in payload["scores"].T])
     return values, accepted
 
 
@@ -393,8 +398,9 @@ def _shuffle_replicas(payload: dict, reps: list[int]) -> list[float | None]:
     return out
 
 
-def null_rewire(net: SyncNetwork, attribute: dict[str, int], replicas: int = 1000,
-                seed: int = 0, workers: int | None = None) -> NullStats:
+def null_rewire(net: SyncNetwork, attribute: dict[str, int | tuple[int, ...]],
+                replicas: int = 1000, seed: int = 0, workers: int | None = None
+                ) -> NullStats | list[NullStats]:
     """Assortativity under degree-preserving rewiring (attributes fixed).
 
     min(REWIRE_CHAINS, replicas) double-edge-swap chains start from the
@@ -405,19 +411,30 @@ def null_rewire(net: SyncNetwork, attribute: dict[str, int], replicas: int = 100
     accepted (burn-in included) and the lag-1 autocorrelation of r. A swap
     keeps every endpoint's value, so the null is defined wherever r is; a
     graph that admits no swap gets a point mass at r.
+
+    The chain never reads the attribute, so one chain set serves several:
+    where `attribute` maps each node to a tuple of integers, every sample
+    scores each position of the tuple, and one NullStats per position comes
+    back, in order, each equal to the call with that position alone. Swaps
+    test only node equality, so relabelling the nodes, as scoring more or
+    fewer nodes off the scored edges does, leaves the chain unchanged.
     """
     pairs, scores = _edge_pairs_with_scores(net, attribute)
+    single = scores.ndim == 1
     burn_in, gap = BURN_IN * len(pairs), SAMPLE_GAP * len(pairs)
-    payload = {"pairs": pairs, "scores": scores, "seed": seed,
+    columns = scores.reshape(len(scores), -1)
+    payload = {"pairs": pairs, "scores": columns, "seed": seed,
                "burn_in": burn_in, "gap": gap}
     tasks = list(enumerate(map(len, chunked(range(replicas), REWIRE_CHAINS))))
     results = map_tasks(_rewire_chain, payload, tasks, resolve_workers(workers))
-    chains = [values for values, _ in results]
     proposals = len(tasks) * burn_in + (replicas - len(tasks)) * gap
-    accepted = sum(a for _, a in results)
-    return _null_stats([r for c in chains for r in c], replicas,
-                       acceptance=accepted / proposals if proposals else 0.0,
-                       lag1=_lag1(chains))
+    acceptance = sum(a for _, a in results) / proposals if proposals else 0.0
+    stats = []
+    for k in range(columns.shape[1]):
+        chains = [[sample[k] for sample in values] for values, _ in results]
+        stats.append(_null_stats([r for c in chains for r in c], replicas,
+                                 acceptance=acceptance, lag1=_lag1(chains)))
+    return stats[0] if single else stats
 
 
 def null_shuffle(net: SyncNetwork, attribute: dict[str, int], replicas: int = 1000,
@@ -426,7 +443,8 @@ def null_shuffle(net: SyncNetwork, attribute: dict[str, int], replicas: int = 10
     untouched). A replica that puts one value on every edge endpoint has no
     r; it is left out and counted as `undefined`."""
     pairs, scores = _edge_pairs_with_scores(net, attribute)
-    payload = {"pairs": pairs, "scores": scores, "seed": seed}
+    payload = {"pairs": np.asarray(pairs, dtype=np.int64), "scores": scores,
+               "seed": seed}
     workers = resolve_workers(workers)
     chunks = chunked(list(range(replicas)), workers * 4)
     values = [r for part in map_tasks(_shuffle_replicas, payload, chunks, workers)

@@ -25,7 +25,7 @@ from .ingest import (AutoFilterPolicy, QuoteSeries, Reject, TradeColumns,
                      build_calendar, filter_automatic, split_off_calendar)
 from .syncnet import SyncNetwork, build_sync_network, write_edges
 
-REPORT_VERSION = "8"
+REPORT_VERSION = "9"
 MAX_BINS = 10_000
 
 
@@ -232,7 +232,9 @@ def polarization_stage(a: AssetAnalysis, params: PipelineParams,
 def assortativity_stage(a: AssetAnalysis, params: PipelineParams,
                         seeds: dict[str, int], workers: int | None = None) -> None:
     """Assortativity by rho_ov and by opd, each with its rewire and shuffle
-    nulls (after the network and the scores)."""
+    nulls (after the network and the scores). The attributes whose r is
+    defined on the same scored edges share one rewire null call, seeded by
+    the first one's slot; each shuffle null draws on its own seed."""
     rho = {s.investor_id: s.rho_ov for s in a.scores}
     nodes = a.net.node_ids
     unscored = sum(inv not in rho for inv in nodes)
@@ -245,23 +247,34 @@ def assortativity_stage(a: AssetAnalysis, params: PipelineParams,
             dict(zip(nodes, a.series.opd[a.series.rows_of(nodes)].tolist())),
             params.opd_cap),
     }
+    scored, r = {}, {}
     for name, attribute in attributes.items():
-        key = f"assortativity_{name}"
         a.assortativity[name] = None
         try:
             scores = attribute()
-            r = nm.assortativity(a.net, scores)
+            r[name] = nm.assortativity(a.net, scores)
         except (DegenerateInputError, ValueError) as err:
-            a.notes[key] = str(err)
+            a.notes[f"assortativity_{name}"] = str(err)
             continue
-        # once r is defined the rewire null is too; the shuffle null fails alone
+        scored[name] = scores
+    # once r is defined the rewire null is too; the shuffle null fails alone
+    groups: dict[tuple[int, ...], list[str]] = {}
+    for name, scores in scored.items():
+        edges = tuple(k for k, e in enumerate(a.net.edges)
+                      if e.i in scores and e.j in scores)
+        groups.setdefault(edges, []).append(name)
+    rewired = {}
+    for names in groups.values():
+        joint = {inv: tuple(scored[name][inv] for name in names) for inv in nodes
+                 if all(inv in scored[name] for name in names)}
+        rewired.update(zip(names, nm.null_rewire(
+            a.net, joint, replicas=params.replicas,
+            seed=seeds[f"{names[0]}_rewire"], workers=workers)))
+    for name, scores in scored.items():
         a.assortativity[name] = nm.AssortativityResult(
-            r=r,
-            null_rewire=nm.null_rewire(a.net, scores, replicas=params.replicas,
-                                       seed=seeds[f"{name}_rewire"],
-                                       workers=workers),
-            null_shuffle=_noted(a.notes, f"{key}_null_shuffle", DegenerateInputError,
-                                nm.null_shuffle, a.net, scores,
+            r=r[name], null_rewire=rewired[name],
+            null_shuffle=_noted(a.notes, f"assortativity_{name}_null_shuffle",
+                                DegenerateInputError, nm.null_shuffle, a.net, scores,
                                 replicas=params.replicas,
                                 seed=seeds[f"{name}_shuffle"], workers=workers))
 

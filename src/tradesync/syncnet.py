@@ -81,10 +81,10 @@ def _shuffle_exceed_count(x: np.ndarray, y: np.ndarray, shuffles: int,
     one matrix product. Permutations leave window means and sigmas unchanged,
     so comparing raw dot products is equivalent to comparing correlations.
     With a `level`, a partner stops drawing after the first block where its
-    own (1 + count) / (shuffles + 1) >= level: it can no longer be kept. A
-    block holds at least the exceedances the closest live partner still needs
-    to stop, since no smaller one can stop any, and at least twice the
-    previous block.
+    own (1 + count) / (shuffles + 1) >= level: it can no longer be kept. The
+    first block holds the exceedances a partner needs to stop, since no
+    smaller one can stop any, and each later block doubles; no block holds
+    more than the cap.
     """
     s0 = x @ y
     count = np.zeros(y.shape[1], dtype=np.int64)
@@ -95,8 +95,7 @@ def _shuffle_exceed_count(x: np.ndarray, y: np.ndarray, shuffles: int,
     y_live, s0_live = y, s0
     done = rows = 0
     while done < shuffles and live.size:
-        rows = min(cap, max(stop_count - int(count[live].max()), 2 * rows, 1),
-                   shuffles - done)
+        rows = min(cap, 2 * rows if rows else max(stop_count, 1), shuffles - done)
         xs = np.tile(x, (rows, 1))
         rng.permuted(xs, axis=1, out=xs)
         count[live] += np.count_nonzero(xs @ y_live >= s0_live, axis=0)

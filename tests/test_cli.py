@@ -197,7 +197,7 @@ def test_report_end_to_end_and_determinism(synth_data, tmp_path):
     r2 = (out2 / "report.json").read_bytes()
     assert r1 == r2
     report = json.loads(r1)
-    assert report["version"] == "8"
+    assert report["version"] == "9"
     assert report["run"]["seed"] == 5
     assert report["run"]["trade_rejects"] == 0
     assert report["run"]["trade_rejects_by_reason"] == {}
@@ -331,8 +331,9 @@ def test_metrics_nulls_follow_the_worker_count(synth_data, tmp_path, monkeypatch
     monkeypatch.setattr(netmetrics, "map_tasks", recording)
     monkeypatch.setenv("TRADESYNC_WORKERS", "2")
     assert main(["metrics"] + _common(synth_data, tmp_path / "w2")) == 0
-    # a rewire and a shuffle null for each of rho_ov and opd
-    assert seen == [2, 2, 2, 2]
+    # rho_ov and opd score the same edges here, so one rewire null serves
+    # both; then a shuffle null for each
+    assert seen == [2, 2, 2]
     assert (tmp_path / "w2" / "metrics.json").read_bytes() == \
         (tmp_path / "w1" / "metrics.json").read_bytes()
 

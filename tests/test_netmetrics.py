@@ -303,6 +303,27 @@ class TestNullModels:
                    for w in (1, 2, 3)}
         assert len(rewired) == 1
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tuple_attribute_scores_each_position_on_one_chain_set(self, workers):
+        # nodes 0-4 carry no edge: the single calls score them and the first
+        # joint call does not, so the two number the edge endpoints apart
+        r = np.random.default_rng(5)
+        net = fixture_network(30, [(a, b) for a in range(5, 30)
+                                   for b in range(a + 1, 30) if r.random() < 0.2])
+        rho = {node: k % 7 - 3 for k, node in enumerate(net.node_ids)}
+        opd = {node: k % 4 for k, node in enumerate(net.node_ids)}
+        singles = [null_rewire(net, attr, replicas=22, seed=4, workers=workers)
+                   for attr in (rho, opd)]
+        assert singles[0] != singles[1]
+        assert singles[0].acceptance == singles[1].acceptance
+        for nodes in (net.node_ids[5:], net.node_ids):
+            joint = {node: (rho[node], opd[node]) for node in nodes}
+            assert null_rewire(net, joint, replicas=22, seed=4,
+                               workers=workers) == singles
+        alone = {node: (opd[node],) for node in net.node_ids[5:]}
+        assert null_rewire(net, alone, replicas=22, seed=4,
+                           workers=workers) == singles[1:]
+
     def test_shuffle_needs_two_values(self):
         net = two_cliques(3)
         with pytest.raises(DegenerateInputError):

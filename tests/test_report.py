@@ -26,6 +26,8 @@ def test_every_step_has_its_own_seed():
 
 
 def test_each_null_draws_its_own_stream(monkeypatch):
+    # one rewire call per distinct scored edge list, on the seed of its first
+    # attribute, and one shuffle null per attribute on its own seed
     drawn = []
 
     def recording(kind, fn):
@@ -38,18 +40,24 @@ def test_each_null_draws_its_own_stream(monkeypatch):
                         recording("rewire", netmetrics.null_rewire))
     monkeypatch.setattr(netmetrics, "null_shuffle",
                         recording("shuffle", netmetrics.null_shuffle))
-    res = generate(SynthConfig(n_agents=60, n_days=120, beta_mean=0.4,
-                               base_rate_scale=0.1,
-                               communities=(CommunitySpec(8, 1.0),), seed=3))
-    params = PipelineParams(shuffles=199, replicas=20)
-    trades = select_ticker(synth_columns(res), res.quotes.ticker)
-    analysis = analyze_asset(trades, res.quotes, params, root_seed=5, workers=1)
-    assert None not in (analysis.assortativity["rho_ov"], analysis.assortativity["opd"])
     seeds = derive_seeds(5, 0)
-    assert drawn == [("rewire", seeds["rho_ov_rewire"]),
-                     ("shuffle", seeds["rho_ov_shuffle"]),
-                     ("rewire", seeds["opd_rewire"]),
-                     ("shuffle", seeds["opd_shuffle"])]
+    shuffles = [("shuffle", seeds["rho_ov_shuffle"]), ("shuffle", seeds["opd_shuffle"])]
+    shared = [("rewire", seeds["rho_ov_rewire"])]
+    apart = [("rewire", seeds["rho_ov_rewire"]), ("rewire", seeds["opd_rewire"])]
+    for min_ops, unscored, unscore_an_edge, rewires in (
+            (20, 1, False, shared),  # the one unscored node carries no edge
+            (40, 0, False, shared),  # every node scored
+            (20, 2, True, apart)):  # rho_ov scores fewer edges than opd
+        params = PipelineParams(shuffles=199, replicas=20, min_ops=min_ops)
+        analysis, _ = _scored_network(params)
+        if unscore_an_edge:
+            on_edge = analysis.net.edges[0].i
+            analysis.scores = [s for s in analysis.scores if s.investor_id != on_edge]
+        drawn.clear()
+        assortativity_stage(analysis, params, seeds, workers=1)
+        assert analysis.notes.get("unscored_nodes", 0) == unscored
+        assert None not in analysis.assortativity.values()
+        assert drawn == rewires + shuffles
 
 
 def test_a_failing_shuffle_null_keeps_r_and_the_rewire_null(monkeypatch):

@@ -380,7 +380,10 @@ def _stop_points(flags, shuffles, level, block_rows):
     exceedances per partner): the first block end where the partner's own
     (1 + count) / (shuffles + 1) reaches level, else all of them. A block
     holds min(block_rows, max(exceedances the closest live partner still
-    needs to stop, twice the previous block, 1)) shuffles."""
+    needs to stop, twice the previous block, 1)) shuffles. The kernel's rule,
+    the exceedances to stop and then doubling, is this one without the need
+    term, which binds only on the first block; replaying the longer form
+    checks that the two agree."""
     stop_count = math.ceil(level * (shuffles + 1)) - 1
     stops = [shuffles] * len(flags)
     live = list(range(len(flags)))
