@@ -386,18 +386,6 @@ def _lag1(chains: list[list[float]]) -> float | None:
     return float(sum(d[:-1] @ d[1:] for d in dev) / sum(d @ d for d in dev))
 
 
-def _shuffle_replicas(payload: dict, reps: list[int]) -> list[float | None]:
-    scores = payload["scores"]
-    out = []
-    for rep in reps:
-        perm = task_rng(payload["seed"], rep).permutation(len(scores))
-        try:
-            out.append(_endpoint_r(payload["pairs"], scores[perm]))
-        except DegenerateInputError:
-            out.append(None)
-    return out
-
-
 def null_rewire(net: SyncNetwork, attribute: dict[str, int | tuple[int, ...]],
                 replicas: int = 1000, seed: int = 0, workers: int | None = None
                 ) -> NullStats | list[NullStats]:
@@ -438,17 +426,20 @@ def null_rewire(net: SyncNetwork, attribute: dict[str, int | tuple[int, ...]],
 
 
 def null_shuffle(net: SyncNetwork, attribute: dict[str, int], replicas: int = 1000,
-                 seed: int = 0, workers: int | None = None) -> NullStats:
+                 seed: int = 0) -> NullStats:
     """Assortativity under uniform permutation of node attributes (topology
-    untouched). A replica that puts one value on every edge endpoint has no
-    r; it is left out and counted as `undefined`."""
+    untouched), replica k on task_rng(seed, k), all in the calling process.
+    A replica that puts one value on every edge endpoint has no r; it is
+    left out and counted as `undefined`."""
     pairs, scores = _edge_pairs_with_scores(net, attribute)
-    payload = {"pairs": np.asarray(pairs, dtype=np.int64), "scores": scores,
-               "seed": seed}
-    workers = resolve_workers(workers)
-    chunks = chunked(list(range(replicas)), workers * 4)
-    values = [r for part in map_tasks(_shuffle_replicas, payload, chunks, workers)
-              for r in part if r is not None]
+    pairs = np.asarray(pairs, dtype=np.int64)
+    values = []
+    for rep in range(replicas):
+        perm = task_rng(seed, rep).permutation(len(scores))
+        try:
+            values.append(_endpoint_r(pairs, scores[perm]))
+        except DegenerateInputError:
+            pass
     if not values:
         raise DegenerateInputError("assortativity undefined in every shuffle "
                                    "replica: one value on every edge endpoint")

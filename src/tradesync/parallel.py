@@ -6,16 +6,21 @@ plus integer task coordinates, never from execution order, so results are
 identical for any worker count.
 """
 
+from __future__ import annotations
+
 import functools
 import itertools
 import os
 import pickle
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 WORKERS_ENV = "TRADESYNC_WORKERS"
 
@@ -79,8 +84,10 @@ def _run_task(fn, token, blob: bytes, task):
 
 def _pool(workers: int) -> ProcessPoolExecutor:
     """This process's pool of `workers` processes, opened on first use and
-    reopened when the worker count changes."""
+    reopened when the worker count changes. A run that never pools never
+    imports the executor, nor multiprocessing with it."""
     global _POOL
+    from concurrent.futures import ProcessPoolExecutor
     if _POOL is not None and _POOL[:2] != (os.getpid(), workers):
         shutdown()
     if _POOL is None:

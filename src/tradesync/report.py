@@ -275,8 +275,7 @@ def assortativity_stage(a: AssetAnalysis, params: PipelineParams,
             r=r[name], null_rewire=rewired[name],
             null_shuffle=_noted(a.notes, f"assortativity_{name}_null_shuffle",
                                 DegenerateInputError, nm.null_shuffle, a.net, scores,
-                                replicas=params.replicas,
-                                seed=seeds[f"{name}_shuffle"], workers=workers))
+                                replicas=params.replicas, seed=seeds[f"{name}_shuffle"]))
 
 
 STAGES = (network_stage, score_stage, polarization_stage, assortativity_stage)
@@ -336,7 +335,7 @@ def write_polarization_tables(a: AssetAnalysis, out: str) -> None:
 
 def build_report(sections: dict[str, dict], params: PipelineParams,
                  root_seed: int, trade_rejects: list[Reject]) -> dict:
-    return _plain({
+    return {
         "version": REPORT_VERSION,
         "run": {
             "seed": int(root_seed),
@@ -347,7 +346,7 @@ def build_report(sections: dict[str, dict], params: PipelineParams,
                 Counter(r.reason for r in trade_rejects).items())),
         },
         "assets": sections,
-    })
+    }
 
 
 def dump_report(report: dict, stream) -> None:

@@ -169,7 +169,7 @@ def _null_cover_run(seed: int) -> tuple[bool, bool]:
     net = plant_assortative_network(100, 0.15, _PLANT_SCORES, seed=3)
     attr = {n: _PLANT_SCORES[int(n[1:])] for n in net.node_ids}
     rew = null_rewire(net, attr, replicas=200, seed=seed, workers=1)
-    shu = null_shuffle(net, attr, replicas=200, seed=seed + 10_000, workers=1)
+    shu = null_shuffle(net, attr, replicas=200, seed=seed + 10_000)
     return (rew.ci_low <= 0.0 <= rew.ci_high, shu.ci_low <= 0.0 <= shu.ci_high)
 
 

@@ -62,3 +62,12 @@ def test_cli_import_loads_every_traced_module():
                 f"print(' '.join(m for m in {modules!r} if m not in sys.modules))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the pool's module, and multiprocessing with it, is imported when a
+    # pool first opens, so one-worker runs and the light views never load it
+    done = _run("import sys, tradesync.cli\n"
+                "print('concurrent.futures.process' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

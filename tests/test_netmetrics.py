@@ -274,7 +274,7 @@ class TestNullModels:
     def test_shuffle_null_centers_near_zero(self):
         net = two_cliques(30)
         attr = {n: (10 if int(n[1:]) < 30 else 20) for n in net.node_ids}
-        stats = null_shuffle(net, attr, replicas=200, seed=5, workers=1)
+        stats = null_shuffle(net, attr, replicas=200, seed=5)
         assert abs(stats.mean) < 0.05
         assert stats.ci_low <= 0.0 <= stats.ci_high
 
@@ -290,18 +290,30 @@ class TestNullModels:
         s1 = null_rewire(net, attr, replicas=25, seed=3, workers=1)
         s2 = null_rewire(net, attr, replicas=25, seed=3, workers=1)
         assert s1 == s2
-        s3 = null_shuffle(net, attr, replicas=25, seed=3, workers=1)
-        s4 = null_shuffle(net, attr, replicas=25, seed=3, workers=1)
+        s3 = null_shuffle(net, attr, replicas=25, seed=3)
+        s4 = null_shuffle(net, attr, replicas=25, seed=3)
         assert s3 == s4
 
     def test_parallel_equals_serial(self):
         net = two_cliques(8)
         attr = {n: (1 if int(n[1:]) < 8 else 2) for n in net.node_ids}
-        assert null_shuffle(net, attr, replicas=40, seed=2, workers=1) == \
-            null_shuffle(net, attr, replicas=40, seed=2, workers=2)
         rewired = {null_rewire(net, attr, replicas=22, seed=2, workers=w)
                    for w in (1, 2, 3)}
         assert len(rewired) == 1
+
+    def test_shuffle_null_runs_in_the_calling_process(self, monkeypatch):
+        net = two_cliques(8)
+        attr = {n: (1 if int(n[1:]) < 8 else 2) for n in net.node_ids}
+
+        def no_pool(*args):
+            raise AssertionError("the shuffle null called map_tasks")
+
+        monkeypatch.setattr(netmetrics, "map_tasks", no_pool)
+        shuffled = set()
+        for workers in ("1", "2"):
+            monkeypatch.setenv("TRADESYNC_WORKERS", workers)
+            shuffled.add(null_shuffle(net, attr, replicas=40, seed=2))
+        assert len(shuffled) == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_tuple_attribute_scores_each_position_on_one_chain_set(self, workers):
@@ -327,8 +339,7 @@ class TestNullModels:
     def test_shuffle_needs_two_values(self):
         net = two_cliques(3)
         with pytest.raises(DegenerateInputError):
-            null_shuffle(net, {n: 4 for n in net.node_ids}, replicas=5, seed=0,
-                         workers=1)
+            null_shuffle(net, {n: 4 for n in net.node_ids}, replicas=5, seed=0)
 
     @pytest.mark.parametrize("n,values", [(4, 4), (8, 2)], ids=["K4", "K8-minus-edge"])
     def test_graph_without_swaps_gives_point_mass(self, n, values):
@@ -343,7 +354,7 @@ class TestNullModels:
         assert rew.as_dict()["lag1"] is None
         assert rew.ci_low == rew.ci_high == r
         assert rew.mean == pytest.approx(r, abs=1e-15)
-        shu = null_shuffle(net, attr, replicas=20, seed=2, workers=1)
+        shu = null_shuffle(net, attr, replicas=20, seed=2)
         assert shu.undefined == 0
 
     def test_rewire_acceptance_on_a_sparse_graph(self):
@@ -408,7 +419,7 @@ class TestNullModels:
         attr = {node: 1 for node in net.node_ids}
         attr["N000"] = 2
         r = assortativity(net, attr)
-        stats = null_shuffle(net, attr, replicas=200, seed=4, workers=1)
+        stats = null_shuffle(net, attr, replicas=200, seed=4)
         off_edges = sum(int(np.flatnonzero(task_rng(4, rep).permutation(10) == 0)[0]) >= 4
                         for rep in range(200))
         assert 0 < off_edges < 200
