@@ -26,7 +26,8 @@ WORKERS_ENV = "TRADESYNC_WORKERS"
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Explicit argument wins, then the TRADESYNC_WORKERS env var, then all cores."""
+    """Explicit argument wins, then the TRADESYNC_WORKERS env var, then all
+    CPUs this process may run on."""
     if workers is not None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -40,6 +41,8 @@ def resolve_workers(workers: int | None = None) -> int:
         if n < 1:
             raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1, got {env!r}")
         return n
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

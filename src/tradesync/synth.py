@@ -27,7 +27,9 @@ from .ingest import QuoteSeries, write_quotes, write_trades
 class Ar1Config:
     """AR(1) process for log-volatility: x_t = mean + phi*(x_{t-1} - mean) + sigma*eps."""
 
-    mean: float = math.log(0.02)
+    mean: float = field(default=math.log(0.02), metadata={
+        "flag": "--vol-mean-log", "metavar": "VOL_MEAN_LOG",
+        "help": "mean of log volatility (default ln 0.02)"})
     phi: float = 0.7
     sigma: float = 0.3
 
@@ -40,9 +42,12 @@ class CommunitySpec:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n_agents: int
-    n_days: int
-    activity_tail_alpha: float = 1.0
+    """Each scalar field is a `synth` flag, renamed by its metadata (None: none)."""
+
+    n_agents: int = field(metadata={"flag": "--agents", "metavar": "AGENTS"})
+    n_days: int = field(metadata={"flag": "--days", "metavar": "DAYS"})
+    activity_tail_alpha: float = field(default=1.0, metadata={
+        "flag": "--alpha", "metavar": "ALPHA", "help": "planted activity tail index"})
     beta_mean: float = 0.0
     beta_sd: float = 0.2
     vol: Ar1Config = field(default_factory=Ar1Config)
@@ -51,9 +56,9 @@ class SynthConfig:
     ticker: str = "SYN"
     base_rate_scale: float = 0.02
     rate_cap: float = 50.0
-    gate_on_prob: float = 0.5
-    community_min_rate: float = 1.0
-    start_price: float = 100.0
+    gate_on_prob: float = field(default=0.5, metadata={"flag": None})
+    community_min_rate: float = field(default=1.0, metadata={"flag": None})
+    start_price: float = field(default=100.0, metadata={"flag": None})
 
     def __post_init__(self):
         for prefix, config in (("", self), ("vol.", self.vol)):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import multiprocessing
 import os
@@ -11,7 +12,7 @@ from jsonschema.validators import validator_for
 
 from report_schema import _asset_schema
 from tradesync import cli, netmetrics, parallel, synth
-from tradesync.cli import _params, build_parser, main
+from tradesync.cli import _from_flags, build_parser, main
 from tradesync.report import PipelineParams
 from tradesync.synth import Ar1Config, CommunitySpec, SynthConfig
 
@@ -42,6 +43,13 @@ def test_validate_ok(synth_data, tmp_path, capsys):
     rc = main(["validate"] + _common(synth_data, tmp_path / "v"))
     assert rc == 0
     assert "records, 0 rejects" in capsys.readouterr().out
+
+
+def test_validate_checks_the_pairs_before_reading_trades(synth_data, capsys):
+    rc = main(["validate", "--trades", str(synth_data / "trades.csv"),
+               "--quotes", str(synth_data / "quotes.csv")])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: --ticker is required\n")
 
 
 def test_validate_bad_quotes_names_row(tmp_path, capsys):
@@ -362,6 +370,20 @@ def test_report_leaves_no_worker_running(synth_data, tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_default_worker_count_follows_the_cpu_affinity(synth_data, tmp_path,
+                                                      monkeypatch):
+    # pinned to one of eight CPUs with TRADESYNC_WORKERS unset, a run uses
+    # one worker and opens no pool
+    monkeypatch.delenv("TRADESYNC_WORKERS")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert parallel.resolve_workers() == 1
+    opened = []
+    monkeypatch.setattr(parallel, "_pool", opened.append)
+    assert main(["report"] + _common(synth_data, tmp_path / "r")) == 0
+    assert opened == []
+
+
 def _malformed_trades(synth_data, tmp_path):
     """The synth trades file with lines 4 and 8 made malformed."""
     trades = tmp_path / "trades.csv"
@@ -430,7 +452,8 @@ _ANALYSIS_COMMANDS = ("validate", "activity", "volatility", "meso", "syncnet",
 
 @pytest.mark.parametrize("command", _ANALYSIS_COMMANDS)
 def test_cli_defaults_are_the_pipeline_defaults(command):
-    assert _params(build_parser().parse_args([command])) == PipelineParams()
+    args = build_parser().parse_args([command])
+    assert _from_flags(PipelineParams, args) == PipelineParams()
 
 
 @pytest.mark.parametrize("command", _ANALYSIS_COMMANDS)
@@ -439,6 +462,75 @@ def test_every_pipeline_field_has_its_flag(command):
     for f in fields(PipelineParams):
         flag = "--" + f.name.replace("_", "-")
         assert getattr(parser.parse_args([command, flag, "7"]), f.name) != f.default
+
+
+_SUPPRESS = argparse.SUPPRESS
+_HELP = ("help", _SUPPRESS, "str", None, False, "show this help message and exit")
+# option strings -> (dest, default, type, metavar, required, help) of each
+# flag of a subcommand. The README, CI and the benchmark call these flags,
+# so any change here is a change to the interface.
+_ANALYSIS_SURFACE = {
+    ("-h", "--help"): _HELP,
+    ("--trades",): ("trades", None, "str", None, False, "trades CSV path"),
+    ("--quotes",): ("quotes", [], "str", None, False,
+                    "quotes CSV path (repeat with --ticker for multi-asset runs)"),
+    ("--ticker",): ("ticker", [], "str", None, False,
+                    "asset symbol matching a --quotes file"),
+    ("--delimiter",): ("delimiter", ",", "str", None, False, None),
+    ("--auto-filter",): ("auto_filter", "none", "str", None, False,
+                         "automatic-operation policy: none | flag | threshold:K"),
+    ("--min-ops",): ("min_ops", 20, "int", None, False, None),
+    ("--min-days",): ("min_days", 20, "int", None, False, None),
+    ("--shuffles",): ("shuffles", 999, "int", None, False, None),
+    ("--p-level",): ("p_level", 0.01, "float", None, False, None),
+    ("--replicas",): ("replicas", 1000, "int", None, False, None),
+    ("--ma-window",): ("ma_window", 5, "int", None, False, None),
+    ("--hill-k",): ("hill_k", None, "int", None, False, None),
+    ("--bins",): ("bins", 50, "int", None, False, None),
+    ("--opd-cap",): ("opd_cap", 100, "int", None, False, None),
+    ("--seed",): ("seed", 0, "int", None, False, None),
+    ("--out-dir",): ("out_dir", "out", "str", None, False, None),
+}
+_SYNTH_SURFACE = {
+    ("-h", "--help"): _HELP,
+    ("--agents",): ("n_agents", _SUPPRESS, "int", "AGENTS", True, None),
+    ("--days",): ("n_days", _SUPPRESS, "int", "DAYS", True, None),
+    ("--alpha",): ("activity_tail_alpha", _SUPPRESS, "float", "ALPHA", False,
+                   "planted activity tail index"),
+    ("--beta-mean",): ("beta_mean", _SUPPRESS, "float", None, False, None),
+    ("--beta-sd",): ("beta_sd", _SUPPRESS, "float", None, False, None),
+    ("--vol-mean-log",): ("vol_mean", _SUPPRESS, "float", "VOL_MEAN_LOG", False,
+                          "mean of log volatility (default ln 0.02)"),
+    ("--vol-phi",): ("vol_phi", _SUPPRESS, "float", None, False, None),
+    ("--vol-sigma",): ("vol_sigma", _SUPPRESS, "float", None, False, None),
+    ("--community",): ("community", [], "str", "SIZE:COUPLING", False,
+                       "plant a community, e.g. 20:1.0 (repeatable)"),
+    ("--base-rate-scale",): ("base_rate_scale", _SUPPRESS, "float", None, False, None),
+    ("--rate-cap",): ("rate_cap", _SUPPRESS, "float", None, False, None),
+    ("--ticker",): ("ticker", _SUPPRESS, "str", None, False, None),
+    ("--seed",): ("seed", _SUPPRESS, "int", None, False, None),
+    ("--out-dir",): ("out_dir", "out", "str", None, False, None),
+}
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", _ANALYSIS_COMMANDS + ("synth",))
+def test_the_flags_of_each_subcommand_are_pinned(command):
+    parser = _subparsers(build_parser())[command]
+    # argparse keeps a value without a type as the string given, so an
+    # untyped flag and a `str` one parse alike
+    surface = {tuple(a.option_strings): (
+        a.dest, a.default, "str" if a.type in (None, str) else a.type.__name__,
+        a.metavar, a.required, a.help) for a in parser._actions}
+    assert surface == (_SYNTH_SURFACE if command == "synth" else _ANALYSIS_SURFACE)
+
+
+def test_there_are_nine_subcommands():
+    assert set(_subparsers(build_parser())) == {*_ANALYSIS_COMMANDS, "synth"}
 
 
 def _synth_configs(monkeypatch, tmp_path, *flags):
