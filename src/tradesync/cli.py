@@ -180,6 +180,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_volatility(args) -> int:
+    _from_flags(PipelineParams, args)  # checks the flags, as every view does
     [(ticker, qpath)] = _assets(args, single=True)
     quotes = _read_quotes(qpath, ticker, args)
     vol = vola.high_low_volatility(quotes)

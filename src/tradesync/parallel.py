@@ -1,5 +1,6 @@
-"""Worker-count resolution, the process pool that every parallel stage shares
-and deterministic per-task RNG streams.
+"""Worker-count resolution, the process pool that the parallel stages share
+when a call is large enough to pay for it, and deterministic per-task RNG
+streams.
 
 Every randomized step in the package derives its generator from a root seed
 plus integer task coordinates, never from execution order, so results are
@@ -23,6 +24,12 @@ if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
 WORKERS_ENV = "TRADESYNC_WORKERS"
+
+# A parallel call whose caller estimates less serial CPU than this, in
+# seconds, runs in the calling process: below it, the executor import, the
+# fork, the payload pickling and the workers' set-up cost more than the
+# workers save.
+POOL_MIN_CPU_S = 0.5
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -108,16 +115,18 @@ def shutdown() -> None:
         pool[2].shutdown(cancel_futures=True)
 
 
-def map_tasks(fn, payload, tasks: list, workers: int) -> list:
+def map_tasks(fn, payload, tasks: list, workers: int, *, cpu_s: float) -> list:
     """[fn(payload, task) for task in tasks], in task order.
 
-    With one worker or fewer than two tasks this runs in the calling process.
-    Otherwise it runs on the process's long-lived pool of `workers`
-    processes. The payload is pickled once per call and sent with every task,
-    tagged with the call's token; a worker unpickles it on its first task of
-    the call. `fn` must be a module-level function.
+    `cpu_s` is the caller's estimate of the call's serial CPU in seconds.
+    With one worker, fewer than two tasks or an estimate below POOL_MIN_CPU_S
+    this runs in the calling process. Otherwise it runs on the process's
+    long-lived pool of `workers` processes. The payload is pickled once per
+    call and sent with every task, tagged with the call's token; a worker
+    unpickles it on its first task of the call. `fn` must be a module-level
+    function.
     """
-    if workers <= 1 or len(tasks) < 2:
+    if workers <= 1 or len(tasks) < 2 or cpu_s < POOL_MIN_CPU_S:
         return [fn(payload, task) for task in tasks]
     run = functools.partial(_run_task, fn, next(_CALLS), pickle.dumps(payload, -1))
     return list(_pool(workers).map(run, tasks))

@@ -11,9 +11,10 @@ Each pair's exceedances are still i.i.d. over its own replicas, and a pair
 stops drawing once it can no longer be kept (Besag and Clifford 1991), by its
 own count only, so every kept pair gets an exact p-value and the bound on
 false edges (`expected_false_edges_max`) is unchanged. Groups run on a
-process pool; each draws from an RNG stream derived from (seed, node, window
-start, window end[, part]), so the network is identical for any worker count
-and any execution order.
+process pool when the test is large enough to pay for one (see
+`parallel.map_tasks`), else in the calling process; each draws from an RNG
+stream derived from (seed, node, window start, window end[, part]), so the
+network is identical for any worker count and any execution order.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ from .volatility import population_correlation
 # holds at most _BLOCK_ELEMENTS // L partners of window length L.
 _BLOCK_ROWS = 50
 _BLOCK_ELEMENTS = 2_000_000
+
+# Serial CPU seconds per unit of the pair test's work, one partner's window
+# day under one shuffle, for the pool's gate (measured 0.4-2.8 ns).
+_CPU_S_PER_UNIT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -228,10 +233,13 @@ def build_sync_network(series: ActivityMatrix, min_ops: int = 20,
                "first": first, "last": last, "seed": seed, "shuffles": shuffles,
                "level": level}
     groups, disjoint, short = _plan(first, last)
+    units = shuffles * sum((end - start + 1) * partners.size
+                           for _, start, end, _, partners in groups)
     kept: list[tuple] = []
     counts = Counter(disjoint=disjoint, short=short)
     for chunk_kept, chunk_counts in map_tasks(
-            _test_groups, payload, chunked(groups, workers * 8), workers):
+            _test_groups, payload, chunked(groups, workers * 8), workers,
+            cpu_s=units * _CPU_S_PER_UNIT):
         kept.extend(chunk_kept)
         counts.update(chunk_counts)
     # sorted by node indices, so the edges do not depend on the chunking

@@ -19,6 +19,7 @@ from conftest import (complete_bipartite, matrix, series_from_counts, synth_colu
 from oracles import (bruteforce_activity_vol_correlation,
                      bruteforce_pair_correlation, endpoint_assortativity,
                      modularity_of, plant_assortative_network)
+from tradesync import parallel
 from tradesync.activity import build_activity, hill_fit
 from tradesync.cli import main as cli_main
 from tradesync.ingest import build_calendar
@@ -233,6 +234,9 @@ def test_criterion_9_report_determinism(tmp_path, monkeypatch):
     t0 = time.perf_counter()
     data = tmp_path / "data"
     monkeypatch.setenv("TRADESYNC_WORKERS", "1")
+    # pool every parallel call of this small report, so the runs with more
+    # than one worker compare the pool with the calling process
+    monkeypatch.setattr(parallel, "POOL_MIN_CPU_S", 0.0)
     assert cli_main(["synth", "--agents", "150", "--days", "100",
                      "--beta-mean", "0.4", "--community", "10:1.0",
                      "--base-rate-scale", "0.1", "--seed", "6",

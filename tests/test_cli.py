@@ -113,6 +113,18 @@ def test_volatility_output(synth_data, tmp_path):
     assert len(lines) == 121
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--ma-window", "0", "ma_window must be at least 2, got 0"),
+    ("--auto-filter", "bogus", "unknown auto-filter policy 'bogus'"),
+])
+def test_volatility_checks_the_pipeline_flags(synth_data, tmp_path, capsys, flag,
+                                              value, message):
+    out = tmp_path / "vol"
+    assert main(["volatility"] + _common(synth_data, out, (flag, value))) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_meso_output(synth_data, tmp_path):
     out = tmp_path / "meso"
     rc = main(["meso"] + _common(synth_data, out))
@@ -332,11 +344,12 @@ def test_metrics_nulls_follow_the_worker_count(synth_data, tmp_path, monkeypatch
     assert main(["metrics"] + _common(synth_data, tmp_path / "w1")) == 0
     seen = []
 
-    def recording(fn, payload, tasks, workers):
+    def recording(fn, payload, tasks, workers, *, cpu_s):
         seen.append(workers)
-        return parallel.map_tasks(fn, payload, tasks, workers)
+        return parallel.map_tasks(fn, payload, tasks, workers, cpu_s=cpu_s)
 
     monkeypatch.setattr(netmetrics, "map_tasks", recording)
+    monkeypatch.setattr(parallel, "POOL_MIN_CPU_S", 0.0)  # pool even this small run
     monkeypatch.setenv("TRADESYNC_WORKERS", "2")
     assert main(["metrics"] + _common(synth_data, tmp_path / "w2")) == 0
     # rho_ov and opd score the same edges here, so one rewire null serves
@@ -363,6 +376,7 @@ def test_report_leaves_no_worker_running(synth_data, tmp_path, monkeypatch):
     pool = parallel._pool
     monkeypatch.setattr(parallel, "_pool", lambda workers: opened.append(workers)
                         or pool(workers))
+    monkeypatch.setattr(parallel, "POOL_MIN_CPU_S", 0.0)  # pool even this small run
     monkeypatch.setenv("TRADESYNC_WORKERS", "2")
     assert main(["report"] + _common(synth_data, tmp_path / "r")) == 0
     # every parallel stage ran on the pool, which report closed on its way out

@@ -71,3 +71,21 @@ def test_cli_import_leaves_the_process_pool_unloaded():
                 "print('concurrent.futures.process' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
+
+
+def test_a_small_report_with_two_workers_opens_no_pool(tmp_path):
+    # every parallel call of a default report on this market estimates far
+    # less CPU than the pool's gate, so it all runs in the calling process
+    done = _run(
+        "import os, sys\n"
+        "from tradesync.cli import main\n"
+        "assert main(['synth', '--agents', '60', '--days', '120', '--beta-mean',\n"
+        "             '0.4', '--community', '8:1.0', '--base-rate-scale', '0.1',\n"
+        "             '--seed', '3', '--out-dir', 'data']) == 0\n"
+        "os.environ['TRADESYNC_WORKERS'] = '2'\n"
+        "assert main(['report', '--trades', 'data/trades.csv', '--quotes',\n"
+        "             'data/quotes.csv', '--ticker', 'SYN', '--out-dir', 'out']) == 0\n"
+        "print('concurrent.futures.process' in sys.modules)",
+        cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] == "False"

@@ -7,7 +7,7 @@ import pytest
 from conftest import complete_bipartite, fixture_network, two_cliques
 from oracles import (endpoint_assortativity, modularity_of,
                      reference_double_edge_swap, two_clique_modularity)
-from tradesync import netmetrics
+from tradesync import netmetrics, parallel
 from tradesync.errors import DegenerateInputError
 from tradesync.netmetrics import (SAMPLE_GAP, assortativity, discretize_attribute,
                                   discretize_opd, double_edge_swap, louvain,
@@ -172,6 +172,25 @@ class TestAssortativity:
         with pytest.raises(DegenerateInputError):
             assortativity(net, {n: 7 for n in net.node_ids})
 
+    def test_permuted_r_is_the_endpoint_r(self, rng):
+        # nodes 0-4 carry no edge, and a few draws put one value on every
+        # endpoint; one buffer serves every call, as in the shuffle null
+        for n, m in [(30, 20), (60, 300), (200, 150)]:
+            pairs = rng.choice([(a, b) for a in range(5, n) for b in range(a + 1, n)],
+                               size=m, replace=False)
+            ends = np.ascontiguousarray(pairs.T)
+            degree = np.bincount(ends.ravel(), minlength=n)
+            buf = np.empty_like(ends)
+            for high in (1, 2, 3, 201) * 5:
+                scores = rng.integers(-100, -100 + high, size=n)
+                try:
+                    expected = netmetrics._endpoint_r(pairs, scores)
+                except DegenerateInputError:
+                    with pytest.raises(DegenerateInputError):
+                        netmetrics._permuted_r(ends, degree, scores, buf)
+                    continue
+                assert netmetrics._permuted_r(ends, degree, scores, buf) == expected
+
 class TestDoubleEdgeSwap:
     def test_preserves_degrees_and_simplicity(self, rng):
         net = _random_graph(rng, n=25, p=0.25)
@@ -294,7 +313,8 @@ class TestNullModels:
         s4 = null_shuffle(net, attr, replicas=25, seed=3)
         assert s3 == s4
 
-    def test_parallel_equals_serial(self):
+    def test_parallel_equals_serial(self, monkeypatch):
+        monkeypatch.setattr(parallel, "POOL_MIN_CPU_S", 0.0)  # pool this small null
         net = two_cliques(8)
         attr = {n: (1 if int(n[1:]) < 8 else 2) for n in net.node_ids}
         rewired = {null_rewire(net, attr, replicas=22, seed=2, workers=w)
@@ -316,7 +336,9 @@ class TestNullModels:
         assert len(shuffled) == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_tuple_attribute_scores_each_position_on_one_chain_set(self, workers):
+    def test_tuple_attribute_scores_each_position_on_one_chain_set(self, workers,
+                                                                     monkeypatch):
+        monkeypatch.setattr(parallel, "POOL_MIN_CPU_S", 0.0)  # pool this small null
         # nodes 0-4 carry no edge: the single calls score them and the first
         # joint call does not, so the two number the edge endpoints apart
         r = np.random.default_rng(5)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import matrix, series_from_counts, window
 from oracles import bruteforce_pair_correlation, permutation_pvalue
-from tradesync import syncnet
+from tradesync import parallel, syncnet
 from tradesync.errors import DegenerateInputError
 from tradesync.parallel import task_rng
 from tradesync.syncnet import build_sync_network, write_edges
@@ -243,7 +243,8 @@ class TestBuildSyncNetwork:
         assert len(net.edges) == 15
         assert all(e.rho == 1.0 for e in net.edges)
 
-    def test_parallel_equals_serial(self, rng):
+    def test_parallel_equals_serial(self, rng, monkeypatch):
+        monkeypatch.setattr(parallel, "POOL_MIN_CPU_S", 0.0)  # pool this small test
         series = _population(rng, n_investors=16, n_days=60)
         net1 = _build(series, min_ops=5, shuffles=199, seed=9, workers=1)
         net2 = _build(series, min_ops=5, shuffles=199, seed=9, workers=2)
