@@ -505,21 +505,6 @@ class _Collector:
                            rejects)
 
 
-def write_trades(stream, investor_id, date, ticker, shares, price, side,
-                 is_auto=None, delimiter: str = ",") -> None:
-    """Write equal-length trade columns in the canonical column order: ids,
-    ISO date strings, int shares, float prices (written by repr), 'buy' or
-    'sell'. An `is_auto` column of True, False or None adds the optional
-    field, empty where None."""
-    columns = [investor_id, date, ticker, shares, price, side]
-    if is_auto is not None:
-        columns.append(["" if v is None else ("true" if v else "false")
-                        for v in is_auto])
-    writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(TRADE_FIELDS[:len(columns)])
-    writer.writerows(zip(*columns))
-
-
 def parse_quotes(source, ticker: str, delimiter: str = ",") -> QuoteSeries:
     """Parse one asset's quotes stream. Any invalid row is fatal because a
     broken row would corrupt the trading calendar; the error names the line."""

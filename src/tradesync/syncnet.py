@@ -134,28 +134,45 @@ def _plan(first: list[int], last: list[int]) -> tuple[list[tuple], int, int]:
     last = np.asarray(last, dtype=np.int64)
     width = int(last.max()) + 1 if n else 1  # day indices are >= 0
     index = np.arange(n, dtype=np.int32)
+    # A window is the max of two first days and the min of two last days, so
+    # in ranks of the nodes' distinct first and last days it is the rank pair
+    # (s, e) = (max, min) of the two nodes' ranks. table[i + 1, j] counts the
+    # nodes whose first day ranks at most i and whose last day ranks at least
+    # j; row 0 and the last column are zero.
+    f_rank = np.unique(first, return_inverse=True)[1]
+    l_rank = np.unique(last, return_inverse=True)[1]
+    table = np.zeros((int(f_rank.max(initial=-1)) + 2, int(l_rank.max(initial=-1)) + 2),
+                     dtype=np.int32)
+    np.add.at(table, (f_rank + 1, l_rank), 1)
+    table = np.cumsum(table[:, ::-1], axis=1, dtype=np.int32)[:, ::-1]
+    table = np.cumsum(table, axis=0, dtype=np.int32)
 
-    def windows(a):
-        start, end = np.maximum(first[a], first), np.minimum(last[a], last)
-        return start * width + end, (end > start) & (index != a)
-
-    # serves[a, b]: the pairs of node a whose window equals that of (a, b)
-    serves = np.zeros((n, n), dtype=np.min_scalar_type(n))
+    groups = []
     disjoint = short = 0
     for a in range(n):
-        key, ok = windows(a)
-        _, inverse, count = np.unique(key[ok], return_inverse=True, return_counts=True)
-        serves[a, ok] = count[inverse]
-        start, end = divmod(key[a + 1:], width)
-        disjoint += int(np.count_nonzero(end < start))
-        short += int(np.count_nonzero(end == start))
-    groups = []
-    for a in range(n):
-        key, ok = windows(a)
-        mine, theirs = serves[a], serves[:, a]
-        owned = ok & ((mine > theirs) | ((mine == theirs) & (index > a)))
-        order = np.argsort(key[owned], kind="stable")
-        partners, key = index[owned][order], key[owned][order]
+        start, end = np.maximum(first[a], first), np.minimum(last[a], last)
+        disjoint += int(np.count_nonzero(end[a + 1:] < start[a + 1:]))
+        short += int(np.count_nonzero(end[a + 1:] == start[a + 1:]))
+        s, e = np.maximum(f_rank[a], f_rank), np.minimum(l_rank[a], l_rank)
+        # nodes that start no later than s and end no earlier than e: all of
+        # them, those that start before s, those that end after e, and both
+        cover, early, late, both = (table[s + 1, e], table[s, e], table[s + 1, e + 1],
+                                    table[s, e + 1])
+
+        def serves(f_x, l_x):
+            """The pairs of node x with window (s, e): a partner must start on
+            s if x starts before s, and end on e if x ends after e; x itself
+            is none."""
+            starts_before, ends_after = s > f_x, e < l_x
+            return (cover - starts_before * early - ends_after * late
+                    + (starts_before & ends_after) * both - ~(starts_before | ends_after))
+
+        mine, theirs = serves(f_rank[a], l_rank[a]), serves(f_rank, l_rank)
+        owned = (end > start) & (index != a) & (
+            (mine > theirs) | ((mine == theirs) & (index > a)))
+        key = start[owned] * width + end[owned]
+        order = np.argsort(key, kind="stable")
+        partners, key = index[owned][order], key[order]
         windows_owned, firsts = np.unique(key, return_index=True)
         for window, lo, hi in zip(windows_owned.tolist(), firsts.tolist(),
                                   [*firsts[1:].tolist(), key.size]):

@@ -10,8 +10,9 @@ consumes, and a truth record keeps every planted quantity for recovery tests.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
-import itertools
+import io
 import json
 import math
 import os
@@ -20,7 +21,17 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import GenerationError
-from .ingest import QuoteSeries, write_quotes, write_trades
+from .ingest import TRADE_FIELDS, QuoteSeries, write_quotes
+
+# The agent x day intensity grid is built and drawn one block of whole agents
+# at a time, in one buffer of at most _BLOCK_CELLS cells (one agent's row if
+# that is longer). `rng.poisson` consumes the stream cell by cell in C order,
+# so the block size never changes the draws; memory is O(block + trades).
+_BLOCK_CELLS = 1 << 20
+# trades.csv is formatted this many rows at a time
+_WRITE_ROWS = 1 << 14
+# the largest intensity numpy's Poisson sampler accepts
+_POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
 
 @dataclass(frozen=True)
@@ -107,10 +118,10 @@ class SynthTruth:
 
     def as_dict(self) -> dict:
         return {
-            "lambda": [float(v) for v in self.lambdas],
-            "beta": [float(v) for v in self.betas],
-            "community": [int(v) for v in self.community],
-            "nu": [float(v) for v in self.nu],
+            "lambda": self.lambdas.tolist(),
+            "beta": self.betas.tolist(),
+            "community": self.community.tolist(),
+            "nu": self.nu.tolist(),
         }
 
 
@@ -164,26 +175,27 @@ def generate(config: SynthConfig) -> SynthResult:
     eps = rng.standard_normal(t)
     x = np.empty(t)
     stat_sd = config.vol.sigma / math.sqrt(1.0 - config.vol.phi ** 2)
-    x[0] = config.vol.mean + stat_sd * eps[0]
-    for k in range(1, t):
-        x[k] = config.vol.mean + config.vol.phi * (x[k - 1] - config.vol.mean) \
-            + config.vol.sigma * eps[k]
-    nu = np.exp(x)
-    sd_nu = nu.std()
+    with np.errstate(over="ignore", invalid="ignore"):
+        x[0] = config.vol.mean + stat_sd * eps[0]
+        for k in range(1, t):
+            x[k] = config.vol.mean + config.vol.phi * (x[k - 1] - config.vol.mean) \
+                + config.vol.sigma * eps[k]
+        nu = np.exp(x)
+        sd_nu = nu.std()
+    if not (np.isfinite(nu).all() and math.isfinite(sd_nu)):
+        raise GenerationError("volatility overflows; lower --vol-mean-log or --vol-sigma")
     if sd_nu == 0.0:
         raise GenerationError("volatility process is constant")
     z = (nu - nu.mean()) / sd_nu
 
-    intensity = lambdas[:, None] * np.clip(1.0 + betas[:, None] * z[None, :], 0.0, None)
-    for ci, spec in enumerate(config.communities):
+    gated = []  # (first member, end of members, per-day factor) per community
+    next_agent = 0
+    for spec in config.communities:
         gate = rng.random(t) < config.gate_on_prob
         factor = (1.0 - spec.coupling) + spec.coupling * gate / config.gate_on_prob
-        members = labels == ci
-        intensity[members] *= factor[None, :]
-    if not np.any(intensity > 0):
-        raise GenerationError("all intensities are zero; adjust beta or coupling")
-
-    counts = rng.poisson(intensity)
+        gated.append((next_agent, next_agent + spec.size, factor))
+        next_agent += spec.size
+    trade_agents, trade_days = _draw_trades(rng, lambdas, betas, z, gated)
 
     days = _weekday_calendar(t)
     rets = rng.normal(0.0, 0.005, t - 1)
@@ -196,20 +208,65 @@ def generate(config: SynthConfig) -> SynthResult:
     quotes = QuoteSeries(ticker=config.ticker, days=days,
                          open_=open_.tolist(), high=high.tolist(), low=low.tolist())
 
-    agent_rows, day_rows = np.nonzero(counts)
-    reps = counts[agent_rows, day_rows]
-    trade_agents = np.repeat(agent_rows, reps)
-    trade_days = np.repeat(day_rows, reps)
     n_trades = trade_agents.size
     shares = rng.integers(1, 1000, size=n_trades)
     price_frac = rng.random(n_trades)
     sides = rng.integers(0, 2, size=n_trades)
 
+    # low + (high - low) * frac, in place
+    prices = high[trade_days]
     lo = low[trade_days]
-    prices = lo + (high[trade_days] - lo) * price_frac
+    prices -= lo
+    prices *= price_frac
+    prices += lo
     truth = SynthTruth(lambdas=lambdas, betas=betas, community=labels, nu=nu)
     return SynthResult(agent=trade_agents, day=trade_days, shares=shares,
                        price=prices, side=sides, quotes=quotes, truth=truth)
+
+
+def _draw_trades(rng: np.random.Generator, lambdas: np.ndarray, betas: np.ndarray,
+                 z: np.ndarray, gated: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Each agent's Poisson operation count on each day, with intensity
+    lambda * max(0, 1 + beta * z) times its community's gate factor, as one
+    (agent, day) entry per trade, ordered by agent, then day."""
+    n, t = lambdas.size, z.size
+    rows = max(1, _BLOCK_CELLS // t)
+    buf = np.empty((min(rows, n), t))
+    agents, days = [], []
+    top = 0.0
+    for lo in range(0, n, rows):
+        block = buf[:min(rows, n - lo)]
+        hi = lo + block.shape[0]
+        np.multiply(betas[lo:hi, None], z, out=block)
+        block += 1.0
+        np.clip(block, 0.0, None, out=block)
+        block *= lambdas[lo:hi, None]
+        for start, end, factor in gated:
+            block[max(start - lo, 0):max(end - lo, 0)] *= factor
+        peak = block.max()
+        if not peak <= _POISSON_LAM_MAX:  # NaN too
+            raise GenerationError(
+                f"an intensity of {peak:.3g} is above the Poisson draw's limit "
+                f"({_POISSON_LAM_MAX:.3g}); lower --base-rate-scale, --rate-cap "
+                "or --beta-mean/--beta-sd")
+        top = max(top, peak)
+        counts = rng.poisson(block)
+        cells = np.flatnonzero(counts)
+        reps = counts.ravel()[cells]
+        agent_rows, day_rows = np.divmod(cells, t)
+        agent_rows += lo
+        agents.append(np.repeat(agent_rows, reps))
+        days.append(np.repeat(day_rows, reps))
+    if not top > 0:
+        raise GenerationError("all intensities are zero; adjust beta or coupling")
+    return np.concatenate(agents), np.concatenate(days)
+
+
+def _csv_field(text: str) -> str:
+    """`text` as `csv.writer` writes it as one field of a longer row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
 
 def write_synth(result: SynthResult, out_dir: str) -> dict[str, str]:
@@ -223,10 +280,16 @@ def write_synth(result: SynthResult, out_dir: str) -> dict[str, str]:
     ids = np.array([agent_id(i) for i in range(result.truth.lambdas.size)], dtype=object)
     dates = np.array([d.isoformat() for d in result.quotes.days], dtype=object)
     sides = np.array(["sell", "buy"], dtype=object)
+    ticker = _csv_field(result.quotes.ticker)
     with open(paths["trades"], "w") as f:
-        write_trades(f, ids[result.agent].tolist(), dates[result.day].tolist(),
-                     itertools.repeat(result.quotes.ticker), result.shares.tolist(),
-                     result.price.tolist(), sides[result.side].tolist())
+        f.write(",".join(TRADE_FIELDS[:6]) + "\n")
+        for lo in range(0, result.agent.size, _WRITE_ROWS):
+            part = slice(lo, lo + _WRITE_ROWS)
+            # each field as csv.writer writes it; a float's str is its repr
+            f.write("".join([f"{i},{d},{ticker},{n},{p!r},{s}\n" for i, d, n, p, s in zip(
+                ids[result.agent[part]].tolist(), dates[result.day[part]].tolist(),
+                result.shares[part].tolist(), result.price[part].tolist(),
+                sides[result.side[part]].tolist())]))
     with open(paths["quotes"], "w") as f:
         write_quotes(result.quotes, f)
     with open(paths["truth"], "w") as f:

@@ -11,8 +11,7 @@ from hypothesis import settings
 from report_schema import validate_report
 from tradesync import parallel, report
 from tradesync.activity import ActivityMatrix
-from tradesync.ingest import (QuoteSeries, TradeColumns, build_calendar, parse_trades,
-                              write_trades)
+from tradesync.ingest import QuoteSeries, TradeColumns, build_calendar, parse_trades
 from tradesync.syncnet import SyncEdge, SyncNetwork
 from tradesync.synth import agent_id
 
@@ -45,6 +44,7 @@ def make_trade(investor: str, day: dt.date, ticker: str = "TST",
 
 def columns(trades) -> TradeColumns:
     """Rows from `make_trade`, written as a trades file and parsed back."""
+    from oracles import write_trades  # oracles imports this module
     buf = io.StringIO()
     inv, day, tick, shares, price, side, auto = (list(c) for c in zip(*trades)) \
         if trades else ([],) * 7

@@ -3,9 +3,11 @@ and the test-only helpers built on the library's kernels.
 
 The evaluators are written as plain loops over the defining formulas, kept
 deliberately separate from the library's vectorized implementations. The
-helpers at the end (a full-length permutation p-value, the modularity of a
-given partition, a planted-assortativity network) have no caller in the
-program.
+reference implementations (the double-edge swap, the csv trades writer and
+reader, the pair test's plan through an n x n matrix) are the plain forms
+the program's versions must match exactly. The helpers at the end (a
+full-length permutation p-value, the modularity of a given partition, a
+planted-assortativity network) have no caller in the program.
 """
 
 import csv
@@ -17,6 +19,7 @@ from array import array
 import numpy as np
 
 from conftest import fixture_network
+from tradesync import syncnet
 from tradesync.errors import ConfigError, DegenerateInputError, GenerationError
 from tradesync.ingest import (_AUTO_TOKENS, TRADE_FIELDS, ParseResult, Reject,
                               TradeColumns, _header_positions)
@@ -167,6 +170,22 @@ def reference_double_edge_swap(edges: list[tuple[int, int]], n_steps: int,
     return edges, accepted
 
 
+def write_trades(stream, investor_id, date, ticker, shares, price, side,
+                 is_auto=None, delimiter: str = ",") -> None:
+    """The reference trades writer, one `csv.writer` row per trade: equal-length
+    trade columns in the canonical column order (ids, ISO date strings, int
+    shares, float prices written by repr, 'buy' or 'sell'). An `is_auto`
+    column of True, False or None adds the optional field, empty where None.
+    `synth.write_synth` must write the bytes this writes."""
+    columns = [investor_id, date, ticker, shares, price, side]
+    if is_auto is not None:
+        columns.append(["" if v is None else ("true" if v else "false")
+                        for v in is_auto])
+    writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(TRADE_FIELDS[:len(columns)])
+    writer.writerows(zip(*columns))
+
+
 def reference_parse_trades(source, delimiter: str = ",") -> ParseResult:
     """The trades reader as one `csv` loop, one row at a time: the reference
     `ingest.parse_trades` must match exactly (same columns, id order and
@@ -241,6 +260,58 @@ def reference_parse_trades(source, delimiter: str = ",") -> ParseResult:
         is_auto=np.frombuffer(is_auto, dtype=np.int8),
         investor_ids=list(investor_ids), tickers=list(tickers))
     return ParseResult(records, rejects)
+
+
+def reference_plan(first: list[int], last: list[int]) -> tuple[list[tuple], int, int]:
+    """The pair test's plan through an n x n `serves` matrix: `syncnet._plan`
+    must return the same groups and counts. The pairs to test, grouped by the
+    window they permute, and the counts of disjoint and short pairs.
+
+    A pair's window is the overlap of its two nodes' active spans. A pair
+    whose window holds at least 2 days joins the group (a, start, end) of one
+    of its nodes a: the node whose (node, window) serves more pairs, the lower
+    node index on a tie. A group holds at most syncnet._BLOCK_ELEMENTS // L partners
+    (L the window length); a longer partner list splits into consecutive
+    parts. Each entry is (a, start, end, part, partners), part None for an
+    unsplit group, partners an increasing index array.
+    """
+    n = len(first)
+    first = np.asarray(first, dtype=np.int64)
+    last = np.asarray(last, dtype=np.int64)
+    width = int(last.max()) + 1 if n else 1  # day indices are >= 0
+    index = np.arange(n, dtype=np.int32)
+
+    def windows(a):
+        start, end = np.maximum(first[a], first), np.minimum(last[a], last)
+        return start * width + end, (end > start) & (index != a)
+
+    # serves[a, b]: the pairs of node a whose window equals that of (a, b)
+    serves = np.zeros((n, n), dtype=np.min_scalar_type(n))
+    disjoint = short = 0
+    for a in range(n):
+        key, ok = windows(a)
+        _, inverse, count = np.unique(key[ok], return_inverse=True, return_counts=True)
+        serves[a, ok] = count[inverse]
+        start, end = divmod(key[a + 1:], width)
+        disjoint += int(np.count_nonzero(end < start))
+        short += int(np.count_nonzero(end == start))
+    groups = []
+    for a in range(n):
+        key, ok = windows(a)
+        mine, theirs = serves[a], serves[:, a]
+        owned = ok & ((mine > theirs) | ((mine == theirs) & (index > a)))
+        order = np.argsort(key[owned], kind="stable")
+        partners, key = index[owned][order], key[owned][order]
+        windows_owned, firsts = np.unique(key, return_index=True)
+        for window, lo, hi in zip(windows_owned.tolist(), firsts.tolist(),
+                                  [*firsts[1:].tolist(), key.size]):
+            start, end = divmod(window, width)
+            size = max(1, syncnet._BLOCK_ELEMENTS // (end - start + 1))
+            parts = range(lo, hi, size)
+            for part, p in enumerate(parts):
+                groups.append((a, start, end, part if len(parts) > 1 else None,
+                               partners[p:min(p + size, hi)]))
+    return groups, disjoint, short
 
 
 def permutation_pvalue(x: np.ndarray, y: np.ndarray, shuffles: int,

@@ -611,6 +611,30 @@ def test_synth_rejects_a_malformed_community(tmp_path, capsys, spec):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flag,value", [("--vol-sigma", "1e10"), ("--vol-mean-log", "800")])
+def test_synth_names_the_volatility_flags_when_volatility_overflows(tmp_path, capsys,
+                                                                    flag, value):
+    out = tmp_path / "syn"
+    assert main(["synth", "--agents", "50", "--days", "40", flag, value,
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: volatility overflows; lower --vol-mean-log or --vol-sigma\n")
+    assert not out.exists()
+
+
+def test_synth_names_the_rate_flags_when_an_intensity_passes_the_poisson_limit(
+        tmp_path, capsys):
+    out = tmp_path / "syn"
+    assert main(["synth", "--agents", "50", "--days", "40", "--base-rate-scale", "1e300",
+                 "--rate-cap", "inf", "--out-dir", str(out)]) == 2
+    assert re.fullmatch(
+        r"error: an intensity of \S+ is above the Poisson draw's limit \(9\.22e\+18\); "
+        r"lower --base-rate-scale, --rate-cap or --beta-mean/--beta-sd\n",
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_synth_allows_an_infinite_rate_cap(tmp_path):
     assert main(["synth", "--agents", "40", "--days", "60", "--rate-cap", "inf",
                  "--out-dir", str(tmp_path / "syn")]) == 0

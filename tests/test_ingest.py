@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import columns, make_quotes, make_trade, rows_of
-from oracles import reference_parse_trades
+from oracles import reference_parse_trades, write_trades
 from tradesync import ingest
 from tradesync.errors import ConfigError, DataError
 from tradesync.ingest import (TRADE_FIELDS, AutoFilterPolicy, QuoteSeries,
                               build_calendar, filter_automatic, parse_quotes,
-                              parse_trades, split_off_calendar, write_trades)
+                              parse_trades, split_off_calendar)
 from tradesync.synth import SynthConfig, generate, write_synth
 
 TRADES_HEADER = "investor_id,date,ticker,shares,price,side\n"

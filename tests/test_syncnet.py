@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import matrix, series_from_counts, window
-from oracles import bruteforce_pair_correlation, permutation_pvalue
+from oracles import bruteforce_pair_correlation, permutation_pvalue, reference_plan
 from tradesync import parallel, syncnet
 from tradesync.errors import DegenerateInputError
 from tradesync.parallel import task_rng
@@ -374,6 +374,21 @@ def test_plan_puts_every_pair_in_one_group(spans, max_elements):
     for numbers in parts.values():
         assert numbers in ([None], list(range(len(numbers))))
         assert numbers == [None] or len(numbers) >= 2
+
+
+def test_plan_matches_the_serves_matrix_plan():
+    # 200 seeded span sets, from many nodes sharing few days (ties and
+    # repeated spans) to few nodes over many days
+    rng = np.random.default_rng(2026)
+    for _ in range(200):
+        n, days = int(rng.integers(0, 80)), int(rng.integers(1, 300))
+        spans = np.sort(rng.integers(0, days, size=(n, 2)), axis=1)
+        first, last = spans[:, 0].tolist(), spans[:, 1].tolist()
+        with mock.patch.object(syncnet, "_BLOCK_ELEMENTS", int(rng.integers(1, 400))):
+            got, want = syncnet._plan(first, last), reference_plan(first, last)
+        assert got[1:] == want[1:]
+        assert [(*g[:4], g[4].tolist()) for g in got[0]] == \
+            [(*g[:4], g[4].tolist()) for g in want[0]]
 
 
 def _stop_points(flags, shuffles, level, block_rows):

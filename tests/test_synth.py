@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import re
 from dataclasses import fields
@@ -7,13 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import rows_of, synth_columns, window
-from oracles import plant_assortative_network
+from oracles import plant_assortative_network, write_trades
+from tradesync import synth
 from tradesync.errors import GenerationError
 from tradesync.ingest import build_calendar, parse_quotes, parse_trades
 from tradesync.activity import build_activity
 from tradesync.netmetrics import assortativity
 from tradesync.polarization import score_population
-from tradesync.synth import (Ar1Config, CommunitySpec, SynthConfig, generate,
+from tradesync.synth import (Ar1Config, CommunitySpec, SynthConfig, agent_id, generate,
                              write_synth)
 from tradesync.volatility import high_low_volatility
 
@@ -87,6 +89,26 @@ class TestGenerate:
             "quotes": "29acad3e09ff65a13c57395a675a909d3ee1203817e4930a29aa0ab76c5b1532",
             "truth": "d8d592c184571288bf86c7c0787f5dc2a9432c0af818abe1ff38e6070a61eb3d",
         }
+
+    @pytest.mark.parametrize("agents_per_block", [1, 3])
+    def test_block_sizes_change_no_byte(self, tmp_path, monkeypatch, agents_per_block):
+        # both communities straddle a 3-agent block boundary, and the ticker
+        # needs csv quoting and holds braces
+        cfg = _cfg(n_agents=20, n_days=40, beta_mean=0.3, ticker='A,"B{x}',
+                   communities=(CommunitySpec(4, 1.0), CommunitySpec(5, 0.6)))
+        default = _files(generate(cfg), tmp_path / "default")
+        monkeypatch.setattr(synth, "_BLOCK_CELLS", agents_per_block * cfg.n_days)
+        monkeypatch.setattr(synth, "_WRITE_ROWS", 7)
+        res = generate(cfg)
+        assert res.agent.size > 10 * 7
+        assert _files(res, tmp_path / "blocked") == default
+        # the file is what the csv reference writer makes of the trades
+        buf = io.StringIO()
+        write_trades(buf, [agent_id(i) for i in res.agent.tolist()],
+                     [res.quotes.days[d].isoformat() for d in res.day.tolist()],
+                     [cfg.ticker] * res.agent.size, res.shares.tolist(),
+                     res.price.tolist(), [("sell", "buy")[b] for b in res.side.tolist()])
+        assert default["trades"] == buf.getvalue().encode()
 
     def test_quotes_reproduce_planted_volatility(self):
         res = generate(_cfg())
