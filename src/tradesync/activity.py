@@ -74,7 +74,8 @@ def build_activity(trades: TradeColumns, calendar: TradingCalendar) -> ActivityM
     All trades must be on-calendar and belong to the calendar's asset
     (run split_off_calendar first).
     """
-    for code in np.unique(trades.ticker).tolist():
+    # the codes present, by bincount: a plain np.unique imports numpy.ma
+    for code in np.flatnonzero(np.bincount(trades.ticker)).tolist():
         if trades.tickers[code] != calendar.ticker:
             raise DataError(f"trade ticker {trades.tickers[code]} does not match "
                             f"calendar {calendar.ticker}")
@@ -83,7 +84,7 @@ def build_activity(trades: TradeColumns, calendar: TradingCalendar) -> ActivityM
         day = dt.date.fromordinal(int(trades.day[np.argmax(pos < 0)]))
         raise DataError(f"{day} is not a trading day for {calendar.ticker}")
     # rows in investor-id order
-    codes = np.unique(trades.investor)
+    codes = np.flatnonzero(np.bincount(trades.investor))
     names = [trades.investor_ids[c] for c in codes.tolist()]
     order = sorted(range(len(names)), key=names.__getitem__)
     rank = np.empty(len(trades.investor_ids), dtype=np.int64)
@@ -105,7 +106,7 @@ def ccdf(values) -> list[tuple[float, float]]:
     if arr.size == 0:
         raise DegenerateInputError("ccdf of empty sample")
     order = np.sort(arr)
-    distinct = np.unique(order)
+    distinct = order[np.r_[True, order[1:] != order[:-1]]]  # np.unique, without numpy.ma
     ge = arr.size - np.searchsorted(order, distinct, side="left")
     return [(float(v), float(g) / arr.size) for v, g in zip(distinct, ge)]
 
@@ -142,7 +143,7 @@ def hill_sweep(values, k_values=None) -> list[TailFit]:
     n = arr.size
     if k_values is None:
         top = max(2, math.ceil(0.25 * n))
-        k_values = sorted(set(np.unique(np.linspace(1, top, num=min(top, 50), dtype=int))))
+        k_values = sorted(set(np.linspace(1, top, num=min(top, 50), dtype=int).tolist()))
     fits = []
     for k in k_values:
         try:

@@ -13,8 +13,16 @@ when unset).
 
 from __future__ import annotations
 
-import argparse
 import os
+
+# One BLAS thread per process unless the user sets more: numpy's BLAS reads
+# these once, when numpy loads, so they are set before the imports below.
+# More threads changed no output byte and about doubled the pair test's CPU.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse
 import sys
 from dataclasses import MISSING, fields
 
@@ -292,10 +300,6 @@ def main(argv=None) -> int:
     except (TradesyncError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    finally:
-        # join the pool's workers: none outlives the command, and their CPU
-        # time is counted with this process's
-        parallel.shutdown()
 
 
 if __name__ == "__main__":

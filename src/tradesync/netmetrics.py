@@ -373,11 +373,20 @@ SAMPLE_GAP = 2
 _CPU_S_PER_PROPOSAL = 1e-6
 
 
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """np.percentile(ordered, q) of a sorted sample, with numpy's linear rule
+    and rounding, but without its np.unique call, which loads numpy.ma."""
+    v = (ordered.size - 1) * (q / 100)
+    lo = int(v)
+    a, b = float(ordered[lo]), float(ordered[min(lo + 1, ordered.size - 1)])
+    g = v - lo
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+
 def _null_stats(values: list[float], replicas: int, **counter) -> NullStats:
     arr = np.sort(np.asarray(values, dtype=float))
-    lo, hi = np.percentile(arr, [2.5, 97.5])
-    return NullStats(mean=float(arr.mean()), ci_low=float(lo), ci_high=float(hi),
-                     replicas=replicas, **counter)
+    return NullStats(mean=float(arr.mean()), ci_low=_percentile(arr, 2.5),
+                     ci_high=_percentile(arr, 97.5), replicas=replicas, **counter)
 
 
 def _rewire_chain(payload: dict, task: tuple[int, int]

@@ -38,7 +38,7 @@ _BLOCK_ROWS = 50
 _BLOCK_ELEMENTS = 2_000_000
 
 # Serial CPU seconds per unit of the pair test's work, one partner's window
-# day under one shuffle, for the pool's gate (measured 0.4-2.8 ns).
+# day under one shuffle, for the pool's gate (measured 0.3-2.8 ns).
 _CPU_S_PER_UNIT = 1e-9
 
 

@@ -127,8 +127,8 @@ class SynthTruth:
 
 @dataclass
 class SynthResult:
-    # one entry per trade, ordered by agent, then day: agent index, calendar
-    # day index, shares, price, and side (1 buy, 0 sell)
+    # one entry per trade, ordered by agent, then day: agent index and calendar
+    # day index (int32), shares (int16), price, and side (int8: 1 buy, 0 sell)
     agent: np.ndarray
     day: np.ndarray
     shares: np.ndarray
@@ -209,9 +209,10 @@ def generate(config: SynthConfig) -> SynthResult:
                          open_=open_.tolist(), high=high.tolist(), low=low.tolist())
 
     n_trades = trade_agents.size
-    shares = rng.integers(1, 1000, size=n_trades)
+    # drawn as int64, as they always were, then kept at their width
+    shares = rng.integers(1, 1000, size=n_trades).astype(np.int16)
     price_frac = rng.random(n_trades)
-    sides = rng.integers(0, 2, size=n_trades)
+    sides = rng.integers(0, 2, size=n_trades).astype(np.int8)
 
     # low + (high - low) * frac, in place
     prices = high[trade_days]
@@ -255,8 +256,8 @@ def _draw_trades(rng: np.random.Generator, lambdas: np.ndarray, betas: np.ndarra
         reps = counts.ravel()[cells]
         agent_rows, day_rows = np.divmod(cells, t)
         agent_rows += lo
-        agents.append(np.repeat(agent_rows, reps))
-        days.append(np.repeat(day_rows, reps))
+        agents.append(np.repeat(agent_rows.astype(np.int32), reps))
+        days.append(np.repeat(day_rows.astype(np.int32), reps))
     if not top > 0:
         raise GenerationError("all intensities are zero; adjust beta or coupling")
     return np.concatenate(agents), np.concatenate(days)

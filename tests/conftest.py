@@ -1,6 +1,7 @@
 import datetime as dt
 import functools
 import io
+import multiprocessing
 import sys
 from typing import NamedTuple
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import settings
 
 from report_schema import validate_report
-from tradesync import parallel, report
+from tradesync import report
 from tradesync.activity import ActivityMatrix
 from tradesync.ingest import QuoteSeries, TradeColumns, build_calendar, parse_trades
 from tradesync.syncnet import SyncEdge, SyncNetwork
@@ -158,11 +159,25 @@ def _validated_reports():
 
 
 @pytest.fixture(autouse=True)
-def _close_pool():
-    """Close the process pool after every test, so no test forks while one
-    is open."""
+def _no_child_outlives_the_test():
+    """Every pooled call joins its workers before it returns."""
     yield
-    parallel.shutdown()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each process pool that the test opens, in order."""
+    from concurrent import futures
+    opened = []
+
+    class Recording(futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", Recording)
+    return opened
 
 
 @pytest.fixture

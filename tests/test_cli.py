@@ -371,31 +371,26 @@ def test_bad_worker_count_is_rejected_before_any_read(synth_data, tmp_path, caps
     assert not out.exists()
 
 
-def test_report_leaves_no_worker_running(synth_data, tmp_path, monkeypatch):
-    opened = []
-    pool = parallel._pool
-    monkeypatch.setattr(parallel, "_pool", lambda workers: opened.append(workers)
-                        or pool(workers))
+def test_report_leaves_no_worker_running(synth_data, tmp_path, monkeypatch, pools):
     monkeypatch.setattr(parallel, "POOL_MIN_CPU_S", 0.0)  # pool even this small run
     monkeypatch.setenv("TRADESYNC_WORKERS", "2")
     assert main(["report"] + _common(synth_data, tmp_path / "r")) == 0
-    # every parallel stage ran on the pool, which report closed on its way out
-    assert opened and set(opened) == {2}
+    # every parallel stage ran on a pool of its own, joined before it returned
+    assert pools and set(pools) == {2}
     assert multiprocessing.active_children() == []
 
 
 def test_default_worker_count_follows_the_cpu_affinity(synth_data, tmp_path,
-                                                      monkeypatch):
+                                                      monkeypatch, pools):
     # pinned to one of eight CPUs with TRADESYNC_WORKERS unset, a run uses
     # one worker and opens no pool
     monkeypatch.delenv("TRADESYNC_WORKERS")
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert parallel.resolve_workers() == 1
-    opened = []
-    monkeypatch.setattr(parallel, "_pool", opened.append)
+    monkeypatch.setattr(parallel, "POOL_MIN_CPU_S", 0.0)  # not even a pooled call
     assert main(["report"] + _common(synth_data, tmp_path / "r")) == 0
-    assert opened == []
+    assert pools == []
 
 
 def _malformed_trades(synth_data, tmp_path):

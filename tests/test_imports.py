@@ -13,8 +13,12 @@ SRC = str(Path(tradesync.__file__).resolve().parents[1])
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
-def _run(code: str, cwd=None) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": SRC, "TRADESYNC_WORKERS": "1"}
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _run(code: str, cwd=None, env=os.environ) -> subprocess.CompletedProcess:
+    env = {**env, "PYTHONPATH": SRC, "TRADESYNC_WORKERS": "1"}
     return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -86,6 +90,32 @@ def test_a_small_report_with_two_workers_opens_no_pool(tmp_path):
         "assert main(['report', '--trades', 'data/trades.csv', '--quotes',\n"
         "             'data/quotes.csv', '--ticker', 'SYN', '--out-dir', 'out']) == 0\n"
         "print('concurrent.futures.process' in sys.modules)",
+        cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] == "False"
+
+
+def test_cli_import_sets_one_blas_thread_unless_the_user_sets_more():
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    done = _run("import os, tradesync.cli\n"
+                f"print(' '.join(os.environ.get(v, '-') for v in {BLAS_THREAD_VARS!r}))",
+                env={**env, "OPENBLAS_NUM_THREADS": "3"})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "3", "1", "1", "1"]
+
+
+def test_report_never_loads_numpy_ma(tmp_path):
+    # a plain np.unique or np.percentile imports numpy.ma, 8-15 ms per run
+    done = _run(
+        "import sys\n"
+        "from tradesync.cli import main\n"
+        "assert main(['synth', '--agents', '60', '--days', '120', '--beta-mean',\n"
+        "             '0.4', '--community', '8:1.0', '--base-rate-scale', '0.1',\n"
+        "             '--seed', '3', '--out-dir', 'data']) == 0\n"
+        "assert main(['report', '--trades', 'data/trades.csv', '--quotes',\n"
+        "             'data/quotes.csv', '--ticker', 'SYN', '--shuffles', '199',\n"
+        "             '--replicas', '20', '--seed', '5', '--out-dir', 'out']) == 0\n"
+        "print('numpy.ma' in sys.modules)",
         cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split()[-1] == "False"

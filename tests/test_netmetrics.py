@@ -283,6 +283,15 @@ class TestDoubleEdgeSwap:
 
 
 class TestNullModels:
+    @pytest.mark.parametrize("n", [1, 2, 3, 39, 40, 41, 100, 1000, 1001])
+    def test_percentile_is_numpys_to_the_bit(self, rng, n):
+        # np.percentile is the reference; the null's own copy of its linear
+        # rule exists only to keep numpy.ma unloaded
+        for sample in (rng.normal(size=n), rng.integers(-3, 3, n) / 7.0):
+            ordered = np.sort(sample)
+            for q in np.arange(0.0, 100.5, 0.5).tolist():
+                assert netmetrics._percentile(ordered, q) == np.percentile(ordered, q)
+
     def test_rewire_null_centers_near_zero(self):
         net = two_cliques(30)
         attr = {n: (10 if int(n[1:]) < 30 else 20) for n in net.node_ids}
