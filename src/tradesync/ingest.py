@@ -599,4 +599,5 @@ def split_off_calendar(trades: TradeColumns, calendar: TradingCalendar
 
 def select_ticker(trades: TradeColumns, ticker: str) -> TradeColumns:
     code = trades.tickers.index(ticker) if ticker in trades.tickers else -1
-    return trades.take(trades.ticker == code)
+    mask = trades.ticker == code
+    return trades if mask.all() else trades.take(mask)

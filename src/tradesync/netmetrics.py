@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError
-from .parallel import chunked, map_tasks, resolve_workers, task_rng
+from .parallel import map_tasks, resolve_workers, task_rng
 from .syncnet import SyncNetwork
 
 
@@ -420,8 +420,8 @@ def null_rewire(net: SyncNetwork, attribute: dict[str, int | tuple[int, ...]],
 
     min(REWIRE_CHAINS, replicas) double-edge-swap chains start from the
     observed graph, chain c on task_rng(seed, c); each burns in for
-    BURN_IN*|E| proposals, then re-scores every SAMPLE_GAP*|E|
-    proposals, and the replicas are split over the chains. Reports the mean
+    BURN_IN*|E| proposals, then re-scores every SAMPLE_GAP*|E| proposals;
+    chain c takes len(range(c, replicas, REWIRE_CHAINS)) samples. Reports the mean
     and 2.5/97.5 percentiles over the samples, the share of proposed swaps
     accepted (burn-in included) and the lag-1 autocorrelation of r. A swap
     keeps every endpoint's value, so the null is defined wherever r is; a
@@ -434,13 +434,16 @@ def null_rewire(net: SyncNetwork, attribute: dict[str, int | tuple[int, ...]],
     test only node equality, so relabelling the nodes, as scoring more or
     fewer nodes off the scored edges does, leaves the chain unchanged.
     """
+    if replicas < 1:
+        raise ValueError(f"replicas must be at least 1, got {replicas}")
     pairs, scores = _edge_pairs_with_scores(net, attribute)
     single = scores.ndim == 1
     burn_in, gap = BURN_IN * len(pairs), SAMPLE_GAP * len(pairs)
     columns = scores.reshape(len(scores), -1)
     payload = {"pairs": pairs, "scores": columns, "seed": seed,
                "burn_in": burn_in, "gap": gap}
-    tasks = list(enumerate(map(len, chunked(range(replicas), REWIRE_CHAINS))))
+    tasks = [(c, len(range(c, replicas, REWIRE_CHAINS)))
+             for c in range(min(REWIRE_CHAINS, replicas))]
     proposals = len(tasks) * burn_in + (replicas - len(tasks)) * gap
     results = map_tasks(_rewire_chain, payload, tasks, resolve_workers(workers),
                         cpu_s=proposals * _CPU_S_PER_PROPOSAL)
@@ -459,6 +462,8 @@ def null_shuffle(net: SyncNetwork, attribute: dict[str, int], replicas: int = 10
     untouched), replica k on task_rng(seed, k), all in the calling process.
     A replica that puts one value on every edge endpoint has no r; it is
     left out and counted as `undefined`."""
+    if replicas < 1:
+        raise ValueError(f"replicas must be at least 1, got {replicas}")
     pairs, scores = _edge_pairs_with_scores(net, attribute)
     ends = np.array(pairs, dtype=np.int64).T.copy()
     degree = np.bincount(ends.ravel(), minlength=len(scores))

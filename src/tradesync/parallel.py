@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import os
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -48,20 +47,6 @@ def resolve_workers(workers: int | None = None) -> int:
 def task_rng(root_seed: int, *coords: int) -> np.random.Generator:
     """Generator for the task at integer coordinates (pair indices, replica index...)."""
     return np.random.default_rng(np.random.SeedSequence([int(root_seed), *map(int, coords)]))
-
-
-def chunked(items: Sequence, n_chunks: int) -> list[Sequence]:
-    """Split a list or range into at most n_chunks contiguous, near-equal chunks."""
-    n = len(items)
-    n_chunks = max(1, min(n_chunks, n))
-    size, extra = divmod(n, n_chunks)
-    out = []
-    start = 0
-    for c in range(n_chunks):
-        stop = start + size + (1 if c < extra else 0)
-        out.append(items[start:stop])
-        start = stop
-    return out
 
 
 # Worker side: the payload of the call this worker serves, set once when the

@@ -142,6 +142,8 @@ def shuffled_baseline(series: ActivityMatrix, vol: VolatilitySeries,
     Each eligible investor consumes an RNG stream derived from (seed, its
     index in sorted id order), so results do not depend on evaluation order.
     """
+    if replicas < 1:
+        raise ValueError(f"replicas must be at least 1, got {replicas}")
     eligible: list[tuple[np.ndarray, np.ndarray]] = []
     for k in np.flatnonzero(series.n_active >= min_days).tolist():
         m = _moments(series, k, vol, min_days)

@@ -10,11 +10,12 @@ group, so the p-values of pairs that share a permuted node are dependent.
 Each pair's exceedances are still i.i.d. over its own replicas, and a pair
 stops drawing once it can no longer be kept (Besag and Clifford 1991), by its
 own count only, so every kept pair gets an exact p-value and the bound on
-false edges (`expected_false_edges_max`) is unchanged. Groups run on a
-process pool when the test is large enough to pay for one (see
-`parallel.map_tasks`), else in the calling process; each draws from an RNG
-stream derived from (seed, node, window start, window end[, part]), so the
-network is identical for any worker count and any execution order.
+false edges (`expected_false_edges_max`) is unchanged. A task makes and
+tests the groups of some owner nodes; tasks run on a process pool when the
+test is large enough to pay for one (see `parallel.map_tasks`), else in the
+calling process. Each group draws from an RNG stream derived from (seed,
+node, window start, window end[, part]), so the network is identical for
+any worker count and any split of the owners into tasks.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .activity import ActivityMatrix
-from .parallel import chunked, map_tasks, resolve_workers, task_rng
+from .parallel import map_tasks, resolve_workers, task_rng
 from .volatility import population_correlation
 
 # Shuffles are drawn in blocks of at most _BLOCK_ROWS (fewer for very long
@@ -37,8 +38,8 @@ from .volatility import population_correlation
 _BLOCK_ROWS = 50
 _BLOCK_ELEMENTS = 2_000_000
 
-# Serial CPU seconds per unit of the pair test's work, one partner's window
-# day under one shuffle, for the pool's gate (measured 0.3-2.8 ns).
+# Serial CPU seconds per unit of the pair test's work, one pair's window day
+# under one shuffle, for the pool's gate (measured 0.3-2.8 ns).
 _CPU_S_PER_UNIT = 1e-9
 
 
@@ -117,9 +118,26 @@ def _shuffle_exceed_count(x: np.ndarray, y: np.ndarray, shuffles: int,
 # ---------------------------------------------------------------------------
 # parallel pair test
 
-def _plan(first: list[int], last: list[int]) -> tuple[list[tuple], int, int]:
-    """The pairs to test, grouped by the window they permute, and the counts
-    of disjoint and short pairs.
+def _count_table(first: list[int], last: list[int]) -> tuple:
+    """The nodes' first and last days as arrays, their ranks among the
+    distinct first and last days, and a count table: table[i + 1, j] counts
+    the nodes whose first day ranks at most i and whose last day ranks at
+    least j; row 0 and the last column are zero."""
+    first = np.asarray(first, dtype=np.int64)
+    last = np.asarray(last, dtype=np.int64)
+    f_rank = np.unique(first, return_inverse=True)[1]
+    l_rank = np.unique(last, return_inverse=True)[1]
+    table = np.zeros((int(f_rank.max(initial=-1)) + 2, int(l_rank.max(initial=-1)) + 2),
+                     dtype=np.int32)
+    np.add.at(table, (f_rank + 1, l_rank), 1)
+    table = np.cumsum(table[:, ::-1], axis=1, dtype=np.int32)[:, ::-1]
+    table = np.cumsum(table, axis=0, dtype=np.int32)
+    return first, last, f_rank, l_rank, table
+
+
+def _owned(tables: tuple, a: int) -> tuple[list[tuple], int, int]:
+    """Node a's groups, and its counts of disjoint and short pairs with later
+    nodes; `tables` is `_count_table` of every node.
 
     A pair's window is the overlap of its two nodes' active spans. A pair
     whose window holds at least 2 days joins the group (a, start, end) of one
@@ -129,68 +147,54 @@ def _plan(first: list[int], last: list[int]) -> tuple[list[tuple], int, int]:
     parts. Each entry is (a, start, end, part, partners), part None for an
     unsplit group, partners an increasing index array.
     """
-    n = len(first)
-    first = np.asarray(first, dtype=np.int64)
-    last = np.asarray(last, dtype=np.int64)
-    width = int(last.max()) + 1 if n else 1  # day indices are >= 0
-    index = np.arange(n, dtype=np.int32)
-    # A window is the max of two first days and the min of two last days, so
-    # in ranks of the nodes' distinct first and last days it is the rank pair
-    # (s, e) = (max, min) of the two nodes' ranks. table[i + 1, j] counts the
-    # nodes whose first day ranks at most i and whose last day ranks at least
-    # j; row 0 and the last column are zero.
-    f_rank = np.unique(first, return_inverse=True)[1]
-    l_rank = np.unique(last, return_inverse=True)[1]
-    table = np.zeros((int(f_rank.max(initial=-1)) + 2, int(l_rank.max(initial=-1)) + 2),
-                     dtype=np.int32)
-    np.add.at(table, (f_rank + 1, l_rank), 1)
-    table = np.cumsum(table[:, ::-1], axis=1, dtype=np.int32)[:, ::-1]
-    table = np.cumsum(table, axis=0, dtype=np.int32)
+    first, last, f_rank, l_rank, table = tables
+    width = int(last[a]) + 1  # a's windows end on day last[a] at the latest
+    index = np.arange(first.size, dtype=np.int32)
+    start, end = np.maximum(first[a], first), np.minimum(last[a], last)
+    disjoint = int(np.count_nonzero(end[a + 1:] < start[a + 1:]))
+    short = int(np.count_nonzero(end[a + 1:] == start[a + 1:]))
+    # a window is the max of two first days and the min of two last days, so
+    # in ranks it is the (max, min) of the two nodes' ranks
+    s, e = np.maximum(f_rank[a], f_rank), np.minimum(l_rank[a], l_rank)
+    # nodes that start no later than s and end no earlier than e: all of
+    # them, those that start before s, those that end after e, and both
+    cover, early, late, both = (table[s + 1, e], table[s, e], table[s + 1, e + 1],
+                                table[s, e + 1])
 
+    def serves(f_x, l_x):
+        """The pairs of node x with window (s, e): a partner must start on
+        s if x starts before s, and end on e if x ends after e; x itself
+        is none."""
+        starts_before, ends_after = s > f_x, e < l_x
+        return (cover - starts_before * early - ends_after * late
+                + (starts_before & ends_after) * both - ~(starts_before | ends_after))
+
+    mine, theirs = serves(f_rank[a], l_rank[a]), serves(f_rank, l_rank)
+    owned = (end > start) & (index != a) & (
+        (mine > theirs) | ((mine == theirs) & (index > a)))
+    key = start[owned] * width + end[owned]
+    order = np.argsort(key, kind="stable")
+    partners, key = index[owned][order], key[order]
+    windows_owned, firsts = np.unique(key, return_index=True)
     groups = []
-    disjoint = short = 0
-    for a in range(n):
-        start, end = np.maximum(first[a], first), np.minimum(last[a], last)
-        disjoint += int(np.count_nonzero(end[a + 1:] < start[a + 1:]))
-        short += int(np.count_nonzero(end[a + 1:] == start[a + 1:]))
-        s, e = np.maximum(f_rank[a], f_rank), np.minimum(l_rank[a], l_rank)
-        # nodes that start no later than s and end no earlier than e: all of
-        # them, those that start before s, those that end after e, and both
-        cover, early, late, both = (table[s + 1, e], table[s, e], table[s + 1, e + 1],
-                                    table[s, e + 1])
-
-        def serves(f_x, l_x):
-            """The pairs of node x with window (s, e): a partner must start on
-            s if x starts before s, and end on e if x ends after e; x itself
-            is none."""
-            starts_before, ends_after = s > f_x, e < l_x
-            return (cover - starts_before * early - ends_after * late
-                    + (starts_before & ends_after) * both - ~(starts_before | ends_after))
-
-        mine, theirs = serves(f_rank[a], l_rank[a]), serves(f_rank, l_rank)
-        owned = (end > start) & (index != a) & (
-            (mine > theirs) | ((mine == theirs) & (index > a)))
-        key = start[owned] * width + end[owned]
-        order = np.argsort(key, kind="stable")
-        partners, key = index[owned][order], key[order]
-        windows_owned, firsts = np.unique(key, return_index=True)
-        for window, lo, hi in zip(windows_owned.tolist(), firsts.tolist(),
-                                  [*firsts[1:].tolist(), key.size]):
-            start, end = divmod(window, width)
-            size = max(1, _BLOCK_ELEMENTS // (end - start + 1))
-            parts = range(lo, hi, size)
-            for part, p in enumerate(parts):
-                groups.append((a, start, end, part if len(parts) > 1 else None,
-                               partners[p:min(p + size, hi)]))
+    for window, lo, hi in zip(windows_owned.tolist(), firsts.tolist(),
+                              [*firsts[1:].tolist(), key.size]):
+        start, end = divmod(window, width)
+        size = max(1, _BLOCK_ELEMENTS // (end - start + 1))
+        parts = range(lo, hi, size)
+        for part, p in enumerate(parts):
+            groups.append((a, start, end, part if len(parts) > 1 else None,
+                           partners[p:min(p + size, hi)]))
     return groups, disjoint, short
 
 
-def _test_groups(payload: dict, groups: list[tuple]) -> tuple[list[tuple], dict]:
-    """Test the pairs of some groups of the plan: the kept edges as (i, j,
-    rho, overlap, pvalue) tuples with i < j node indices, and the count of
-    each pair outcome. Each group permutes its node's window on its own RNG
-    stream and shares every permutation among its partners."""
-    first, last = payload["first"], payload["last"]
+def _test_owners(payload: dict, owners: range) -> tuple[list[tuple], dict]:
+    """Test the pairs of some owner nodes: the kept edges as (i, j, rho,
+    overlap, pvalue) tuples with i < j node indices, and the count of each
+    pair outcome. Each owner's groups are made by its owner pass and tested
+    as they come; each group permutes its node's window on its own RNG stream
+    and shares every permutation among its partners."""
+    first, last = payload["tables"][:2]
     if "spans" not in payload:
         # each node's counts on every day of its active span, as floats; made
         # once per call in each process and kept with the payload
@@ -201,29 +205,32 @@ def _test_groups(payload: dict, groups: list[tuple]) -> tuple[list[tuple], dict]
             payload["spans"].append(span)
     spans = payload["spans"]
     seed, shuffles, level = payload["seed"], payload["shuffles"], payload["level"]
-    counts = dict.fromkeys(("degenerate", "tested", "negative_rho", "shuffles_used"), 0)
+    counts: Counter = Counter()
     kept: list[tuple] = []
-    for a, start, end, part, partners in groups:
-        x = spans[a][start - first[a]:end - first[a] + 1]
-        ys = np.array([spans[b][start - first[b]:end - first[b] + 1]
-                       for b in partners.tolist()])
-        rho = population_correlation(x, ys)
-        tested = ~np.isnan(rho)
-        counts["degenerate"] += int(partners.size - np.count_nonzero(tested))
-        if not tested.any():
-            continue
-        partners, rho = partners[tested], rho[tested]
-        coords = (a, start, end) if part is None else (a, start, end, part)
-        count, used = _shuffle_exceed_count(x, ys[tested].T, shuffles,
-                                            task_rng(seed, *coords), level)
-        counts["tested"] += partners.size
-        counts["negative_rho"] += int(np.count_nonzero(rho < 0))
-        counts["shuffles_used"] += int(used.sum())
-        pvalue = (1 + count) / (used + 1)
-        keep = pvalue < level
-        for b, r, p in zip(partners[keep].tolist(), rho[keep].tolist(),
-                           pvalue[keep].tolist()):
-            kept.append((min(a, b), max(a, b), r, end - start + 1, p))
+    for owner in owners:
+        groups, disjoint, short = _owned(payload["tables"], owner)
+        counts.update(disjoint=disjoint, short=short)
+        for a, start, end, part, partners in groups:
+            x = spans[a][start - first[a]:end - first[a] + 1]
+            ys = np.array([spans[b][start - first[b]:end - first[b] + 1]
+                           for b in partners.tolist()])
+            rho = population_correlation(x, ys)
+            tested = ~np.isnan(rho)
+            counts["degenerate"] += int(partners.size - np.count_nonzero(tested))
+            if not tested.any():
+                continue
+            partners, rho = partners[tested], rho[tested]
+            coords = (a, start, end) if part is None else (a, start, end, part)
+            count, used = _shuffle_exceed_count(x, ys[tested].T, shuffles,
+                                                task_rng(seed, *coords), level)
+            counts["tested"] += partners.size
+            counts["negative_rho"] += int(np.count_nonzero(rho < 0))
+            counts["shuffles_used"] += int(used.sum())
+            pvalue = (1 + count) / (used + 1)
+            keep = pvalue < level
+            for b, r, p in zip(partners[keep].tolist(), rho[keep].tolist(),
+                               pvalue[keep].tolist()):
+                kept.append((min(a, b), max(a, b), r, end - start + 1, p))
     return kept, counts
 
 
@@ -247,21 +254,21 @@ def build_sync_network(series: ActivityMatrix, min_ops: int = 20,
     # the nodes' sparse rows travel to the workers: dense spans would make
     # each message about 100 MB at paper size
     payload = {"rows": [series.active(k) for k in rows.tolist()],
-               "first": first, "last": last, "seed": seed, "shuffles": shuffles,
-               "level": level}
-    groups, disjoint, short = _plan(first, last)
-    units = shuffles * sum((end - start + 1) * partners.size
-                           for _, start, end, _, partners in groups)
-    kept: list[tuple] = []
-    counts = Counter(disjoint=disjoint, short=short)
-    for chunk_kept, chunk_counts in map_tasks(
-            _test_groups, payload, chunked(groups, workers * 8), workers,
-            cpu_s=units * _CPU_S_PER_UNIT):
-        kept.extend(chunk_kept)
-        counts.update(chunk_counts)
-    # sorted by node indices, so the edges do not depend on the chunking
+               "tables": _count_table(first, last), "seed": seed,
+               "shuffles": shuffles, "level": level}
+    # per shuffle, one unit per pair for each day of its window
+    days = np.arange(min(first, default=0), max(last, default=-1) + 1)
+    active = (np.searchsorted(np.sort(first), days, "right")
+              - np.searchsorted(np.sort(last), days))
+    units = shuffles * int((active * (active - 1) // 2).sum())
+    tasks = [range(k, n, workers * 8) for k in range(min(n, workers * 8))]
+    results = map_tasks(_test_owners, payload, tasks, workers,
+                        cpu_s=units * _CPU_S_PER_UNIT)
+    counts = sum((task_counts for _, task_counts in results), Counter())
+    # sorted by node indices, so the edges do not depend on the tasks
+    kept = sorted(edge for task_kept, _ in results for edge in task_kept)
     edges = [SyncEdge(i=node_ids[i], j=node_ids[j], rho=rho, overlap=overlap,
-                      pvalue=pvalue) for i, j, rho, overlap, pvalue in sorted(kept)]
+                      pvalue=pvalue) for i, j, rho, overlap, pvalue in kept]
 
     # kept pairs to expect if every tested pair were null: a null pair's rank
     # among the grid statistics is uniform and ties count against it, so at

@@ -263,9 +263,10 @@ def reference_parse_trades(source, delimiter: str = ",") -> ParseResult:
 
 
 def reference_plan(first: list[int], last: list[int]) -> tuple[list[tuple], int, int]:
-    """The pair test's plan through an n x n `serves` matrix: `syncnet._plan`
-    must return the same groups and counts. The pairs to test, grouped by the
-    window they permute, and the counts of disjoint and short pairs.
+    """The pair test's plan through an n x n `serves` matrix: `syncnet._owned`
+    over every owner must return the same groups and counts. The pairs to
+    test, grouped by the window they permute, and the counts of disjoint and
+    short pairs.
 
     A pair's window is the overlap of its two nodes' active spans. A pair
     whose window holds at least 2 days joins the group (a, start, end) of one

@@ -13,7 +13,7 @@ from tradesync import ingest
 from tradesync.errors import ConfigError, DataError
 from tradesync.ingest import (TRADE_FIELDS, AutoFilterPolicy, QuoteSeries,
                               build_calendar, filter_automatic, parse_quotes,
-                              parse_trades, split_off_calendar)
+                              parse_trades, select_ticker, split_off_calendar)
 from tradesync.synth import SynthConfig, generate, write_synth
 
 TRADES_HEADER = "investor_id,date,ticker,shares,price,side\n"
@@ -332,6 +332,21 @@ def test_filter_none_is_identity():
     out = filter_automatic(trades, AutoFilterPolicy("none"))
     assert rows_of(out.retained) == rows_of(trades)
     assert out.dropped == 0
+
+
+def test_select_ticker_returns_a_one_ticker_input_itself():
+    trades = columns([make_trade(f"A{i}", dt.date(2003, 1, 6 + i)) for i in range(5)])
+    assert select_ticker(trades, "TST") is trades
+
+
+def test_select_ticker_keeps_only_that_tickers_trades():
+    day = dt.date(2003, 1, 6)
+    trades = columns([make_trade(f"A{i}", day, ticker="XYZ" if i % 3 else "TST")
+                      for i in range(9)])
+    out = select_ticker(trades, "TST")
+    assert out is not trades
+    assert rows_of(out) == [(f"A{i}", day, "TST", None) for i in (0, 3, 6)]
+    assert len(select_ticker(trades, "NONE")) == 0
 
 
 def test_filter_flag_subset():

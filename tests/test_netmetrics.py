@@ -442,6 +442,15 @@ class TestNullModels:
         # with at most four replicas no chain has a second sample
         assert (stats.lag1 is None) == (replicas <= 4)
 
+    @pytest.mark.parametrize("replicas", [0, -3])
+    def test_replicas_below_one_raise(self, replicas):
+        net = _random_graph(np.random.default_rng(3), n=12, p=0.3)
+        attr = {node: k % 3 for k, node in enumerate(net.node_ids)}
+        with pytest.raises(ValueError, match=f"replicas must be at least 1, got {replicas}"):
+            null_rewire(net, attr, replicas=replicas, seed=2, workers=1)
+        with pytest.raises(ValueError, match=f"replicas must be at least 1, got {replicas}"):
+            null_shuffle(net, attr, replicas=replicas, seed=2)
+
     def test_shuffle_leaves_out_undefined_replicas(self):
         # opd-like: 9 of 10 nodes share one value and there are two edges, so
         # a permutation that puts the other value off the edges leaves r

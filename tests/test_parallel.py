@@ -6,7 +6,7 @@ import os
 import pytest
 
 from tradesync import parallel
-from tradesync.parallel import chunked, map_tasks
+from tradesync.parallel import map_tasks
 
 GATE = parallel.POOL_MIN_CPU_S
 
@@ -92,9 +92,3 @@ def test_a_failing_task_raises_and_leaves_no_worker():
     assert multiprocessing.active_children() == []
     assert map_tasks(_fails_on_three, None, [0, 1, 2], 2, cpu_s=0.0) == [0, 1, 2]
 
-
-def test_chunked_splits_lists_and_ranges_in_order():
-    assert chunked(list(range(7)), 3) == [[0, 1, 2], [3, 4], [5, 6]]
-    assert [list(c) for c in chunked(range(7), 3)] == [[0, 1, 2], [3, 4], [5, 6]]
-    assert [list(c) for c in chunked(range(0), 4)] == [[]]
-    assert chunked([1, 2], 5) == [[1], [2]]

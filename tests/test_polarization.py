@@ -119,6 +119,12 @@ class TestShuffledBaseline:
         assert b1.shuffled_variance == b2.shuffled_variance
         assert np.array_equal(b1.replica_variances, b2.replica_variances)
 
+    @pytest.mark.parametrize("replicas", [0, -3])
+    def test_replicas_below_one_raise(self, rng, replicas):
+        series, vol = _population(rng, 20, 60)
+        with pytest.raises(ValueError, match=f"replicas must be at least 1, got {replicas}"):
+            shuffled_baseline(series, vol, replicas=replicas, seed=5)
+
     def test_planted_alignment_inflates_variance(self, rng):
         series, vol = _population(rng, 250, 250, beta=0.8)
         scores, _ = score_population(series, vol, min_days=20)

@@ -337,6 +337,19 @@ class TestBuildSyncNetwork:
         assert np.mean(variances) <= 1.3 * (n_nodes - 1) * q * (1 - q)
 
 
+def _plan(first, last):
+    """`syncnet._owned` over every owner: the pair test's groups, owner by
+    owner, and its counts of disjoint and short pairs."""
+    tables = syncnet._count_table(first, last)
+    groups, disjoint, short = [], 0, 0
+    for a in range(len(first)):
+        owned, a_disjoint, a_short = syncnet._owned(tables, a)
+        groups += owned
+        disjoint += a_disjoint
+        short += a_short
+    return groups, disjoint, short
+
+
 def _pairs_by_brute_force(first, last):
     """Each pair's window, and the pairs of each (node, window)."""
     n = len(first)
@@ -352,7 +365,7 @@ def _pairs_by_brute_force(first, last):
 def test_plan_puts_every_pair_in_one_group(spans, max_elements):
     first, last = [min(s) for s in spans], [max(s) for s in spans]
     with mock.patch.object(syncnet, "_BLOCK_ELEMENTS", max_elements):
-        groups, disjoint, short = syncnet._plan(first, last)
+        groups, disjoint, short = _plan(first, last)
     window, serves = _pairs_by_brute_force(first, last)
     pairs = [(a, b) for a in range(len(spans)) for b in range(a + 1, len(spans))]
     assert disjoint == sum(window[p][1] < window[p][0] for p in pairs)
@@ -385,10 +398,45 @@ def test_plan_matches_the_serves_matrix_plan():
         spans = np.sort(rng.integers(0, days, size=(n, 2)), axis=1)
         first, last = spans[:, 0].tolist(), spans[:, 1].tolist()
         with mock.patch.object(syncnet, "_BLOCK_ELEMENTS", int(rng.integers(1, 400))):
-            got, want = syncnet._plan(first, last), reference_plan(first, last)
+            got, want = _plan(first, last), reference_plan(first, last)
         assert got[1:] == want[1:]
         assert [(*g[:4], g[4].tolist()) for g in got[0]] == \
             [(*g[:4], g[4].tolist()) for g in want[0]]
+
+
+def test_owner_tasks_give_one_result_in_any_split_and_order(rng):
+    # spans that start and end on different days, so owners own groups of
+    # several windows, and a planted group, so that some pairs are kept
+    n_days, n = 90, 18
+    gate = rng.random(n_days) < 0.4
+    slist = []
+    for i in range(n):
+        counts = rng.poisson(2.0 if i < 5 else 1.0, n_days) * (gate if i < 5 else 1)
+        start, end = 5 * (i % 4), n_days - 1 - 7 * (i % 3)
+        counts[:start] = counts[end + 1:] = 0
+        counts[[start, end]] += 1
+        slist.append(series_from_counts(counts, investor=f"s{i:02d}"))
+    m = matrix(slist)
+    assert len({(start, end) for _, start, end, _, _ in _groups(m)}) >= 6
+    payload = {"rows": [m.active(k) for k in range(n)],
+               "tables": syncnet._count_table(m.first_day.tolist(), m.last_day.tolist()),
+               "seed": 8, "shuffles": 199, "level": 0.05}
+
+    def run(tasks):
+        results = [syncnet._test_owners(dict(payload), task) for task in tasks]
+        return (sorted(edge for kept, _ in results for edge in kept),
+                sum((counts for _, counts in results), Counter()))
+
+    kept, counts = run([range(n)])
+    assert len(kept) >= 5 and counts["tested"] > 0
+    assert sum(counts[k] for k in ("disjoint", "short", "degenerate", "tested")) \
+        == n * (n - 1) // 2
+    for tasks in ([range(k, n, 5) for k in range(5)], [range(n - 1, -1, -1)],
+                  [[a] for a in reversed(range(n))]):
+        assert run(tasks) == (kept, counts)
+    net = build_sync_network(m, min_ops=1, shuffles=199, level=0.05, seed=8, workers=1)
+    assert [(e.i, e.j) for e in net.edges] == \
+        [(f"s{i:02d}", f"s{j:02d}") for i, j, *_ in kept]
 
 
 def _stop_points(flags, shuffles, level, block_rows):
@@ -417,7 +465,7 @@ def _stop_points(flags, shuffles, level, block_rows):
 
 def _groups(m):
     """The pair test's groups over every row of matrix m."""
-    groups, _, _ = syncnet._plan(m.first_day.tolist(), m.last_day.tolist())
+    groups, _, _ = _plan(m.first_day.tolist(), m.last_day.tolist())
     return groups
 
 
