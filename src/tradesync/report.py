@@ -25,7 +25,7 @@ from .ingest import (AutoFilterPolicy, QuoteSeries, Reject, TradeColumns,
                      build_calendar, filter_automatic, split_off_calendar)
 from .syncnet import SyncNetwork, build_sync_network, write_edges
 
-REPORT_VERSION = "9"
+REPORT_VERSION = "10"
 MAX_BINS = 10_000
 
 

@@ -6,16 +6,25 @@ This is the O(N^2 * shuffles) hot path. A shuffle permutes one window only
 (permuting both gives the same null: sigma(x).tau(y) = x.(sigma^-1 tau)(y)).
 Pairs that permute the same node's window over the same days form a group,
 and each permutation of that window is scored against every partner of the
-group, so the p-values of pairs that share a permuted node are dependent.
-Each pair's exceedances are still i.i.d. over its own replicas, and a pair
-stops drawing once it can no longer be kept (Besag and Clifford 1991), by its
-own count only, so every kept pair gets an exact p-value and the bound on
-false edges (`expected_false_edges_max`) is unchanged. A task makes and
-tests the groups of some owner nodes; tasks run on a process pool when the
-test is large enough to pay for one (see `parallel.map_tasks`), else in the
-calling process. Each group draws from an RNG stream derived from (seed,
-node, window start, window end[, part]), so the network is identical for
-any worker count and any split of the owners into tasks.
+group. The permutations come from one bank per size class M, the smallest
+power of two at least the window length L: bank M holds uniform
+permutations of range(M), row r drawn from the stream task_rng(seed, M)
+after rows 0..r-1, and a window of length L takes each row's entries below
+L, in order. That restriction is exact: under a uniform permutation the
+relative order of any fixed subset is uniform, so the restricted row is a
+uniform permutation of range(L). Every pair of one size class scores the
+same rows, as in Westfall-Young resampling, so the p-values of pairs are
+dependent, within a group and across groups. Each pair's exceedances are
+still i.i.d. over its own replicas, and a pair stops drawing once it can no
+longer be kept (Besag and Clifford 1991), by its own count only, so every
+kept pair gets an exact p-value and the bound on false edges
+(`expected_false_edges_max`) is unchanged. A task makes and tests the
+groups of some owner nodes; tasks run on a process pool when the test is
+large enough to pay for one (see `parallel.map_tasks`), else in the calling
+process. Each process draws its banks as far as its groups ask, at most
+shuffles x sum(M) indices (about 4 M at 999 shuffles and windows of at most
+2,048 days). A bank row depends only on (seed, M), so the network is
+identical for any worker count and any split of the owners into tasks.
 """
 
 from __future__ import annotations
@@ -31,16 +40,17 @@ from .activity import ActivityMatrix
 from .parallel import map_tasks, resolve_workers, task_rng
 from .volatility import population_correlation
 
-# Shuffles are drawn in blocks of at most _BLOCK_ROWS (fewer for very long
-# windows). `rng.permuted` consumes the stream row by row, so the block size
-# only sets where a pair may stop, never which permutations it draws. A group
+# Shuffles are scored in blocks of at most _BLOCK_ROWS (fewer for very long
+# windows). A block takes the next rows of its bank, so the block size only
+# sets where a pair may stop, never which permutations it scores. A group
 # holds at most _BLOCK_ELEMENTS // L partners of window length L.
 _BLOCK_ROWS = 50
 _BLOCK_ELEMENTS = 2_000_000
 
 # Serial CPU seconds per unit of the pair test's work, one pair's window day
-# under one shuffle, for the pool's gate (measured 0.3-2.8 ns).
-_CPU_S_PER_UNIT = 1e-9
+# under one shuffle, for the pool's gate (measured 0.11-0.46 ns; up to 1.2 ns
+# on tests of a few hundred pairs, where each group's fixed cost dominates).
+_CPU_S_PER_UNIT = 2e-10
 
 
 @dataclass(frozen=True)
@@ -76,16 +86,56 @@ class SyncNetwork:
         return [n for n in self.node_ids if deg[n] == 0]
 
 
+def _restrict(perms: np.ndarray, length: int) -> np.ndarray:
+    """Each row of `perms`, permutations of range(M) with M >= length, cut to
+    its entries below `length`, in order: from a uniform permutation of
+    range(M), a uniform permutation of range(length)."""
+    if perms.shape[1] == length:
+        return perms
+    # the positions of the kept entries, then one gather: a boolean mask
+    # index branches on every entry and runs 4x slower when about half stay
+    return perms.ravel()[np.flatnonzero(perms < length)].reshape(-1, length)
+
+
+class _Bank:
+    """The pair test's shuffles for one seed: for each size class M, a power
+    of two, uniform permutations of range(M) as the narrowest unsigned
+    integers that hold M - 1. Row r of class M is drawn from the stream
+    task_rng(seed, M) after rows 0..r-1 (`rng.permuted` consumes it row by
+    row), and rows are drawn only as far as they are asked for, so row r
+    depends on (seed, M) alone, not on the calls that grew the bank."""
+
+    def __init__(self, seed: int, shuffles: int):
+        self.seed, self.shuffles = seed, shuffles
+        self.classes: dict[int, list] = {}  # M: [rows, rows drawn, stream]
+
+    def permutations(self, length: int, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi of class M, the smallest power of two >= length,
+        restricted to range(length)."""
+        m = 1 << (length - 1).bit_length()
+        if m not in self.classes:
+            self.classes[m] = [np.empty((self.shuffles, m), np.min_scalar_type(m - 1)),
+                               0, task_rng(self.seed, m)]
+        perms, drawn, rng = self.classes[m]
+        if hi > drawn:
+            new = perms[drawn:hi]
+            new[:] = np.arange(m)
+            rng.permuted(new, axis=1, out=new)
+            self.classes[m][1] = hi
+        return _restrict(perms[lo:hi], length)
+
+
 def _shuffle_exceed_count(x: np.ndarray, y: np.ndarray, shuffles: int,
-                          rng: np.random.Generator, level: float | None = None
+                          bank: _Bank, level: float | None = None
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Per partner: (replicas whose correlation reaches the observed one,
     replicas drawn).
 
     `y` holds one partner window per column; a single pair is one column.
-    Each replica permutes x once and scores every partner still drawing with
-    one matrix product. Permutations leave window means and sigmas unchanged,
-    so comparing raw dot products is equivalent to comparing correlations.
+    Replica r permutes x by row r of `bank` and scores every partner still
+    drawing with one matrix product. Permutations leave window means and
+    sigmas unchanged, so comparing raw dot products is equivalent to
+    comparing correlations.
     With a `level`, a partner stops drawing after the first block where its
     own (1 + count) / (shuffles + 1) >= level: it can no longer be kept. The
     first block holds the exceedances a partner needs to stop, since no
@@ -102,8 +152,8 @@ def _shuffle_exceed_count(x: np.ndarray, y: np.ndarray, shuffles: int,
     done = rows = 0
     while done < shuffles and live.size:
         rows = min(cap, 2 * rows if rows else max(stop_count, 1), shuffles - done)
-        xs = np.tile(x, (rows, 1))
-        rng.permuted(xs, axis=1, out=xs)
+        # np.take: indexing x[perms] casts the narrow indices 3x slower
+        xs = np.take(x, bank.permutations(x.size, done, done + rows))
         count[live] += np.count_nonzero(xs @ y_live >= s0_live, axis=0)
         done += rows
         used[live] = done
@@ -192,8 +242,9 @@ def _test_owners(payload: dict, owners: range) -> tuple[list[tuple], dict]:
     """Test the pairs of some owner nodes: the kept edges as (i, j, rho,
     overlap, pvalue) tuples with i < j node indices, and the count of each
     pair outcome. Each owner's groups are made by its owner pass and tested
-    as they come; each group permutes its node's window on its own RNG stream
-    and shares every permutation among its partners."""
+    as they come; each group permutes its node's window by the rows of the
+    bank of its window's size class and shares every permutation among its
+    partners."""
     first, last = payload["tables"][:2]
     if "spans" not in payload:
         # each node's counts on every day of its active span, as floats; made
@@ -204,13 +255,15 @@ def _test_owners(payload: dict, owners: range) -> tuple[list[tuple], dict]:
             span[day - start] = count
             payload["spans"].append(span)
     spans = payload["spans"]
-    seed, shuffles, level = payload["seed"], payload["shuffles"], payload["level"]
+    shuffles, level = payload["shuffles"], payload["level"]
+    # drawn as far as this process's groups ask, kept with the payload
+    bank = payload.setdefault("bank", _Bank(payload["seed"], shuffles))
     counts: Counter = Counter()
     kept: list[tuple] = []
     for owner in owners:
         groups, disjoint, short = _owned(payload["tables"], owner)
         counts.update(disjoint=disjoint, short=short)
-        for a, start, end, part, partners in groups:
+        for a, start, end, _, partners in groups:
             x = spans[a][start - first[a]:end - first[a] + 1]
             ys = np.array([spans[b][start - first[b]:end - first[b] + 1]
                            for b in partners.tolist()])
@@ -220,9 +273,8 @@ def _test_owners(payload: dict, owners: range) -> tuple[list[tuple], dict]:
             if not tested.any():
                 continue
             partners, rho = partners[tested], rho[tested]
-            coords = (a, start, end) if part is None else (a, start, end, part)
-            count, used = _shuffle_exceed_count(x, ys[tested].T, shuffles,
-                                                task_rng(seed, *coords), level)
+            count, used = _shuffle_exceed_count(x, ys[tested].T, shuffles, bank,
+                                                level)
             counts["tested"] += partners.size
             counts["negative_rho"] += int(np.count_nonzero(rho < 0))
             counts["shuffles_used"] += int(used.sum())

@@ -24,7 +24,7 @@ from tradesync.errors import ConfigError, DegenerateInputError, GenerationError
 from tradesync.ingest import (_AUTO_TOKENS, TRADE_FIELDS, ParseResult, Reject,
                               TradeColumns, _header_positions)
 from tradesync.netmetrics import _endpoint_r, _index_graph, _modularity_indexed
-from tradesync.syncnet import SyncNetwork, _shuffle_exceed_count
+from tradesync.syncnet import SyncNetwork, _Bank, _shuffle_exceed_count
 
 
 def bruteforce_pair_correlation(x, y):
@@ -316,17 +316,19 @@ def reference_plan(first: list[int], last: list[int]) -> tuple[list[tuple], int,
 
 
 def permutation_pvalue(x: np.ndarray, y: np.ndarray, shuffles: int,
-                       rng: np.random.Generator) -> float:
+                       seed: int) -> float:
     """One-sided permutation p-value for the correlation of two windows.
 
-    Each replica re-permutes the day sequence of x, and all shuffles are
-    drawn (the pair test's kernel on a one-partner group, without its early
-    stop); p = (1 + #{rho_shuffled >= rho}) / (shuffles + 1).
+    Each replica re-permutes the day sequence of x by the next row of a
+    fresh shuffle bank for `seed`, and all shuffles are drawn (the pair
+    test's kernel on a one-partner group, without its early stop);
+    p = (1 + #{rho_shuffled >= rho}) / (shuffles + 1).
     """
     if shuffles < 99:
         raise ValueError("need at least 99 shuffles for a meaningful p-value")
     count, _ = _shuffle_exceed_count(np.asarray(x, float),
-                                     np.asarray(y, float)[:, np.newaxis], shuffles, rng)
+                                     np.asarray(y, float)[:, np.newaxis], shuffles,
+                                     _Bank(seed, shuffles))
     return (1 + int(count[0])) / (shuffles + 1)
 
 

@@ -217,7 +217,7 @@ def test_report_end_to_end_and_determinism(synth_data, tmp_path):
     r2 = (out2 / "report.json").read_bytes()
     assert r1 == r2
     report = json.loads(r1)
-    assert report["version"] == "9"
+    assert report["version"] == "10"
     assert report["run"]["seed"] == 5
     assert report["run"]["trade_rejects"] == 0
     assert report["run"]["trade_rejects_by_reason"] == {}

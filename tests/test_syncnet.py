@@ -119,7 +119,7 @@ class TestPermutationFilter:
         x = np.random.default_rng(1).integers(1, 9, size=30).astype(float)
         y = x.copy()
         assert population_correlation(x, y) == 1.0
-        pvalue = permutation_pvalue(x, y, shuffles=999, rng=task_rng(7))
+        pvalue = permutation_pvalue(x, y, shuffles=999, seed=7)
         assert pvalue < 0.01
         assert pvalue == pytest.approx(1 / 1000)
 
@@ -127,29 +127,29 @@ class TestPermutationFilter:
         x = np.array([0.0, 1.0, 2.0, 3.0])
         y = np.array([1.0, 3.0, 0.0, 2.0])
         assert population_correlation(x, y) == 0.0
-        p = permutation_pvalue(x, y, shuffles=999, rng=task_rng(3, 0))
+        p = permutation_pvalue(x, y, shuffles=999, seed=3)
         assert p > 0.1  # far above any conventional level
 
     def test_deterministic_given_seed(self):
         rng_data = np.random.default_rng(5)
         x = rng_data.poisson(1.0, 100).astype(float)
         y = rng_data.poisson(1.0, 100).astype(float)
-        p1 = permutation_pvalue(x, y, 999, task_rng(11, 4, 9))
-        p2 = permutation_pvalue(x, y, 999, task_rng(11, 4, 9))
+        p1 = permutation_pvalue(x, y, 999, 11)
+        p2 = permutation_pvalue(x, y, 999, 11)
         assert p1 == p2
 
     def test_null_permutes_one_window(self):
         rng_data = np.random.default_rng(6)
         x = rng_data.poisson(1.0, 60).astype(float)
         y = rng_data.poisson(1.0, 60).astype(float)
-        p = permutation_pvalue(x, y, 499, task_rng(1, 0))
-        exceed = _replayed_exceedances(x, y, 499, task_rng(1, 0))
+        p = permutation_pvalue(x, y, 499, 1)
+        exceed = _replayed_exceedances(x, y, 499, 1)
         assert p == (1 + exceed.sum()) / 500
         assert 0 < p <= 1
 
     def test_min_shuffles_enforced(self):
         with pytest.raises(ValueError):
-            permutation_pvalue(np.arange(5.0), np.arange(5.0), 10, task_rng(0, 0))
+            permutation_pvalue(np.arange(5.0), np.arange(5.0), 10, 0)
 
 
 def _exact_exceed_probability(x, y) -> Fraction:
@@ -168,30 +168,73 @@ def _exact_exceed_probability(x, y) -> Fraction:
     # a group: each permutation of x scores both partners, one with tied zeros
     ([3, 0, 5, 1, 4, 2, 6], [[1, 4, 6, 0, 3, 2, 5], [1, 0, 2, 0, 1, 3, 0]],
      [Fraction(1, 10), Fraction(59, 140)]),
+    # 8 days fill their size class: the bank's rows are used whole
+    ([0, 2, 1, 0, 3, 1, 0, 4], [1, 0, 2, 0, 1, 3, 0, 2], Fraction(1, 4)),
 ])
 def test_shuffle_null_matches_every_permutation(x, y, exact):
-    # 7 days: the pair null is enumerated over all 5,040 permutations, and
-    # any sampler of it must land within 4 standard errors of that for every
-    # partner
+    # the pair null is enumerated over all 5,040 permutations of 7 days (rows
+    # of the 8-day bank cut to 7) or 40,320 of 8 days, and any sampler of it
+    # must land within 4 standard errors of that for every partner
     shuffles = 20_000
     ys = np.atleast_2d(np.array(y, float))
     exact = exact if isinstance(exact, list) else [exact]
     assert [_exact_exceed_probability(x, row) for row in ys.tolist()] == exact
     count, done = syncnet._shuffle_exceed_count(
-        np.array(x, float), ys.T, shuffles, task_rng(17, 0))
+        np.array(x, float), ys.T, shuffles, syncnet._Bank(17, shuffles))
     assert done.tolist() == [shuffles] * len(exact)
     for c, p in zip(count.tolist(), map(float, exact)):
         assert abs(c / shuffles - p) <= 4 * math.sqrt(p * (1 - p) / shuffles)
 
 
-def _replayed_exceedances(x, y, shuffles, rng):
-    """Per-replica exceedance flags, drawing one permutation of x at a time."""
+def test_restriction_of_every_permutation_is_uniform():
+    # all 8! permutations of range(8), cut to their entries below 5: each of
+    # the 5! orders of range(5) comes from exactly 8! / 5! = 336 of them
+    perms = np.array(list(itertools.permutations(range(8))), dtype=np.uint8)
+    restricted = syncnet._restrict(perms, 5)
+    assert restricted.shape == (40_320, 5)
+    hits = Counter(map(tuple, restricted.tolist()))
+    assert len(hits) == 120 and set(hits.values()) == {336}
+    assert syncnet._restrict(perms, 8) is perms
+
+
+@pytest.mark.parametrize("length,dtype", [(2, np.uint8), (200, np.uint8),
+                                          (256, np.uint8), (257, np.uint16),
+                                          (512, np.uint16)])
+def test_bank_rows_do_not_depend_on_how_the_bank_grew(length, dtype):
+    # rows drawn in one call equal rows drawn in the kernel's block sizes:
+    # 9 (the exceedances needed to stop at 999 shuffles and level 0.01),
+    # then doubling up to 50 rows
+    shuffles = 999
+    whole = syncnet._Bank(4, shuffles).permutations(length, 0, shuffles)
+    bank, blocks, done, rows = syncnet._Bank(4, shuffles), [], 0, 0
+    while done < shuffles:
+        rows = min(50, 2 * rows if rows else 9, shuffles - done)
+        blocks.append(bank.permutations(length, done, done + rows))
+        done += rows
+    assert [b.shape[0] for b in blocks[:4]] == [9, 18, 36, 50]
+    assert np.array_equal(np.concatenate(blocks), whole)
+    assert whole.shape == (shuffles, length) and whole.dtype == dtype
+    assert (np.sort(whole, axis=1) == np.arange(length)).all()
+    # a later call reads the rows already drawn
+    assert np.array_equal(bank.permutations(length, 100, 200), whole[100:200])
+    # a window of another length in the same size class reads the same rows
+    m = 1 << (length - 1).bit_length()
+    full = bank.permutations(m, 0, shuffles)
+    assert np.array_equal(syncnet._restrict(full, length), whole)
+
+
+def _replayed_exceedances(x, y, shuffles, seed):
+    """Per-replica exceedance flags, drawing one permutation at a time from
+    the stream of x's size class, the smallest power of two m >= len(x), and
+    keeping its entries below len(x)."""
     s0 = float(np.dot(x, y))
+    m = 1 << (x.size - 1).bit_length()
+    rng = task_rng(seed, m)
     flags = []
     for _ in range(shuffles):
-        xs = x[np.newaxis, :].copy()
-        rng.permuted(xs, axis=1, out=xs)
-        flags.append(float(xs[0] @ y) >= s0)
+        perm = np.arange(m)[np.newaxis, :]
+        rng.permuted(perm, axis=1, out=perm)
+        flags.append(float(x[perm[perm < x.size]] @ y) >= s0)
     return np.array(flags)
 
 
@@ -333,6 +376,35 @@ class TestBuildSyncNetwork:
             edges += len(net.edges)
             variances.append(np.var(list(net.degree().values())))
         assert tested == 12 * n_nodes * (n_nodes - 1) // 2
+        assert edges / tested <= q + 3 * math.sqrt(q * (1 - q) / tested)
+        assert np.mean(variances) <= 1.3 * (n_nodes - 1) * q * (1 - q)
+
+    def test_false_edges_do_not_cluster_across_groups_of_one_bank(self):
+        # a null market whose nodes start on 20 different days and end on the
+        # last: pairs fall in groups of 20 windows, 81 to 100 days long, and
+        # every group scores the same rows of the 128-day bank, so dependence
+        # across groups would show as an excess of false edges or as a wider
+        # spread of false degrees
+        n_nodes, n_days, shuffles, level = 60, 100, 199, 0.05
+        q = (math.ceil(level * (shuffles + 1)) - 1) / (shuffles + 1)  # 9 / 200
+        tested = edges = 0
+        variances = []
+        for seed in range(12):
+            data = np.random.default_rng(900 + seed)
+            slist = []
+            for i in range(n_nodes):
+                counts = data.poisson(1.0, n_days)
+                counts[:i % 20] = 0
+                counts[i % 20] = max(counts[i % 20], 1)
+                counts[-1] = max(counts[-1], 1)
+                slist.append(series_from_counts(counts, investor=f"N{i:02d}"))
+            net = _network(slist, shuffles=shuffles, level=level, seed=seed)
+            tested += net.diagnostics["pairs_tested"]
+            edges += len(net.edges)
+            variances.append(np.var(list(net.degree().values())))
+        assert tested == 12 * n_nodes * (n_nodes - 1) // 2
+        windows = {end - start + 1 for _, start, end, _, _ in _groups(matrix(slist))}
+        assert len(windows) == 20 and {1 << (w - 1).bit_length() for w in windows} == {128}
         assert edges / tested <= q + 3 * math.sqrt(q * (1 - q) / tested)
         assert np.mean(variances) <= 1.3 * (n_nodes - 1) * q * (1 - q)
 
@@ -479,7 +551,7 @@ class TestEarlyStopping:
         pytest.param(1, syncnet._BLOCK_ELEMENTS, id="1"),
         pytest.param(7, syncnet._BLOCK_ELEMENTS, id="7"),
         pytest.param(50, syncnet._BLOCK_ELEMENTS, id="50"),
-        # groups split into parts of 3 to 5 partners, each on its own stream
+        # groups split into parts of 3 to 5 partners, all on one bank
         pytest.param(50, 400, id="50-split"),
     ])
     def test_stopped_run_matches_full_run(self, rng, monkeypatch, block_rows,
@@ -508,19 +580,17 @@ class TestEarlyStopping:
         parts = [part for _, _, _, part, _ in groups]
         assert (parts.count(None) < len(parts)) == (max_elements == 400)
         full, stops = {}, []
-        for a, start, end, part, partners in groups:
-            coords = (a, start, end) if part is None else (a, start, end, part)
+        for a, start, end, _, partners in groups:
             x = window(m, a, start, end).astype(float)
             flags = []
             for b in partners.tolist():
                 y = window(m, b, start, end).astype(float)
-                # each partner alone replays the whole group stream
-                full_p = permutation_pvalue(x, y, shuffles, task_rng(seed, *coords))
+                # each partner alone replays the whole bank of its window
+                full_p = permutation_pvalue(x, y, shuffles, seed)
                 if full_p < level:
                     full[f"s{min(a, b):02d}", f"s{max(a, b):02d}"] = (
                         population_correlation(x, y), full_p)
-                flags.append(_replayed_exceedances(x, y, shuffles,
-                                                   task_rng(seed, *coords)))
+                flags.append(_replayed_exceedances(x, y, shuffles, seed))
             rows = max(1, min(block_rows, max_elements // x.size))
             stops += _stop_points(np.array(flags), shuffles, level, rows)
         assert {(e.i, e.j): (e.rho, e.pvalue) for e in net.edges} == full
@@ -549,8 +619,7 @@ class TestEarlyStopping:
         [(a, start, end, part, partners)] = _groups(m)
         assert part is None and partners.tolist() == [1 - a]
         xw, yw = window(m, a, start, end), window(m, 1 - a, start, end)
-        flags = _replayed_exceedances(xw.astype(float), yw.astype(float), 600,
-                                      task_rng(5, a, start, end))
+        flags = _replayed_exceedances(xw.astype(float), yw.astype(float), 600, 5)
         # the shuffle count ending at an exceedance, with at least 99 shuffles
         hits = np.flatnonzero(flags) + 1
         shuffles = int(hits[hits >= 99][0])
