@@ -225,29 +225,22 @@ def discretize_opd(values: dict[str, float], cap: int = 100) -> dict[str, int]:
     return {node: min(int(v), cap) for node, v in values.items()}
 
 
-def _endpoint_r(edges, scores: np.ndarray) -> float:
+def _endpoint_r(ends: np.ndarray, degree: np.ndarray, scores: np.ndarray,
+                buf: np.ndarray) -> float:
     """Newman's (2003) assortativity r: the correlation of the values at the
     two ends of an edge, over the 2m ordered endpoints of the m edges.
 
-    With x, y the integer scores at the ends of each edge, S = sum(x + y),
-    Q = sum(x^2 + y^2) and P = sum(x*y) give
-    r = (2*2m*P - S^2) / (2m*Q - S^2). The sums are exact in int64 while
-    sum(x^2) stays below 2**63 (the discretized attributes lie in
-    [-100, 100] by default), the products are Python ints, and the ratio of
-    two ints is correctly rounded, so |r| <= 1 holds exactly.
+    `ends` holds the edges' endpoints, an int64 array of shape (2, m), and
+    `degree` each node's count of endpoints. With x, y the integer scores at
+    the ends of each edge, S = sum(x + y) and Q = sum(x^2 + y^2) are sums
+    over the nodes weighted by `degree`, P = sum(x*y) comes from one gather
+    of the endpoint scores into `buf`, an int64 array of the shape of `ends`
+    that every call may reuse, and r = (2*2m*P - S^2) / (2m*Q - S^2). The
+    sums are exact in int64 while sum(x^2) stays below 2**63 (the
+    discretized attributes lie in [-100, 100] by default), the products are
+    Python ints, and the ratio of two ints is correctly rounded, so |r| <= 1
+    holds exactly.
     """
-    ends = scores[np.asarray(edges, dtype=np.int64).reshape(-1, 2)]
-    return _r_of_sums(ends.size, int(ends.sum()), int((ends * ends).sum()),
-                      int(ends[:, 0] @ ends[:, 1]))
-
-
-def _permuted_r(ends: np.ndarray, degree: np.ndarray, scores: np.ndarray,
-                buf: np.ndarray) -> float:
-    """_endpoint_r(ends.T, scores) without a temporary per edge: S and Q are
-    sums over the nodes weighted by `degree`, each node's endpoint count, and
-    P comes from one gather of the endpoint scores into `buf`, an int64 array
-    of the shape (2, m) of `ends` that every call may reuse. The sums are the
-    same ints, so r is the same float."""
     # every index is in range; "clip", unlike "raise", writes into buf directly
     np.take(scores, ends, out=buf, mode="clip")
     return _r_of_sums(ends.size, int(degree @ scores), int(degree @ (scores * scores)),
@@ -263,23 +256,27 @@ def _r_of_sums(two_m: int, s: int, q: int, p: int) -> float:
     return (2 * two_m * p - s * s) / den
 
 
-def _edge_pairs_with_scores(net: SyncNetwork,
-                            attribute: dict[str, int | tuple[int, ...]]
-                            ) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Restrict to edges whose both endpoints carry a score; the scores are
-    one row per scored node, in node order, of one int or a tuple of ints."""
+def _scored_ends(net: SyncNetwork, attribute: dict[str, int | tuple[int, ...]]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Restrict to edges whose both endpoints carry a score: their endpoints
+    as an int64 array of shape (2, m) over the scored nodes in node order,
+    each scored node's count of endpoints, and the scores, one row per
+    scored node of one int or a tuple of ints."""
     nodes = [n for n in net.node_ids if n in attribute]
     pos = {n: i for i, n in enumerate(nodes)}
     pairs = [(pos[e.i], pos[e.j]) for e in net.edges if e.i in pos and e.j in pos]
     if not pairs:
         raise DegenerateInputError("no edges with both endpoints scored")
-    return pairs, np.array([attribute[n] for n in nodes], dtype=np.int64)
+    ends = np.array(pairs, dtype=np.int64).T.copy()
+    return (ends, np.bincount(ends.ravel(), minlength=len(nodes)),
+            np.array([attribute[n] for n in nodes], dtype=np.int64))
 
 
 def assortativity(net: SyncNetwork, attribute: dict[str, int]) -> float:
     """Assortativity of the network by a discretized scalar attribute over
     the retained edges (edge presence only)."""
-    return _endpoint_r(*_edge_pairs_with_scores(net, attribute))
+    ends, degree, scores = _scored_ends(net, attribute)
+    return _endpoint_r(ends, degree, scores, np.empty_like(ends))
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +393,15 @@ def _rewire_chain(payload: dict, task: tuple[int, int]
     after each further gap, `task[1]` in all."""
     chain, samples = task
     schedule = [payload["burn_in"]] + [payload["gap"]] * (samples - 1)
+    # the chain's edges as endpoints; a swap keeps every node's degree
+    ends, degree = payload["ends"].copy(), payload["degree"]
+    buf = np.empty_like(ends)
     values, accepted = [], 0
-    for src, dst, accepted in double_edge_swap(payload["pairs"], schedule,
+    for src, dst, accepted in double_edge_swap(ends.T.tolist(), schedule,
                                                task_rng(payload["seed"], chain)):
-        edges = np.array([src, dst]).T
-        values.append([_endpoint_r(edges, column) for column in payload["scores"].T])
+        ends[0], ends[1] = src, dst
+        values.append([_endpoint_r(ends, degree, column, buf)
+                       for column in payload["scores"].T])
     return values, accepted
 
 
@@ -436,11 +437,11 @@ def null_rewire(net: SyncNetwork, attribute: dict[str, int | tuple[int, ...]],
     """
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
-    pairs, scores = _edge_pairs_with_scores(net, attribute)
+    ends, degree, scores = _scored_ends(net, attribute)
     single = scores.ndim == 1
-    burn_in, gap = BURN_IN * len(pairs), SAMPLE_GAP * len(pairs)
+    burn_in, gap = BURN_IN * ends.shape[1], SAMPLE_GAP * ends.shape[1]
     columns = scores.reshape(len(scores), -1)
-    payload = {"pairs": pairs, "scores": columns, "seed": seed,
+    payload = {"ends": ends, "degree": degree, "scores": columns, "seed": seed,
                "burn_in": burn_in, "gap": gap}
     tasks = [(c, len(range(c, replicas, REWIRE_CHAINS)))
              for c in range(min(REWIRE_CHAINS, replicas))]
@@ -464,15 +465,13 @@ def null_shuffle(net: SyncNetwork, attribute: dict[str, int], replicas: int = 10
     left out and counted as `undefined`."""
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
-    pairs, scores = _edge_pairs_with_scores(net, attribute)
-    ends = np.array(pairs, dtype=np.int64).T.copy()
-    degree = np.bincount(ends.ravel(), minlength=len(scores))
+    ends, degree, scores = _scored_ends(net, attribute)
     buf = np.empty_like(ends)
     values = []
     for rep in range(replicas):
         perm = task_rng(seed, rep).permutation(len(scores))
         try:
-            values.append(_permuted_r(ends, degree, scores[perm], buf))
+            values.append(_endpoint_r(ends, degree, scores[perm], buf))
         except DegenerateInputError:
             pass
     if not values:

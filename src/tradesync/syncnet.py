@@ -18,13 +18,18 @@ dependent, within a group and across groups. Each pair's exceedances are
 still i.i.d. over its own replicas, and a pair stops drawing once it can no
 longer be kept (Besag and Clifford 1991), by its own count only, so every
 kept pair gets an exact p-value and the bound on false edges
-(`expected_false_edges_max`) is unchanged. A task makes and tests the
-groups of some owner nodes; tasks run on a process pool when the test is
-large enough to pay for one (see `parallel.map_tasks`), else in the calling
-process. Each process draws its banks as far as its groups ask, at most
-shuffles x sum(M) indices (about 4 M at 999 shuffles and windows of at most
-2,048 days). A bank row depends only on (seed, M), so the network is
-identical for any worker count and any split of the owners into tasks.
+(`expected_false_edges_max`) is unchanged. The nodes' counts form one node x
+calendar-day matrix, built once in the calling process in the narrowest
+unsigned integer that holds the largest count (60 MB at 30,000 nodes and
+2,000 days when every count is below 256); a group reads its node's window
+and its partners' windows from it with one gather each. A task makes and
+tests the groups of some owner nodes; tasks run on a process pool when the
+test is large enough to pay for one (see `parallel.map_tasks`), else in the
+calling process. Each process draws a size class whole, all its rows, the
+first time one of its windows asks for it: at most shuffles x sum(M) indices
+(about 4 M at 999 shuffles and windows of at most 2,048 days). A bank row
+depends only on (seed, M), so the network is identical for any worker count
+and any split of the owners into tasks.
 """
 
 from __future__ import annotations
@@ -99,30 +104,25 @@ def _restrict(perms: np.ndarray, length: int) -> np.ndarray:
 
 class _Bank:
     """The pair test's shuffles for one seed: for each size class M, a power
-    of two, uniform permutations of range(M) as the narrowest unsigned
-    integers that hold M - 1. Row r of class M is drawn from the stream
-    task_rng(seed, M) after rows 0..r-1 (`rng.permuted` consumes it row by
-    row), and rows are drawn only as far as they are asked for, so row r
-    depends on (seed, M) alone, not on the calls that grew the bank."""
+    of two, `shuffles` uniform permutations of range(M) as the narrowest
+    unsigned integers that hold M - 1, drawn from the stream task_rng(seed, M)
+    the first time a window of the class asks. `rng.permuted` consumes the
+    stream row by row, so row r is the same as if the rows had been drawn
+    one at a time."""
 
     def __init__(self, seed: int, shuffles: int):
         self.seed, self.shuffles = seed, shuffles
-        self.classes: dict[int, list] = {}  # M: [rows, rows drawn, stream]
+        self.classes: dict[int, np.ndarray] = {}
 
     def permutations(self, length: int, lo: int, hi: int) -> np.ndarray:
         """Rows lo..hi of class M, the smallest power of two >= length,
         restricted to range(length)."""
         m = 1 << (length - 1).bit_length()
         if m not in self.classes:
-            self.classes[m] = [np.empty((self.shuffles, m), np.min_scalar_type(m - 1)),
-                               0, task_rng(self.seed, m)]
-        perms, drawn, rng = self.classes[m]
-        if hi > drawn:
-            new = perms[drawn:hi]
-            new[:] = np.arange(m)
-            rng.permuted(new, axis=1, out=new)
-            self.classes[m][1] = hi
-        return _restrict(perms[lo:hi], length)
+            perms = np.empty((self.shuffles, m), np.min_scalar_type(m - 1))
+            perms[:] = np.arange(m)
+            self.classes[m] = task_rng(self.seed, m).permuted(perms, axis=1, out=perms)
+        return _restrict(self.classes[m][lo:hi], length)
 
 
 def _shuffle_exceed_count(x: np.ndarray, y: np.ndarray, shuffles: int,
@@ -242,31 +242,20 @@ def _test_owners(payload: dict, owners: range) -> tuple[list[tuple], dict]:
     """Test the pairs of some owner nodes: the kept edges as (i, j, rho,
     overlap, pvalue) tuples with i < j node indices, and the count of each
     pair outcome. Each owner's groups are made by its owner pass and tested
-    as they come; each group permutes its node's window by the rows of the
-    bank of its window's size class and shares every permutation among its
+    as they come. A group gathers its node's window and its partners' windows
+    from the count matrix, permutes its node's window by the rows of the bank
+    of the window's size class and shares every permutation among its
     partners."""
-    first, last = payload["tables"][:2]
-    if "spans" not in payload:
-        # each node's counts on every day of its active span, as floats; made
-        # once per call in each process and kept with the payload
-        payload["spans"] = []
-        for (day, count), start, end in zip(payload["rows"], first, last):
-            span = np.zeros(end - start + 1)
-            span[day - start] = count
-            payload["spans"].append(span)
-    spans = payload["spans"]
+    matrix, bank = payload["matrix"], payload["bank"]
     shuffles, level = payload["shuffles"], payload["level"]
-    # drawn as far as this process's groups ask, kept with the payload
-    bank = payload.setdefault("bank", _Bank(payload["seed"], shuffles))
     counts: Counter = Counter()
     kept: list[tuple] = []
     for owner in owners:
         groups, disjoint, short = _owned(payload["tables"], owner)
         counts.update(disjoint=disjoint, short=short)
         for a, start, end, _, partners in groups:
-            x = spans[a][start - first[a]:end - first[a] + 1]
-            ys = np.array([spans[b][start - first[b]:end - first[b] + 1]
-                           for b in partners.tolist()])
+            x = matrix[a, start:end + 1].astype(float)
+            ys = matrix[partners, start:end + 1].astype(float)
             rho = population_correlation(x, ys)
             tested = ~np.isnan(rho)
             counts["degenerate"] += int(partners.size - np.count_nonzero(tested))
@@ -303,11 +292,16 @@ def build_sync_network(series: ActivityMatrix, min_ops: int = 20,
     n = len(node_ids)
     n_pairs = n * (n - 1) // 2
     workers = resolve_workers(workers)
-    # the nodes' sparse rows travel to the workers: dense spans would make
-    # each message about 100 MB at paper size
-    payload = {"rows": [series.active(k) for k in rows.tolist()],
-               "tables": _count_table(first, last), "seed": seed,
-               "shuffles": shuffles, "level": level}
+    # the nodes' counts on every calendar day up to the last, in the narrowest
+    # unsigned integer that holds the largest: one matrix that every process
+    # reads its windows from
+    sparse = [series.active(k) for k in rows.tolist()]
+    matrix = np.zeros((n, max(last, default=-1) + 1), np.min_scalar_type(
+        max((int(count.max()) for _, count in sparse), default=0)))
+    for k, (day, count) in enumerate(sparse):
+        matrix[k, day] = count
+    payload = {"matrix": matrix, "tables": _count_table(first, last),
+               "bank": _Bank(seed, shuffles), "shuffles": shuffles, "level": level}
     # per shuffle, one unit per pair for each day of its window
     days = np.arange(min(first, default=0), max(last, default=-1) + 1)
     active = (np.searchsorted(np.sort(first), days, "right")

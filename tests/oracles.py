@@ -345,8 +345,10 @@ def modularity_of(net: SyncNetwork, communities: dict[str, int]) -> float:
 def _edge_r(edges: list[tuple[int, int]], scores: np.ndarray) -> float | None:
     """Assortativity of an edge list, or None while it is undefined (all edge
     endpoints carrying one value, as can happen in a random start)."""
+    ends = np.array(edges, dtype=np.int64).T.copy()
+    degree = np.bincount(ends.ravel(), minlength=len(scores))
     try:
-        return _endpoint_r(edges, scores)
+        return _endpoint_r(ends, degree, scores, np.empty_like(ends))
     except DegenerateInputError:
         return None
 

@@ -11,9 +11,9 @@ from dataclasses import fields
 from jsonschema.validators import validator_for
 
 from report_schema import _asset_schema
-from tradesync import cli, netmetrics, parallel, synth
+from tradesync import cli, netmetrics, parallel, polarization, synth, syncnet
 from tradesync.cli import _from_flags, build_parser, main
-from tradesync.report import PipelineParams
+from tradesync.report import PipelineParams, derive_seeds
 from tradesync.synth import Ar1Config, CommunitySpec, SynthConfig
 
 
@@ -378,6 +378,31 @@ def test_report_leaves_no_worker_running(synth_data, tmp_path, monkeypatch, pool
     # every parallel stage ran on a pool of its own, joined before it returned
     assert pools and set(pools) == {2}
     assert multiprocessing.active_children() == []
+
+
+def test_no_two_randomized_steps_share_an_rng_stream(synth_data, tmp_path, monkeypatch):
+    # every task_rng key of one report, as the entropy its stream is seeded
+    # with: SeedSequence pads its entropy with zeros, so keys that differ
+    # only by trailing zeros draw one stream
+    keys = []
+
+    def recording(root_seed, *coords):
+        key = [int(root_seed), *map(int, coords)]
+        while key and key[-1] == 0:
+            key.pop()
+        keys.append(tuple(key))
+        return parallel.task_rng(root_seed, *coords)
+
+    for module in (syncnet, netmetrics, polarization):
+        monkeypatch.setattr(module, "task_rng", recording)
+    assert main(["report"] + _common(synth_data, tmp_path / "r")) == 0
+    # every step's derived seed roots some stream (rho_ov and opd score the
+    # same edges here, so one rewire null serves both), and no stream is
+    # drawn twice
+    seeds = derive_seeds(5, 0)
+    del seeds["opd_rewire"]
+    assert {key[0] for key in keys} == set(seeds.values())
+    assert len(set(keys)) == len(keys)
 
 
 def test_default_worker_count_follows_the_cpu_affinity(synth_data, tmp_path,

@@ -172,9 +172,9 @@ class TestAssortativity:
         with pytest.raises(DegenerateInputError):
             assortativity(net, {n: 7 for n in net.node_ids})
 
-    def test_permuted_r_is_the_endpoint_r(self, rng):
+    def test_endpoint_r_is_the_exact_endpoint_sums(self, rng):
         # nodes 0-4 carry no edge, and a few draws put one value on every
-        # endpoint; one buffer serves every call, as in the shuffle null
+        # endpoint; one buffer serves every call, as in the nulls
         for n, m in [(30, 20), (60, 300), (200, 150)]:
             pairs = rng.choice([(a, b) for a in range(5, n) for b in range(a + 1, n)],
                                size=m, replace=False)
@@ -183,13 +183,18 @@ class TestAssortativity:
             buf = np.empty_like(ends)
             for high in (1, 2, 3, 201) * 5:
                 scores = rng.integers(-100, -100 + high, size=n)
-                try:
-                    expected = netmetrics._endpoint_r(pairs, scores)
-                except DegenerateInputError:
+                x, y = ([int(scores[v]) for v in col] for col in ends.tolist())
+                s = sum(x) + sum(y)
+                q = sum(v * v for v in x + y)
+                p = sum(a * b for a, b in zip(x, y))
+                den = 2 * m * q - s * s
+                if den == 0:
                     with pytest.raises(DegenerateInputError):
-                        netmetrics._permuted_r(ends, degree, scores, buf)
+                        netmetrics._endpoint_r(ends, degree, scores, buf)
                     continue
-                assert netmetrics._permuted_r(ends, degree, scores, buf) == expected
+                assert netmetrics._endpoint_r(ends, degree, scores, buf) == \
+                    (4 * m * p - s * s) / den
+
 
 class TestDoubleEdgeSwap:
     def test_preserves_degrees_and_simplicity(self, rng):

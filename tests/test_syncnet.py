@@ -1,6 +1,8 @@
+import functools
 import io
 import itertools
 import math
+import multiprocessing
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -201,25 +203,26 @@ def test_restriction_of_every_permutation_is_uniform():
                                           (256, np.uint8), (257, np.uint16),
                                           (512, np.uint16)])
 def test_bank_rows_do_not_depend_on_how_the_bank_grew(length, dtype):
-    # rows drawn in one call equal rows drawn in the kernel's block sizes:
-    # 9 (the exceedances needed to stop at 999 shuffles and level 0.01),
-    # then doubling up to 50 rows
+    # a class is drawn whole the first time a window asks; its rows are the
+    # permutations that drawing one row at a time from its stream gives
     shuffles = 999
-    whole = syncnet._Bank(4, shuffles).permutations(length, 0, shuffles)
-    bank, blocks, done, rows = syncnet._Bank(4, shuffles), [], 0, 0
-    while done < shuffles:
-        rows = min(50, 2 * rows if rows else 9, shuffles - done)
-        blocks.append(bank.permutations(length, done, done + rows))
-        done += rows
-    assert [b.shape[0] for b in blocks[:4]] == [9, 18, 36, 50]
-    assert np.array_equal(np.concatenate(blocks), whole)
+    m = 1 << (length - 1).bit_length()
+    rng = task_rng(4, m)
+    rows = []
+    for _ in range(shuffles):
+        row = np.arange(m)[np.newaxis, :]
+        rng.permuted(row, axis=1, out=row)
+        rows.append(row[0])
+    bank = syncnet._Bank(4, shuffles)
+    whole = bank.permutations(length, 0, shuffles)
+    assert np.array_equal(whole, syncnet._restrict(np.array(rows), length))
     assert whole.shape == (shuffles, length) and whole.dtype == dtype
     assert (np.sort(whole, axis=1) == np.arange(length)).all()
-    # a later call reads the rows already drawn
-    assert np.array_equal(bank.permutations(length, 100, 200), whole[100:200])
+    # a block reads its rows of the class
+    assert np.array_equal(bank.permutations(length, 100, 150), whole[100:150])
     # a window of another length in the same size class reads the same rows
-    m = 1 << (length - 1).bit_length()
     full = bank.permutations(m, 0, shuffles)
+    assert list(bank.classes) == [m]
     assert np.array_equal(syncnet._restrict(full, length), whole)
 
 
@@ -293,6 +296,39 @@ class TestBuildSyncNetwork:
         net2 = _build(series, min_ops=5, shuffles=199, seed=9, workers=2)
         assert net1.edges == net2.edges
         assert net1.diagnostics == net2.diagnostics
+
+    def test_spawned_workers_equal_the_calling_process(self, rng, monkeypatch, pools):
+        # under spawn nothing is inherited: the count matrix and the empty
+        # bank reach each worker pickled
+        series = _population(rng, n_investors=16, n_days=60)
+        net1 = _build(series, min_ops=5, shuffles=199, level=0.1, seed=9, workers=1)
+        monkeypatch.setattr(parallel, "POOL_MIN_CPU_S", 0.0)
+        from concurrent import futures
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", functools.partial(
+            futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+        net2 = _build(series, min_ops=5, shuffles=199, level=0.1, seed=9, workers=2)
+        assert pools == [2]
+        assert net1.edges == net2.edges and net1.edges
+        assert net1.diagnostics == net2.diagnostics
+
+    @pytest.mark.parametrize("peak,dtype", [(300, np.uint16), (70_000, np.uint32)])
+    def test_count_matrix_holds_the_largest_count(self, monkeypatch, peak, dtype):
+        # the matrix is the narrowest unsigned type that holds the largest
+        # count, and a count past uint8 scores as the count it is
+        dtypes = []
+
+        def spy(fn, payload, *args, **kwargs):
+            dtypes.append(payload["matrix"].dtype)
+            return parallel.map_tasks(fn, payload, *args, **kwargs)
+
+        monkeypatch.setattr(syncnet, "map_tasks", spy)
+        a, b = np.random.default_rng(5).poisson(1.0, (2, 60)) + 1
+        a[17], b[17] = peak, 40
+        net = _pair_network(a, b, shuffles=199, level=0.05, seed=2)
+        assert dtypes == [dtype]
+        assert [(e.i, e.j) for e in net.edges] == [("A", "B")]
+        assert net.edges[0].rho == pytest.approx(
+            bruteforce_pair_correlation(a.tolist(), b.tolist()), abs=1e-12)
 
     def test_byte_identical_outputs(self, rng):
         series = _population(rng, n_investors=12, n_days=50)
@@ -490,12 +526,14 @@ def test_owner_tasks_give_one_result_in_any_split_and_order(rng):
         slist.append(series_from_counts(counts, investor=f"s{i:02d}"))
     m = matrix(slist)
     assert len({(start, end) for _, start, end, _, _ in _groups(m)}) >= 6
-    payload = {"rows": [m.active(k) for k in range(n)],
+    payload = {"matrix": np.array([window(m, k, 0, n_days - 1) for k in range(n)]),
                "tables": syncnet._count_table(m.first_day.tolist(), m.last_day.tolist()),
-               "seed": 8, "shuffles": 199, "level": 0.05}
+               "shuffles": 199, "level": 0.05}
 
     def run(tasks):
-        results = [syncnet._test_owners(dict(payload), task) for task in tasks]
+        # one bank per run, drawn only as its tasks ask
+        bank = syncnet._Bank(8, 199)
+        results = [syncnet._test_owners(dict(payload, bank=bank), task) for task in tasks]
         return (sorted(edge for kept, _ in results for edge in kept),
                 sum((counts for _, counts in results), Counter()))
 
